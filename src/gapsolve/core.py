@@ -33,8 +33,9 @@ DEFAULT_BIT_WIDTH = 64
 DEFAULT_ENUM_CAP = 4_000_000
 DEFAULT_TABLE_CAP = 2_000_000
 
-# outer sums of two in-range values must stay inside int64 for the numpy path
-_NP_SAFE = 1 << 62
+# the numpy sumset path needs its inputs and both sum extremes strictly
+# inside int64, so no outer sum can wrap
+_INT64_BOUND = 1 << 63
 
 
 class BitWidthError(OverflowError):
@@ -158,17 +159,14 @@ def sumset(
     """A + B = {x + y : x in A, y in B}.
 
     Sum extremes are width-checked; checking only the extremes suffices
-    because addition is monotone. The dense numpy path engages when both
-    inputs fit comfortably in int64.
+    because addition is monotone. The dense numpy path engages when the
+    inputs and both sum extremes fit in int64.
     """
     ea, eb = a.elements, b.elements
-    _check_extremes(ea[0] + eb[0], ea[-1] + eb[-1], bits)
-    if (
-        len(ea) * len(eb) >= 4096
-        and -_NP_SAFE <= ea[0]
-        and ea[-1] <= _NP_SAFE
-        and -_NP_SAFE <= eb[0]
-        and eb[-1] <= _NP_SAFE
+    lo, hi = ea[0] + eb[0], ea[-1] + eb[-1]
+    _check_extremes(lo, hi, bits)
+    if len(ea) * len(eb) >= 4096 and all(
+        -_INT64_BOUND < v < _INT64_BOUND for v in (ea[0], eb[0], lo, ea[-1], eb[-1], hi)
     ):
         arr = np.unique(
             np.add.outer(

@@ -2,11 +2,19 @@
 with few constraints.
 
 Solvers are exact dynamic programs over reachable constraint-vector values,
-with deterministic witnesses: the table is filled variable by variable,
-values scanned in ascending order, and the first writer of a vector keeps
-it. Reductions carry enough metadata to decode a downstream witness back to
-the original variables, and every decode re-evaluates the witness against
-the original instance before returning it.
+encoded as integer keys. The table is filled variable by variable and keeps
+the reachable keys as a sorted int64 array with each key's insertion rank,
+and per rank the variable that first wrote the key and the value written;
+each step merges in the candidates key + v * column that are not yet
+present. Cost follows the number of distinct reachable vectors, not the size
+of the values. Witnesses are deterministic: a new key is written by the
+candidate (source key, value) whose source ranks first, then whose value is
+smallest, and new keys rank after old ones in that order, so the walk back
+from the target gives the same assignment as scanning an insertion-ordered
+table. When the key range exceeds 2^62 the same DP runs on a dict of Python
+ints, the exact fallback. Reductions carry enough metadata to decode a
+downstream witness back to the original variables, and every decode
+re-evaluates the witness against the original instance before returning it.
 
 All arithmetic is exact. Instance constructors check the declared bit width
 on row-sum extremes only (the tracked sums are monotone in each variable),
@@ -16,8 +24,11 @@ subset-sum reduction uses for its deliberately enormous step coefficients.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 from gapsolve.core import (
     DEFAULT_BIT_WIDTH,
@@ -119,45 +130,25 @@ class HbilpInstance:
 # ---------------------------------------------------------------------------
 # reachable-sum dynamic program
 
+# Every key and every candidate key + v * delta lies in [0, key range), so
+# the int64 engine cannot wrap while the range stays at or below this.
+_INT64_KEY_RANGE = 1 << 62
+
 _ROOT = None
 
 
-def _dp_tables(
-    columns: Sequence[Sequence[int]],
-    spans: Sequence[int],
-    m: int,
-    table_cap: int,
-    bits: Optional[int],
-):
-    """Shared DP core over shifted variables x~_j in [0, spans_j].
+def _dict_engine(root_key: int, deltas: Sequence[int], spans: Sequence[int], table_cap: int):
+    """Reference DP on arbitrary-precision keys, the only engine for key
+    ranges above _INT64_KEY_RANGE.
 
-    Returns (strides, lows, table) where table maps an encoded reachable
-    vector to a back-pointer (prev_key, var, value) chain ending at _ROOT.
-    Vector encoding is linear, so adding a column contribution is integer
-    addition on keys.
+    The table maps an encoded reachable vector to a back-pointer
+    (prev_key, var, value) chain ending at _ROOT. Keys are scanned in
+    insertion order and values in ascending order, and the first writer of
+    a key keeps it. Returns the witness lookup for a target key.
     """
-    lows, highs = [], []
-    for i in range(m):
-        lo = sum(min(0, col[i] * span) for col, span in zip(columns, spans))
-        hi = sum(max(0, col[i] * span) for col, span in zip(columns, spans))
-        if bits is not None:
-            check_width(lo, bits)
-            check_width(hi, bits)
-        lows.append(lo)
-        highs.append(hi)
-    strides = []
-    acc = 1
-    for lo, hi in zip(lows, highs):
-        strides.append(acc)
-        acc *= hi - lo + 1
-
-    root_key = sum(-lo * st for lo, st in zip(lows, strides))
     table: dict[int, object] = {root_key: _ROOT}
-    for j, (col, span) in enumerate(zip(columns, spans)):
-        if span == 0:
-            continue
-        delta = sum(col[i] * strides[i] for i in range(m))
-        if delta == 0:
+    for j, (delta, span) in enumerate(zip(deltas, spans)):
+        if span == 0 or delta == 0:
             continue
         additions: dict[int, tuple] = {}
         for key in table:
@@ -171,57 +162,122 @@ def _dp_tables(
             raise TableCapError(
                 f"reachable table hit {len(table)} entries at variable {j} (cap {table_cap})"
             )
-    return strides, lows, table
+
+    def witness(key: int) -> Optional[list[int]]:
+        if key not in table:
+            return None
+        x = [0] * len(spans)
+        cur = table[key]
+        while cur is not _ROOT:
+            prev, j, v = cur
+            x[j] = v
+            cur = table[prev]
+        return x
+
+    return witness
 
 
-def _dp_witness(table: dict, key: int, n: int) -> Optional[list[int]]:
-    if key not in table:
-        return None
-    x = [0] * n
-    cur = table[key]
-    while cur is not _ROOT:
-        prev, j, v = cur
-        x[j] = v
-        cur = table[prev]
-    return x
+def _array_engine(root_key: int, deltas: Sequence[int], spans: Sequence[int], table_cap: int):
+    """The dict engine's DP on sorted int64 arrays, with identical witnesses.
+
+    `keys` holds the reachable keys sorted and `rank`, parallel to it, each
+    key's position in the dict engine's insertion order. A candidate
+    key + v * delta has priority (rank of key, v): the smallest priority
+    writes each new key, and new keys rank after all old ones in priority
+    order. The keys a variable writes thus take consecutive ranks, so
+    `ends` and `writers` give the writer of every rank, and `value[rank]`
+    is the value it took. Each step costs about |table| * span, whatever
+    the size of the keys.
+    """
+    keys = np.array([root_key], dtype=np.int64)
+    rank = np.zeros(1, dtype=np.int64)
+    values = [np.zeros(1, dtype=np.int64)]
+    ends, writers = [1], [-1]  # writers[b] wrote ranks ends[b - 1] to ends[b] - 1
+    for j, (delta, span) in enumerate(zip(deltas, spans)):
+        if span == 0 or delta == 0:
+            continue
+        size = len(keys)
+        steps = np.arange(1, span + 1, dtype=np.int64)
+        cand = (keys[:, None] + steps * delta).ravel()
+        prio = (rank[:, None] * span + (steps - 1)).ravel()
+        at = np.searchsorted(keys, cand)
+        fresh = keys[np.minimum(at, size - 1)] != cand
+        # never empty: the extreme key moved by delta leaves the table
+        cand, prio, at = cand[fresh], prio[fresh], at[fresh]
+        if span > 1:
+            # with one step per key, keys + delta is already sorted and distinct
+            order = np.argsort(cand, kind="stable")
+            cand, prio, at = cand[order], prio[order], at[order]
+            first = np.flatnonzero(np.r_[True, cand[1:] != cand[:-1]])
+            cand, prio, at = cand[first], np.minimum.reduceat(prio, first), at[first]
+        count = size + len(cand)
+        if count > table_cap:
+            raise TableCapError(
+                f"reachable table hit {count} entries at variable {j} (cap {table_cap})"
+            )
+        by_prio = np.argsort(prio)
+        new_rank = np.empty(len(cand), dtype=np.int64)
+        new_rank[by_prio] = np.arange(size, count, dtype=np.int64)
+        values.append(prio[by_prio] % span + 1)
+        ends.append(count)
+        writers.append(j)
+        slots = at + np.arange(len(cand))
+        kept = np.ones(count, dtype=bool)
+        kept[slots] = False
+        keys = _merge(keys, cand, slots, kept)
+        rank = _merge(rank, new_rank, slots, kept)
+    value = np.concatenate(values)
+
+    def witness(key: int) -> Optional[list[int]]:
+        i = np.searchsorted(keys, key)
+        if i == len(keys) or keys[i] != key:
+            return None
+        x = [0] * len(spans)
+        r = int(rank[i])
+        while r:  # rank 0 is the root
+            j = writers[bisect.bisect_right(ends, r)]
+            v = int(value[r])
+            x[j] = v
+            key -= v * deltas[j]
+            r = int(rank[np.searchsorted(keys, key)])
+        return x
+
+    return witness
 
 
-@dataclass(frozen=True)
-class ReachableSumTable:
-    """All reachable constraint vectors of an instance with one witness
-    assignment per vector."""
-
-    vectors: dict
-
-    def verify(self, a: Matrix) -> bool:
-        return all(a.matvec(x) == vec for vec, x in self.vectors.items())
+def _merge(old: np.ndarray, new: np.ndarray, slots: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Interleave `new` at positions `slots` and `old` at the `kept` ones."""
+    out = np.empty(len(kept), dtype=old.dtype)
+    out[slots] = new
+    out[kept] = old
+    return out
 
 
-def bilp_reachable_table(
-    inst: BilpInstance,
-    table_cap: int = DEFAULT_TABLE_CAP,
-    bits: Optional[int] = DEFAULT_BIT_WIDTH,
-) -> ReachableSumTable:
-    cols = inst.a.columns()
-    spans = [hi - lo for lo, hi in inst.bounds]
-    shift = [lo for lo, _ in inst.bounds]
-    strides, lows, table = _dp_tables(cols, spans, inst.a.num_rows, table_cap, bits)
-    base = inst.a.matvec(shift)
-    out = {}
-    for key in table:
-        xt = _dp_witness(table, key, inst.a.num_cols)
-        x = tuple(s + v for s, v in zip(shift, xt))
-        out[tuple(b + d for b, d in zip(base, _decode_vec(key, strides, lows)))] = x
-    return ReachableSumTable(out)
+def _reach(a: Matrix, spans: Sequence[int], table_cap: int, bits: Optional[int]):
+    """Fill the table of vectors A x~ over x~_j in [0, spans_j].
 
-
-def _decode_vec(key: int, strides: list[int], lows: list[int]) -> tuple[int, ...]:
-    out = []
-    for i in range(len(strides) - 1, -1, -1):
-        digit = key // strides[i]
-        key -= digit * strides[i]
-        out.append(digit + lows[i])
-    return tuple(reversed(out))
+    Returns (lows, highs, strides, witness). A vector v with
+    lows <= v <= highs is encoded as the key sum_i (v_i - lows_i) * strides_i;
+    the encoding is linear, so adding a column contribution is integer
+    addition on keys. witness(key) gives the x~ that reaches it, or None.
+    """
+    cols, m = a.columns(), a.num_rows
+    lows, highs, strides = [], [], []
+    key_range = 1
+    for i in range(m):
+        lo = sum(min(0, col[i] * span) for col, span in zip(cols, spans))
+        hi = sum(max(0, col[i] * span) for col, span in zip(cols, spans))
+        if bits is not None:
+            check_width(lo, bits)
+            check_width(hi, bits)
+        lows.append(lo)
+        highs.append(hi)
+        strides.append(key_range)
+        key_range *= hi - lo + 1
+    root_key = sum(-lo * st for lo, st in zip(lows, strides))
+    deltas = [sum(col[i] * strides[i] for i in range(m)) for col in cols]
+    engine = _array_engine if key_range <= _INT64_KEY_RANGE else _dict_engine
+    return lows, highs, strides, engine(root_key, deltas, spans, table_cap)
 
 
 def _solve_bounded(
@@ -231,7 +287,6 @@ def _solve_bounded(
     table_cap: int,
     bits: Optional[int],
 ) -> Optional[list[int]]:
-    cols = a.columns()
     spans = [hi - lo for lo, hi in bounds]
     shift = [lo for lo, _ in bounds]
     base = a.matvec(shift)
@@ -239,14 +294,10 @@ def _solve_bounded(
     if bits is not None:
         for v in target:
             check_width(v, bits)
-    m = a.num_rows
-    strides, lows, table = _dp_tables(cols, spans, m, table_cap, bits)
-    for i in range(m):
-        hi = sum(max(0, col[i] * span) for col, span in zip(cols, spans))
-        if not lows[i] <= target[i] <= hi:
-            return None
-    key = sum((target[i] - lows[i]) * strides[i] for i in range(m))
-    xt = _dp_witness(table, key, a.num_cols)
+    lows, highs, strides, witness = _reach(a, spans, table_cap, bits)
+    if any(not lo <= t <= hi for lo, t, hi in zip(lows, target, highs)):
+        return None
+    xt = witness(sum((t - lo) * st for t, lo, st in zip(target, lows, strides)))
     if xt is None:
         return None
     return [s + v for s, v in zip(shift, xt)]
@@ -649,9 +700,6 @@ class _BoxReachability:
     """
 
     def __init__(self, a: Matrix, state_cap: int):
-        import numpy as np
-
-        self.np = np
         self.a = a
         self.n = a.num_cols
         self.m = a.num_rows
@@ -730,8 +778,6 @@ def small_support_candidates(
     box = _BoxReachability(a, state_cap)
     supports = set()
     limit_sq = (2 * a.num_cols * a.infinity_norm() + 1) ** a.num_rows
-    import numpy as np
-
     for idx in np.nonzero(box.suffix[0])[0].tolist():
         b = [(idx // box.radix**i) % box.radix for i in range(box.m)]
         x = box.lexmin(b)

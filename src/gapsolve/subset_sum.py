@@ -1,11 +1,12 @@
 """Subset-sum solvers driven by additive structure.
 
 The binary solver is the one-row specialization of the reachable-sum DP;
-its table growth is what the doubling-sensitive analysis bounds, so it is
-deliberately cap-limited rather than clever. The unbounded solver goes the
-long way around: encode elements as progression coordinates, enumerate the
-few supports a lexicographically-least solution can use, then run a plain
-coin reachability per support. Witnesses always re-verify before returning.
+its cost follows the number of distinct reachable sums, which is what the
+doubling-sensitive analysis bounds, and a table cap turns the densest
+inputs into a clean failure. The unbounded solver goes the long way
+around: encode elements as progression coordinates, enumerate the few
+supports a lexicographically-least solution can use, then run a plain coin
+reachability per support. Witnesses always re-verify before returning.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class SubsetSumInstance:
 def subset_sum_doubling(
     z: IntegerSet,
     t: int,
-    rng=None,
     table_cap: int = DEFAULT_TABLE_CAP,
     bits: Optional[int] = DEFAULT_BIT_WIDTH,
 ) -> Optional[SolveWitness]:
@@ -69,9 +69,8 @@ def subset_sum_doubling(
 
     The table never exceeds the number of distinct subset sums, which is
     what additive structure in z keeps small; table_cap turns the densest
-    inputs into a clean failure instead of a memory grab. rng is accepted
-    for interface parity with the randomized solvers and never used: the
-    fill order is deterministic.
+    inputs into a clean failure instead of a memory grab. The fill order is
+    deterministic.
     """
     inst = BilpInstance.binary(Matrix.from_rows([list(z.elements)]), [t])
     w = bilp_feasibility_dp(inst, table_cap=table_cap, bits=bits)
@@ -171,7 +170,7 @@ def solve_subset_sum(
     gamma: int = 1,
 ) -> Optional[SolveWitness]:
     if inst.mode == "binary":
-        return subset_sum_doubling(inst.elements, inst.target, rng, table_cap=table_cap)
+        return subset_sum_doubling(inst.elements, inst.target, table_cap=table_cap)
     return unbounded_subset_sum(
         inst.elements,
         inst.target,

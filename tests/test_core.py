@@ -77,6 +77,14 @@ class TestSumset:
             sumset(big, big)
         assert sumset(big, big, bits=None).elements == (1 << 63,)
 
+    def test_unchecked_sums_past_int64_stay_exact(self):
+        # 65 * 65 pairs take the numpy path unless a sum would leave int64
+        a = IntegerSet(tuple(range(64)) + (1 << 62,))
+        want = sorted({x + y for x in a for y in a})
+        got = sumset(a, a, bits=None).elements
+        assert got == tuple(want)
+        assert (got[0], got[-1]) == (0, 1 << 63)
+
     @given(small_sets, small_sets)
     @settings(max_examples=60, deadline=None)
     def test_matches_set_comprehension(self, a, b):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from gapsolve import ilp
 from gapsolve.core import (
     BitWidthError,
     DuplicateColumnError,
@@ -18,7 +19,6 @@ from gapsolve.ilp import (
     HbilpInstance,
     bilp_feasibility_dp,
     bilp_nonnegative,
-    bilp_reachable_table,
     bilp_to_hbilp,
     binary_image_supports,
     bounded_ilp_feasibility,
@@ -148,16 +148,32 @@ class TestSolvers:
                 assert sum(d * v for d, v in zip(dots, got.payload)) == t
 
 
+def _reachable(a, bounds):
+    """Every vector the reachable table holds, each re-checked against the
+    witness the table returns for it."""
+    spans = [hi - lo for lo, hi in bounds]
+    shift = [lo for lo, _ in bounds]
+    base = a.matvec(shift)
+    lows, highs, strides, witness = ilp._reach(a, spans, 1 << 20, 64)
+    out = set()
+    for vec in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
+        xt = witness(sum((v - lo) * st for v, lo, st in zip(vec, lows, strides)))
+        if xt is not None:
+            x = tuple(s + v for s, v in zip(shift, xt))
+            assert all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds))
+            assert a.matvec(x) == tuple(b + v for b, v in zip(base, vec))
+            out.add(a.matvec(x))
+    return out
+
+
 class TestReachableTable:
     def test_small_exhaustive(self):
         a = Matrix.from_rows([[1, -2], [0, 3]])
-        inst = BilpInstance(a, (0, 0), ((-1, 1), (0, 2)))
-        table = bilp_reachable_table(inst)
-        assert table.verify(a)
+        bounds = ((-1, 1), (0, 2))
         want = set()
         for x in itertools.product(range(-1, 2), range(0, 3)):
             want.add(a.matvec(x))
-        assert set(table.vectors) == want
+        assert _reachable(a, bounds) == want
 
     def test_random_agreement(self):
         rng = random.Random(103)
@@ -165,14 +181,100 @@ class TestReachableTable:
             m, n = rng.randint(1, 2), rng.randint(1, 4)
             a = _rand_matrix(rng, m, n, -3, 3)
             bounds = tuple((0, rng.randint(0, 2)) for _ in range(n))
-            inst = BilpInstance(a, (0,) * m, bounds)
-            table = bilp_reachable_table(inst)
-            assert table.verify(a)
             want = {
                 a.matvec(x)
                 for x in itertools.product(*[range(lo, hi + 1) for lo, hi in bounds])
             }
-            assert set(table.vectors) == want
+            assert _reachable(a, bounds) == want
+
+
+def _outcome(solve, inst, cap):
+    try:
+        w = solve(inst, table_cap=cap, bits=None)
+    except TableCapError as e:
+        return "cap", str(e)
+    if w is None:
+        return None
+    assert all(type(v) is int for v in w.payload)
+    return w.kind, w.payload
+
+
+class TestEngineEquivalence:
+    """The int64 array engine against the dict engine, which is the
+    reference: same witnesses, same Nones, same cap failures."""
+
+    def _compare(self, monkeypatch, solve, inst, cap):
+        got = _outcome(solve, inst, cap)
+        with monkeypatch.context() as mp:
+            mp.setattr(ilp, "_INT64_KEY_RANGE", 0)
+            want = _outcome(solve, inst, cap)
+        assert got == want
+        return got
+
+    def test_random_programs(self, monkeypatch):
+        rng = random.Random(105)
+        seen = set()
+        for _ in range(1500):
+            m, n = rng.randint(1, 3), rng.randint(1, 8)
+            a = _rand_matrix(rng, m, n)
+            if rng.random() < 0.3:
+                zero = rng.randrange(n)
+                rows = [[0 if j == zero else v for j, v in enumerate(r)] for r in a.rows]
+                if len(set(zip(*rows))) < n:
+                    continue
+                a = Matrix.from_rows(rows)
+            kind = rng.choice(("binary", "bounded", "mixed"))
+            if kind == "binary":
+                bounds = ((0, 1),) * n
+            else:
+                bounds = []
+                for _ in range(n):
+                    lo = rng.randint(-3, 1)
+                    top = 4 if kind == "mixed" else 3
+                    span = rng.randint(0 if kind == "mixed" else 1, top)
+                    bounds.append((lo, lo + span))
+                bounds = tuple(bounds)
+            if rng.random() < 0.5:
+                x = [rng.randint(lo, hi) for lo, hi in bounds]
+                b = a.matvec(x)
+            else:
+                b = tuple(rng.randint(-10, 10) for _ in range(m))
+            cap = rng.choice((1 << 20, rng.randint(1, 60)))
+            inst = BilpInstance(a, tuple(b), bounds)
+            solve = bilp_feasibility_dp if inst.is_binary else bounded_ilp_feasibility
+            got = self._compare(monkeypatch, solve, inst, cap)
+            seen.add("none" if got is None else got[0])
+        assert seen == {"none", "cap", "binary-vector", "multiplicity-vector"}
+
+    def test_random_hbilp(self, monkeypatch):
+        rng = random.Random(106)
+        for _ in range(400):
+            m, n = rng.randint(1, 3), rng.randint(1, 8)
+            a = _rand_matrix(rng, m, n)
+            s = tuple(rng.randint(-40, 40) for _ in range(m))
+            inst = HbilpInstance(a, s, rng.randint(-150, 150))
+            self._compare(monkeypatch, hbilp_feasibility, inst, 1 << 20)
+
+    def test_fallback_above_int64(self, monkeypatch):
+        """Key ranges above 2^62 run on the dict engine, those at 2^62 on
+        the array engine."""
+
+        def refuse(*args):
+            raise AssertionError("wrong engine")
+
+        big = 1 << 62
+        above = BilpInstance.binary(Matrix.from_rows([[big, 3]]), (big + 3,))
+        at = BilpInstance.binary(Matrix.from_rows([[big - 4, 3]]), (big - 4,))
+        with monkeypatch.context() as mp:
+            mp.setattr(ilp, "_array_engine", refuse)
+            assert bilp_feasibility_dp(above, bits=None).payload == (1, 1)
+            with pytest.raises(AssertionError):
+                bilp_feasibility_dp(at, bits=None)
+        with monkeypatch.context() as mp:
+            mp.setattr(ilp, "_dict_engine", refuse)
+            assert bilp_feasibility_dp(at, bits=None).payload == (1, 0)
+            with pytest.raises(AssertionError):
+                bilp_feasibility_dp(above, bits=None)
 
 
 class TestBilpNonnegative:
@@ -257,7 +359,7 @@ class TestHbilpNonnegative:
 
     def test_equivalence_signed(self):
         rng = random.Random(106)
-        for _ in range(200):
+        for _ in range(400):
             m, n = rng.randint(1, 2), rng.randint(1, 5)
             a = _rand_matrix(rng, m, n)
             if a.infinity_norm() == 0:
