@@ -56,14 +56,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _witness_json(w: SolveWitness) -> dict:
-    return {"kind": w.kind, "values": list(w.payload)}
-
-
-def _witness_from_json(d: dict) -> SolveWitness:
-    return SolveWitness(d["kind"], tuple(int(v) for v in d["values"]))
-
-
 def _rng(seed: int) -> random.Random:
     return random.Random(seed)
 
@@ -103,7 +95,7 @@ def _cmd_ilp_solve(args) -> int:
     if w is None:
         _emit({"feasible": False})
         return 1
-    _emit({"feasible": True, "witness": _witness_json(w)})
+    _emit({"feasible": True, "witness": w.to_json_dict()})
     return 0
 
 
@@ -166,11 +158,11 @@ def _cmd_ilp_decode(args) -> int:
     if (args.src, args.dst) not in _REDUCTIONS:
         raise ValueError(f"no reduction from {args.src} to {args.dst}")
     d = _read_json(args.input)
-    w = _witness_from_json(_read_json(args.witness))
+    w = SolveWitness.from_json_dict(_read_json(args.witness))
     _, _, stages = _run_reduction(args.src, args.dst, d, args.seed, args.gamma)
     if args.src == "ss":
         decoded = stages["ss_enc"].decode(w.payload)
-        _emit({"witness": _witness_json(decoded)})
+        _emit({"witness": decoded.to_json_dict()})
         return 0
     if args.dst == "ss":
         decoded = stages["ss"].decode(w.payload)
@@ -178,13 +170,11 @@ def _cmd_ilp_decode(args) -> int:
     else:
         y = stages["agg"].decode(w.payload)
     if args.src == "bilp":
-        x = stages["nn"].decode(y)
+        y = stages["nn"].decode(y)
         binst = BilpInstance.from_json_dict(d)
-        if binst.a.matvec(x) != binst.b:
+        if binst.a.matvec(y) != binst.b:
             raise ValueError("decoded assignment does not satisfy the program")
-        _emit({"witness": {"kind": "binary-vector", "values": list(x)}})
-        return 0
-    _emit({"witness": {"kind": "binary-vector", "values": list(y)}})
+    _emit({"witness": SolveWitness("binary-vector", y).to_json_dict()})
     return 0
 
 
@@ -199,7 +189,7 @@ def _cmd_subset_sum(args) -> int:
     if w is None:
         _emit({"feasible": False})
         return 1
-    _emit({"feasible": True, "witness": _witness_json(w)})
+    _emit({"feasible": True, "witness": w.to_json_dict()})
     return 0
 
 
@@ -220,7 +210,7 @@ def _cmd_ksum(args) -> int:
         "exhaustive": res.exhaustive,
     }
     if res.witness is not None:
-        out["witness"] = _witness_json(res.witness)
+        out["witness"] = res.witness.to_json_dict()
         _emit(out)
         return 0
     _emit(out)
@@ -243,7 +233,7 @@ def _cmd_verify(args) -> int:
         return 0 if contains and proper else 1
     if args.check == "witness":
         d = _read_json(args.input)
-        w = _witness_from_json(_read_json(args.witness))
+        w = SolveWitness.from_json_dict(_read_json(args.witness))
         ok = _verify_witness(d, w)
         _emit({"ok": ok})
         return 0 if ok else 1

@@ -11,6 +11,15 @@ Passing bits=None switches an operation to arbitrary precision; the group
 modeling path uses that switch because its intermediate values can grow far
 past 64 bits.
 
+Set arithmetic: one private sumset kernel serves `sumset`, the k-SUM folds
+and the Freiman supports. Its single int64 guard admits numpy only when every
+operand lies strictly inside +-2^62, read off the extremes of sorted inputs,
+so no pairwise sum or difference can wrap; anything else takes the exact
+Python-int fallback. Pairwise sumsets of at least 4096 pairs take a numpy
+outer sum deduplicated by sort plus an adjacent-difference mask; dense ranges
+take an FFT convolution of indicator vectors (exact: counts stay far inside
+float64's integer range).
+
 GAP convention: coefficient boxes are zero-based and half-open, so a
 generalized arithmetic progression is {base + sum(l_i * y_i) : 0 <= l_i < L_i}.
 Presentations with one-based coefficient boxes are absorbed by shifting
@@ -25,17 +34,13 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 DEFAULT_BIT_WIDTH = 64
 DEFAULT_ENUM_CAP = 4_000_000
 DEFAULT_TABLE_CAP = 2_000_000
-
-# the numpy sumset path needs its inputs and both sum extremes strictly
-# inside int64, so no outer sum can wrap
-_INT64_BOUND = 1 << 63
 
 
 class BitWidthError(OverflowError):
@@ -149,6 +154,71 @@ def _check_extremes(lo: int, hi: int, bits: Optional[int]) -> None:
     check_width(hi, bits)
 
 
+# ---------------------------------------------------------------------------
+# the sumset kernel
+
+# operands strictly inside +-2^62 keep every pairwise sum or difference
+# strictly inside int64
+_INT64_SAFE = 1 << 62
+# pair count from which the numpy outer sum beats the Python set
+_NUMPY_MIN_PAIRS = 4096
+
+
+def _int64_safe(lo: int, hi: int) -> bool:
+    """The one int64 guard: may operands in [lo, hi] enter numpy?"""
+    return -_INT64_SAFE < lo and hi < _INT64_SAFE
+
+
+def _sorted_distinct(arr: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of an array, by a sort and an adjacent-difference
+    mask, which on int64 is far cheaper than numpy's unique."""
+    arr = np.sort(arr, axis=None)
+    keep = np.ones(arr.size, dtype=bool)
+    np.not_equal(arr[1:], arr[:-1], out=keep[1:])
+    return arr[keep]
+
+
+def _pair_sumset(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Sorted distinct {x + y} of two sorted nonempty sequences, as Python
+    ints: a numpy outer sum when there are enough pairs and the guard admits
+    both inputs, exact Python ints otherwise."""
+    if (
+        len(a) * len(b) >= _NUMPY_MIN_PAIRS
+        and _int64_safe(a[0], a[-1])
+        and _int64_safe(b[0], b[-1])
+    ):
+        sums = np.add.outer(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        return _sorted_distinct(sums).tolist()
+    return sorted({x + y for x in a for y in b})
+
+
+def _indicator(values: Sequence[int]) -> np.ndarray:
+    """0/1 float64 vector over [values[0], values[-1]] marking a sorted
+    sequence. Only offsets from the minimum enter numpy, so the values
+    themselves may exceed int64."""
+    lo = values[0]
+    out = np.zeros(values[-1] - lo + 1, dtype=np.float64)
+    out[np.fromiter((v - lo for v in values), dtype=np.int64, count=len(values))] = 1.0
+    return out
+
+
+def _transform_size(n: int) -> int:
+    """FFT length for a linear convolution of output length n."""
+    return 1 << (n - 1).bit_length()
+
+
+def _conv_support(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Boolean support of the sumset given two indicator vectors.
+
+    Counts in the raw convolution never exceed min(len(x), len(y)), far
+    inside float64's exact-integer range, so thresholding at 0.5 is exact.
+    """
+    n = len(x) + len(y) - 1
+    size = _transform_size(n)
+    out = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)[:n]
+    return out > 0.5
+
+
 def sumset(
     a: IntegerSet,
     b: IntegerSet,
@@ -159,27 +229,14 @@ def sumset(
     """A + B = {x + y : x in A, y in B}.
 
     Sum extremes are width-checked; checking only the extremes suffices
-    because addition is monotone. The dense numpy path engages when the
-    inputs and both sum extremes fit in int64.
+    because addition is monotone.
     """
     ea, eb = a.elements, b.elements
-    lo, hi = ea[0] + eb[0], ea[-1] + eb[-1]
-    _check_extremes(lo, hi, bits)
-    if len(ea) * len(eb) >= 4096 and all(
-        -_INT64_BOUND < v < _INT64_BOUND for v in (ea[0], eb[0], lo, ea[-1], eb[-1], hi)
-    ):
-        arr = np.unique(
-            np.add.outer(
-                np.asarray(ea, dtype=np.int64), np.asarray(eb, dtype=np.int64)
-            ).ravel()
-        )
-        if cap is not None and arr.size > cap:
-            raise EnumerationCapError(f"sumset size {arr.size} exceeds cap {cap}")
-        return IntegerSet(tuple(int(v) for v in arr))
-    out = {x + y for x in ea for y in eb}
+    _check_extremes(ea[0] + eb[0], ea[-1] + eb[-1], bits)
+    out = _pair_sumset(ea, eb)
     if cap is not None and len(out) > cap:
         raise EnumerationCapError(f"sumset size {len(out)} exceeds cap {cap}")
-    return IntegerSet(tuple(sorted(out)))
+    return IntegerSet(tuple(out))
 
 
 def negate(a: IntegerSet, *, bits: Optional[int] = DEFAULT_BIT_WIDTH) -> IntegerSet:
@@ -215,46 +272,19 @@ def doubling_constant(a: IntegerSet, *, bits: Optional[int] = DEFAULT_BIT_WIDTH)
     return Fraction(len(sumset(a, a, bits=bits)), len(a))
 
 
-def lex_min(vectors: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Lexicographically least vector of a nonempty collection."""
-    if not vectors:
-        raise ValueError("lex_min of empty collection")
-    return tuple(min(tuple(v) for v in vectors))
-
-
 # ---------------------------------------------------------------------------
 # generalized arithmetic progressions
-
-Element = Union[int, tuple[int, ...]]
-
-
-def _elem_zero_like(x: Element) -> Element:
-    return 0 if isinstance(x, int) else (0,) * len(x)
-
-
-def _elem_add(x: Element, y: Element) -> Element:
-    if isinstance(x, int):
-        return x + y
-    return tuple(u + v for u, v in zip(x, y))
-
-
-def _elem_scale(c: int, x: Element) -> Element:
-    if isinstance(x, int):
-        return c * x
-    return tuple(c * u for u in x)
-
 
 @dataclass(frozen=True)
 class Gap:
     """A generalized arithmetic progression with zero-based coefficients.
 
-    `generators` are integers, or integer tuples for the vector-valued case.
-    `modulus` marks a progression living in Z_m (scalar generators only);
-    its elements are reduced to the residues [0, m).
+    `modulus` marks a progression living in Z_m; its elements are reduced to
+    the residues [0, m).
     """
 
-    base: Element
-    generators: tuple[Element, ...]
+    base: int
+    generators: tuple[int, ...]
     lengths: tuple[int, ...]
     modulus: Optional[int] = None
 
@@ -264,9 +294,8 @@ class Gap:
             raise ValueError("generators and lengths must match")
         if any(l < 1 for l in self.lengths):
             raise ValueError("lengths must be >= 1")
-        if self.modulus is not None:
-            if self.modulus < 2 or not isinstance(self.base, int):
-                raise ValueError("modulus requires scalar generators and m >= 2")
+        if self.modulus is not None and self.modulus < 2:
+            raise ValueError("modulus must be >= 2")
 
     @property
     def dimension(self) -> int:
@@ -278,10 +307,8 @@ class Gap:
             v *= l
         return v
 
-    def element_at(self, coords: Sequence[int]) -> Element:
-        x = self.base
-        for c, y in zip(coords, self.generators):
-            x = _elem_add(x, _elem_scale(c, y))
+    def element_at(self, coords: Sequence[int]) -> int:
+        x = self.base + sum(c * y for c, y in zip(coords, self.generators))
         if self.modulus is not None:
             x = x % self.modulus
         return x
@@ -303,7 +330,7 @@ class Gap:
     def to_json_dict(self) -> dict:
         d = {
             "base": self.base,
-            "generators": [list(g) if isinstance(g, tuple) else g for g in self.generators],
+            "generators": list(self.generators),
             "lengths": list(self.lengths),
         }
         if self.modulus is not None:
@@ -312,11 +339,12 @@ class Gap:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Gap":
-        gens = tuple(
-            tuple(g) if isinstance(g, list) else int(g) for g in d["generators"]
+        return cls(
+            int(d["base"]),
+            tuple(int(g) for g in d["generators"]),
+            tuple(int(l) for l in d["lengths"]),
+            d.get("modulus"),
         )
-        base = tuple(d["base"]) if isinstance(d["base"], list) else int(d["base"])
-        return cls(base, gens, tuple(int(l) for l in d["lengths"]), d.get("modulus"))
 
 
 @functools.lru_cache(maxsize=32)
@@ -334,64 +362,26 @@ def _gap_value_table(gap: Gap) -> dict:
 def gap_enumerate(
     gap: Gap, cap: Optional[int] = DEFAULT_ENUM_CAP
 ) -> tuple[IntegerSet, bool]:
-    """All elements of a scalar GAP plus a properness flag."""
+    """All elements of a GAP plus a properness flag."""
     elems = gap.enumerate_elements(cap)
-    if elems and not isinstance(elems[0], int):
-        raise TypeError("gap_enumerate expects scalar generators")
     return IntegerSet(elems), len(elems) == gap.volume()
 
 
 def gap_membership(
-    gap: Gap, x: Element, cap: Optional[int] = DEFAULT_ENUM_CAP
+    gap: Gap, x: int, cap: Optional[int] = DEFAULT_ENUM_CAP
 ) -> Optional[tuple[int, ...]]:
     """Lexicographically least coefficient vector representing x, or None."""
     if cap is not None and gap.volume() > cap:
         raise EnumerationCapError(
             f"gap volume {gap.volume()} exceeds membership cap {cap}"
         )
-    if gap.modulus is not None and isinstance(x, int):
+    if gap.modulus is not None:
         x = x % gap.modulus
     return _gap_value_table(gap).get(x)
 
 
 # ---------------------------------------------------------------------------
-# vector sets and matrices
-
-
-@dataclass(frozen=True)
-class VectorSet:
-    """A finite set of equal-length integer vectors, sorted and duplicate free."""
-
-    vectors: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.vectors:
-            raise ValueError("VectorSet must be nonempty")
-        width = len(self.vectors[0])
-        if any(len(v) != width for v in self.vectors):
-            raise ValueError("vectors must share one length")
-        if any(a >= b for a, b in zip(self.vectors, self.vectors[1:])):
-            raise ValueError("vectors must be strictly increasing")
-
-    @classmethod
-    def from_iterable(cls, vs: Iterable[Sequence[int]]) -> "VectorSet":
-        return cls(tuple(sorted({tuple(int(x) for x in v) for v in vs})))
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-
-def vector_sumset(a: VectorSet, b: VectorSet) -> VectorSet:
-    return VectorSet.from_iterable(
-        tuple(x + y for x, y in zip(u, v)) for u in a for v in b
-    )
-
-
-def vector_doubling_constant(a: VectorSet) -> Fraction:
-    return Fraction(len(vector_sumset(a, a)), len(a))
+# matrices
 
 
 @dataclass(frozen=True)
@@ -463,8 +453,8 @@ class SolveWitness:
             raise ValueError("binary witness entries must be 0 or 1")
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "payload": list(self.payload)}
+        return {"kind": self.kind, "values": list(self.payload)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SolveWitness":
-        return cls(d["kind"], tuple(int(x) for x in d["payload"]))
+        return cls(d["kind"], tuple(int(v) for v in d["values"]))

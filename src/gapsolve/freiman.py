@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from gapsolve.core import (
     IntegerSet,
     InvariantError,
     PipelineFailureError,
+    _conv_support,
+    _indicator,
+    _sorted_distinct,
     ceil_root,
     sumset,
 )
@@ -74,20 +77,6 @@ def next_prime(n: int) -> int:
 # iterated difference supports
 
 
-def _conv_support(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Boolean support of the sumset given two indicator vectors.
-
-    Counts in the raw convolution never exceed min(len(x), len(y)), far
-    inside float64's exact-integer range, so thresholding at 0.5 is exact.
-    """
-    n = len(x) + len(y) - 1
-    size = 1 << (n - 1).bit_length()
-    fx = np.fft.rfft(x, size)
-    fy = np.fft.rfft(y, size)
-    out = np.fft.irfft(fx * fy, size)[:n]
-    return out > 0.5
-
-
 def iterated_support(
     a: IntegerSet, plus_count: int, minus_count: int, cap: int = DEFAULT_SUPPORT_CAP
 ) -> tuple[int, np.ndarray]:
@@ -101,9 +90,7 @@ def iterated_support(
     span = (plus_count + minus_count) * a.diameter() + 1
     if span > cap:
         raise EnumerationCapError(f"difference support range {span} exceeds cap {cap}")
-    base = np.zeros(a.diameter() + 1, dtype=np.float64)
-    for v in a:
-        base[v - a.min()] = 1.0
+    base = _indicator(a.elements)
 
     def fold(k: int) -> np.ndarray:
         acc = None
@@ -181,10 +168,6 @@ class FreimanModel:
 
     def apply_array(self, xs: np.ndarray) -> np.ndarray:
         return ((self.multiplier * (xs % self.q)) % self.q) % self.m
-
-    @property
-    def psi(self) -> Callable[[int], int]:
-        return self.apply
 
 
 def modeling_lemma(
@@ -408,7 +391,7 @@ def _assert_bohr_gap(gap: Gap, spec: BohrSpec, bound: Fraction, enum_cap: int) -
     elems = np.zeros(1, dtype=np.int64)
     for g, l in zip(gap.generators, gap.lengths):
         elems = (elems[:, None] + (np.arange(l, dtype=np.int64) * g) % m).ravel() % m
-    if len(np.unique(elems)) != vol:
+    if len(_sorted_distinct(elems)) != vol:
         raise InvariantError("progression is not proper in Z_m")
     pe, qe = spec.width.numerator, spec.width.denominator
     for r in spec.frequencies:

@@ -372,26 +372,21 @@ class BilpNonnegative:
         return tuple(int(v) for v in y[: self.n_original])
 
 
-def bilp_nonnegative(a: Matrix, b: Sequence[int], support_target: Optional[int] = None) -> BilpNonnegative:
+def bilp_nonnegative(a: Matrix, b: Sequence[int]) -> BilpNonnegative:
     """Shift entries by the magnitude bound and append a support row.
 
-    The appended row pins the total support so the shift contributes a fixed
-    amount to every row. Only the default target (n) preserves feasibility
-    exactly; other targets additionally constrain the support and exist for
-    experimentation.
+    The appended row pins the total support to n (each original variable or
+    its complement copy), so the shift contributes a fixed amount to every
+    row and feasibility is preserved exactly.
     """
     n, delta = a.num_cols, a.infinity_norm()
-    if support_target is None:
-        support_target = n
-    if not 0 <= support_target <= 2 * n:
-        raise ValueError("support target out of range")
     rows = [[v + delta for v in row] + [delta] * n for row in a.rows]
     rows.append([1] * (2 * n))
-    rhs = tuple(bv + n * delta for bv in b) + (support_target,)
+    rhs = tuple(bv + n * delta for bv in b) + (n,)
     out = Matrix.from_rows(rows)
     if out.infinity_norm() > 2 * delta and delta > 0:
         raise InvariantError("normalized magnitude exceeded twice the input bound")
-    return BilpNonnegative(out, rhs, n, support_target)
+    return BilpNonnegative(out, rhs, n, n)
 
 
 @dataclass(frozen=True)
@@ -529,9 +524,7 @@ def _digit_columns(count: int, radix: int, k: int) -> list[list[int]]:
     return cols
 
 
-def hbilp_to_ss(
-    inst: HbilpInstance, pad_dummies: bool = False, bits: Optional[int] = None
-) -> SubsetSumFromHbilp:
+def hbilp_to_ss(inst: HbilpInstance, bits: Optional[int] = None) -> SubsetSumFromHbilp:
     """Encode aggregated-ILP feasibility as subset sum over distinct
     positive elements.
 
@@ -562,8 +555,9 @@ def hbilp_to_ss(
     n2, m2 = a2.num_cols, a2.num_rows
     delta2 = a2.infinity_norm()
     if delta2 < 2:
-        # defensive: normalization yields delta >= 2 whenever the input had
-        # a nonzero entry, but the digit argument needs radix >= 2
+        # reached when every nonzero kept entry is -1: the shifted entries are
+        # then 0 or 1, but the digit argument needs radix >= 2, so a row with
+        # step 0 lifts the norm to 2 without changing any aggregated sum
         rows = [list(r) for r in a2.rows]
         extra = [0] * n2
         extra[0] = 2
@@ -609,19 +603,6 @@ def hbilp_to_ss(
         "support": support,
         "padded": 0,
     }
-    if pad_dummies:
-        extra_vals = []
-        top_cap = delta2 ** max(k - 1, 0)
-        j = 1
-        existing = set(elements)
-        while len(extra_vals) < len(elements) and j < top_cap:
-            cand = target + j * big_m
-            if cand not in existing:
-                extra_vals.append(cand)
-                existing.add(cand)
-            j += 1
-        elements = sorted(existing)
-        meta["padded"] = len(extra_vals)
     return SubsetSumFromHbilp(
         IntegerSet(tuple(elements)),
         target,

@@ -8,8 +8,10 @@ native to the backend that ran it (transform length for convolution,
 pair count for hashing), so structured and unstructured inputs separate
 honestly in benchmarks.
 
-Values are kept as plain Python ints at fold boundaries; numpy fast paths
-engage only when magnitudes fit comfortably in int64.
+Every fold runs on the sumset kernel in `gapsolve.core`: values are plain
+Python ints at fold boundaries, numpy engages only when the kernel's one
+int64 guard admits the operands (all strictly inside +-2^62), and anything
+larger takes the kernel's exact Python-int fallback.
 """
 
 from __future__ import annotations
@@ -27,9 +29,12 @@ from gapsolve.core import (
     IntegerSet,
     InvariantError,
     SolveWitness,
+    _conv_support,
+    _indicator,
+    _int64_safe,
+    _pair_sumset,
+    _transform_size,
 )
-
-_NP_SAFE = 1 << 62
 
 DEFAULT_CUT_CAP = 50_000
 DEFAULT_PAIR_CAP = 50_000_000
@@ -106,52 +111,29 @@ def splitter_family(
 
 @dataclass(frozen=True)
 class SumsetFold:
-    """One pairwise sumset: sorted distinct values, optional lex-least
-    witness pairs, and the work the chosen backend actually did."""
+    """One pairwise sumset: sorted distinct values and the work the chosen
+    backend actually did."""
 
     values: tuple[int, ...]
-    witnesses: Optional[dict]
     backend: str
     work: int
-
-
-def _int64_ok(vals: Sequence[int]) -> bool:
-    return all(-_NP_SAFE < v < _NP_SAFE for v in vals)
-
-
-def _python_sumset(a: Sequence[int], b: Sequence[int], with_witnesses: bool) -> SumsetFold:
-    if with_witnesses:
-        wit = {}
-        for x in a:
-            for y in b:
-                v = x + y
-                if v not in wit:
-                    wit[v] = (x, y)
-        values = tuple(sorted(wit))
-        return SumsetFold(values, wit, "hash", len(a) * len(b))
-    seen = set()
-    for x in a:
-        for y in b:
-            seen.add(x + y)
-    return SumsetFold(tuple(sorted(seen)), None, "hash", len(a) * len(b))
 
 
 def sparse_sumset(
     a: Sequence[int],
     b: Sequence[int],
     backend: Optional[str] = None,
-    with_witnesses: bool = True,
     pair_cap: int = DEFAULT_PAIR_CAP,
     range_cap: int = DEFAULT_RANGE_CAP,
 ) -> SumsetFold:
     """Pairwise sumset with backend choice by shape.
 
     "hash" enumerates all pairs (cost |a|*|b|); "fft" convolves indicator
-    vectors over the combined value range (cost about the padded range).
+    vectors over the combined value range (cost: the transform length).
     Auto selection takes fft exactly when the range is within cap and
     smaller than the pair count, which is what separates structured from
-    unstructured inputs. Values outside int64 fall back to exact Python
-    hashing regardless.
+    unstructured inputs. Values outside the int64 guard fall back to exact
+    Python hashing regardless.
     """
     if not a or not b:
         raise ValueError("sumset factors must be nonempty")
@@ -159,12 +141,12 @@ def sparse_sumset(
     b = sorted(b)
     if backend not in (None, "hash", "fft"):
         raise ValueError("backend must be 'hash' or 'fft'")
-    if not (_int64_ok(a) and _int64_ok(b)):
+    pairs = len(a) * len(b)
+    if not (_int64_safe(a[0], a[-1]) and _int64_safe(b[0], b[-1])):
         if backend == "fft":
             raise EnumerationCapError("values exceed the convolution-safe range")
-        return _python_sumset(a, b, with_witnesses)
+        return SumsetFold(tuple(_pair_sumset(a, b)), "hash", pairs)
     span = (a[-1] - a[0]) + (b[-1] - b[0]) + 1
-    pairs = len(a) * len(b)
     if backend is None:
         if span <= range_cap and pairs > span:
             backend = "fft"
@@ -179,53 +161,11 @@ def sparse_sumset(
     if backend == "hash":
         if pairs > pair_cap:
             raise EnumerationCapError(f"{pairs} pairs above cap {pair_cap}")
-        if pairs <= 4096:
-            return _python_sumset(a, b, with_witnesses)
-        av = np.array(a, dtype=np.int64)
-        bv = np.array(b, dtype=np.int64)
-        sums = np.add.outer(av, bv).ravel()
-        if with_witnesses:
-            vals, first = np.unique(sums, return_index=True)
-            ai, bi = np.divmod(first, len(b))
-            wit = {
-                int(v): (int(av[i]), int(bv[j]))
-                for v, i, j in zip(vals, ai, bi)
-            }
-            return SumsetFold(tuple(int(v) for v in vals), wit, "hash", pairs)
-        vals = np.unique(sums)
-        return SumsetFold(tuple(int(v) for v in vals), None, "hash", pairs)
-
+        return SumsetFold(tuple(_pair_sumset(a, b)), "hash", pairs)
     if span > range_cap:
         raise EnumerationCapError(f"range {span} above cap {range_cap}")
-    offset = a[0] + b[0]
-    ia = np.zeros(a[-1] - a[0] + 1, dtype=np.float64)
-    ia[np.array(a, dtype=np.int64) - a[0]] = 1.0
-    ib = np.zeros(b[-1] - b[0] + 1, dtype=np.float64)
-    ib[np.array(b, dtype=np.int64) - b[0]] = 1.0
-    size = 1
-    while size < span:
-        size <<= 1
-    conv = np.fft.irfft(np.fft.rfft(ia, size) * np.fft.rfft(ib, size), size)[:span]
-    hit = np.nonzero(conv > 0.5)[0]
-    values = tuple(int(v) + offset for v in hit)
-    wit = None
-    if with_witnesses:
-        wit = {}
-        vals_arr = hit + offset
-        remaining = np.ones(len(vals_arr), dtype=bool)
-        b_ind = np.zeros(b[-1] - b[0] + 1, dtype=bool)
-        b_ind[np.array(b, dtype=np.int64) - b[0]] = True
-        for x in a:
-            if not remaining.any():
-                break
-            need = vals_arr - x - b[0]
-            ok = (need >= 0) & (need < len(b_ind))
-            ok[ok] = b_ind[need[ok]]
-            fresh = remaining & ok
-            for v, nd in zip(vals_arr[fresh], need[fresh]):
-                wit[int(v)] = (x, int(nd) + b[0])
-            remaining &= ~fresh
-    return SumsetFold(values, wit, "fft", size)
+    hit = np.flatnonzero(_conv_support(_indicator(a), _indicator(b)))
+    return SumsetFold(tuple((hit + (a[0] + b[0])).tolist()), "fft", _transform_size(span))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +194,6 @@ def _fold_blocks(
             levels[-1],
             bv,
             backend=backend,
-            with_witnesses=False,
             pair_cap=pair_cap,
             range_cap=range_cap,
         )
@@ -289,9 +228,9 @@ def _meet(lvals: list[int], rvals: list[int], t: int) -> Optional[int]:
     """First left value (ascending) whose complement t - v is on the right."""
     if (
         len(lvals) > 64
-        and _int64_ok(lvals)
-        and _int64_ok(rvals)
-        and -_NP_SAFE < t < _NP_SAFE
+        and _int64_safe(lvals[0], lvals[-1])
+        and _int64_safe(rvals[0], rvals[-1])
+        and _int64_safe(t, t)
     ):
         la = np.array(lvals, dtype=np.int64)
         ra = np.array(rvals, dtype=np.int64)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapsolve
 from gapsolve.core import (
     BitWidthError,
     Gap,
@@ -18,7 +19,6 @@ from gapsolve.core import (
     gap_enumerate,
     gap_membership,
     iterated_sumset,
-    lex_min,
     negate,
     sumset,
 )
@@ -84,6 +84,16 @@ class TestSumset:
         got = sumset(a, a, bits=None).elements
         assert got == tuple(want)
         assert (got[0], got[-1]) == (0, 1 << 63)
+        # operands on both sides of the int64 guard (2^62) and past int64,
+        # with pair counts on both sides of the numpy threshold (4096)
+        for top in ((1 << 62) - 1, 1 << 62, 1 << 63, 1 << 70):
+            for sign in (1, -1):
+                for na, nb in ((63, 65), (64, 64), (65, 65)):
+                    a = IntegerSet.from_iterable(sign * (top - 3 * d) for d in range(na))
+                    b = IntegerSet.from_iterable(sign * (top - 5 * d) for d in range(nb))
+                    for x, y in ((a, b), (a, IntegerSet(tuple(range(nb))))):
+                        want = tuple(sorted({u + v for u in x for v in y}))
+                        assert sumset(x, y, bits=None).elements == want
 
     @given(small_sets, small_sets)
     @settings(max_examples=60, deadline=None)
@@ -118,10 +128,6 @@ def test_check_width_boundary():
     with pytest.raises(BitWidthError):
         check_width(1 << 63)
     check_width(1 << 100, bits=None)
-
-
-def test_lex_min():
-    assert lex_min([(1, 2), (0, 9), (0, 3)]) == (0, 3)
 
 
 class TestGap:
@@ -215,6 +221,13 @@ class TestMatrix:
 
 def test_witness_kinds():
     w = SolveWitness("subset-of-indices", (0, 2))
-    assert json.loads(json.dumps(w.to_json_dict()))["kind"] == "subset-of-indices"
+    d = json.loads(json.dumps(w.to_json_dict()))
+    assert d == {"kind": "subset-of-indices", "values": [0, 2]}
+    assert SolveWitness.from_json_dict(d) == w
     with pytest.raises(ValueError):
         SolveWitness("bogus", (1,))
+
+
+def test_public_names_resolve():
+    for name in gapsolve.__all__:
+        assert getattr(gapsolve, name) is not None, name

@@ -36,11 +36,20 @@ from gapsolve.oracles import (
 
 
 def _rand_matrix(rng, m, n, lo=-4, hi=4):
+    if n > (hi - lo + 1) ** m:
+        raise ValueError(f"no {m}-row matrix with entries in [{lo}, {hi}] has {n} distinct columns")
     while True:
         rows = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
         cols = {tuple(r[j] for r in rows) for j in range(n)}
         if len(cols) == n:
             return Matrix.from_rows(rows)
+
+
+def test_rand_matrix_rejects_impossible_shapes():
+    # one row with entries in [-4, 4] has only 9 distinct columns
+    with pytest.raises(ValueError):
+        _rand_matrix(random.Random(0), 1, 10)
+    assert _rand_matrix(random.Random(0), 1, 9).num_cols == 9
 
 
 class TestInstances:
@@ -285,11 +294,6 @@ class TestBilpNonnegative:
         assert res.rhs == (6, 9, 2)
         assert res.support_target == 2
 
-    def test_range_check(self):
-        a = Matrix.from_rows([[1, -2]])
-        with pytest.raises(ValueError):
-            bilp_nonnegative(a, (0,), support_target=5)
-
     def test_preserves_feasibility(self):
         rng = random.Random(104)
         for _ in range(100):
@@ -404,30 +408,23 @@ class TestHbilpToSs:
             assert len(set(els)) == len(els)
             assert all(v > 0 for v in els)
 
-    def test_pad_dummies(self):
-        from gapsolve.oracles import brute_subset_sum
-
-        inst = HbilpInstance(Matrix.from_rows([[1, 2, 1]]), (1,), 3)
-        plain = hbilp_to_ss(inst)
-        padded = hbilp_to_ss(inst, pad_dummies=True)
-        assert padded.meta["padded"] > 0
-        assert padded.target == plain.target
-        assert set(plain.elements) <= set(padded.elements)
-        # dummies exceed the target alone, so feasibility is unchanged
-        got = brute_subset_sum(padded.elements.elements, padded.target)
-        assert got is not None
-        w = padded.decode(got)
-        assert sum(w.payload[i] * v for i, v in enumerate((1, 2, 1))) == 3
-
     def test_round_trip_vs_brute(self):
         from gapsolve.oracles import brute_subset_sum
 
         rng = random.Random(108)
+        cases = []
         for _ in range(60):
             m, n = rng.randint(1, 2), rng.randint(1, 4)
             a = _rand_matrix(rng, m, n)
             s = tuple(rng.randint(-3, 3) for _ in range(m))
-            t = rng.randint(-10, 10)
+            cases.append((a, s, rng.randint(-10, 10)))
+        # all nonzero entries -1: normalization leaves an infinity norm of 1,
+        # so the radix is lifted to 2
+        for rows in ([[-1]], [[-1, -1]], [[-1, 0], [0, -1]]):
+            a = Matrix.from_rows(rows)
+            for t in (-2, -1, 0, 1):
+                cases.append((a, (1,) * a.num_rows, t))
+        for a, s, t in cases:
             inst = HbilpInstance(a, s, t)
             res = hbilp_to_ss(inst)
             want = brute_hbilp_feasibility(a, s, t)

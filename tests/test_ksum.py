@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from gapsolve.core import EnumerationCapError, IntegerSet
+from gapsolve.core import EnumerationCapError, IntegerSet, sumset
 from gapsolve.ksum import (
+    DEFAULT_RANGE_CAP,
     ColorPartition,
     foursum,
     ksum,
@@ -56,23 +57,37 @@ class TestSplitters:
 class TestSparseSumset:
     def test_backends_agree(self):
         rng = random.Random(6)
-        for _ in range(30):
-            a = sorted(rng.sample(range(-200, 200), rng.randint(1, 30)))
-            b = sorted(rng.sample(range(-200, 200), rng.randint(1, 30)))
-            h = sparse_sumset(a, b, backend="hash")
-            f = sparse_sumset(a, b, backend="fft")
-            assert h.values == f.values
+        cases = [
+            (
+                sorted(rng.sample(range(-200, 200), rng.randint(1, 30))),
+                sorted(rng.sample(range(-200, 200), rng.randint(1, 30))),
+            )
+            for _ in range(30)
+        ]
+        # pair counts on both sides of the numpy threshold (4096)
+        for na, nb in ((63, 65), (64, 64), (65, 65), (1, 4096)):
+            cases.append(
+                (
+                    sorted(rng.sample(range(-(10**4), 10**4), na)),
+                    sorted(rng.sample(range(-(10**4), 10**4), nb)),
+                )
+            )
+        # operands on both sides of the int64 guard (2^62) and past int64
+        for top in ((1 << 62) - 1, 1 << 62, 1 << 63, 1 << 70):
+            for sign in (1, -1):
+                big = sorted(sign * (top - 3 * d) for d in range(64))
+                cases += [(big, big), (big, list(range(64))), (big, [0])]
+        for a, b in cases:
             want = tuple(sorted({x + y for x in a for y in b}))
-            assert h.values == want
-            assert h.witnesses == f.witnesses
-
-    def test_witness_lex_least(self):
-        a = [0, 1]
-        b = [0, 1]
-        for backend in ("hash", "fft"):
-            fold = sparse_sumset(a, b, backend=backend)
-            # 1 is makeable as 0+1 and 1+0; the smaller left part wins
-            assert fold.witnesses[1] == (0, 1)
+            assert sumset(IntegerSet(tuple(a)), IntegerSet(tuple(b)), bits=None).elements == want
+            assert sparse_sumset(a, b).values == want
+            assert sparse_sumset(a, b, backend="hash").values == want
+            span = a[-1] - a[0] + b[-1] - b[0] + 1
+            if max(-a[0], a[-1], -b[0], b[-1]) < 1 << 62 and span <= DEFAULT_RANGE_CAP:
+                assert sparse_sumset(a, b, backend="fft").values == want
+            else:
+                with pytest.raises(EnumerationCapError):
+                    sparse_sumset(a, b, backend="fft")
 
     def test_numpy_hash_path(self):
         rng = random.Random(7)
@@ -81,8 +96,6 @@ class TestSparseSumset:
         fold = sparse_sumset(a, b, backend="hash")
         want = sorted({x + y for x in a for y in b})
         assert list(fold.values) == want
-        for v, (x, y) in fold.witnesses.items():
-            assert x + y == v and x in a and y in b
 
     def test_bigint_fallback(self):
         big = 1 << 70
