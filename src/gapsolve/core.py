@@ -212,11 +212,14 @@ def _conv_support(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Counts in the raw convolution never exceed min(len(x), len(y)), far
     inside float64's exact-integer range, so thresholding at 0.5 is exact.
+    Squaring (y is x) transforms its operand once; the spectra are multiplied
+    in place, so only one is alive during the inverse transform.
     """
     n = len(x) + len(y) - 1
     size = _transform_size(n)
-    out = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)[:n]
-    return out > 0.5
+    spec = np.fft.rfft(x, size)
+    spec *= spec if y is x else np.fft.rfft(y, size)
+    return np.fft.irfft(spec, size)[:n] > 0.5
 
 
 def sumset(
@@ -229,10 +232,15 @@ def sumset(
     """A + B = {x + y : x in A, y in B}.
 
     Sum extremes are width-checked; checking only the extremes suffices
-    because addition is monotone.
+    because addition is monotone. A cap refuses before any sum is built when
+    the lower bound |A + B| >= |A| + |B| - 1 already exceeds it.
     """
     ea, eb = a.elements, b.elements
     _check_extremes(ea[0] + eb[0], ea[-1] + eb[-1], bits)
+    if cap is not None and len(ea) + len(eb) - 1 > cap:
+        raise EnumerationCapError(
+            f"sumset size at least {len(ea) + len(eb) - 1} exceeds cap {cap}"
+        )
     out = _pair_sumset(ea, eb)
     if cap is not None and len(out) > cap:
         raise EnumerationCapError(f"sumset size {len(out)} exceeds cap {cap}")

@@ -8,13 +8,20 @@ properness and membership, and the final cover is checked element by element
 against the input. Violations raise InvariantError rather than degrade.
 
 Width discipline: group arithmetic stays within int64 ranges by construction
-(the working modulus is bounded by the difference-set range cap); exact
-rational arithmetic (fractions.Fraction) is used for norms and thresholds.
+(the working modulus is bounded by the difference-set range cap); norms and
+widths are exact rationals (fractions.Fraction). The volume guarantee
+vol >= (eps/d)^d * m is decided by a float log2 screen with a margin of one
+bit either way; only inside that margin is the exact integer comparison
+vol * (q*d)^d < p^d * m (for eps = p/q) evaluated, so the d-th powers, with d
+the spectrum size, are built only on near-ties. The Bohr membership check runs
+over elements x frequencies at once, in blocks of bounded size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -37,6 +44,8 @@ from gapsolve.core import (
 
 MODELING_FOLD = 8  # the pipeline models 8-fold sums
 DEFAULT_SUPPORT_CAP = 1 << 24
+# entries of one elements x frequencies block in the Bohr membership check
+_BOHR_BLOCK = 1 << 16
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -83,7 +92,9 @@ def iterated_support(
     """(offset, boolean array) for plus_count*A - minus_count*A.
 
     Supports are built by repeated squaring of clipped indicator vectors, so
-    the cost is governed by the value range, not the set cardinality.
+    the cost is governed by the value range, not the set cardinality. A
+    squaring costs one forward transform; when plus_count == minus_count the
+    minus side is the plus fold reversed rather than a second fold.
     """
     if plus_count < 1 or minus_count < 0:
         raise ValueError("need plus_count >= 1, minus_count >= 0")
@@ -93,24 +104,22 @@ def iterated_support(
     base = _indicator(a.elements)
 
     def fold(k: int) -> np.ndarray:
-        acc = None
-        sq = base.astype(np.float64)
-        kk = k
-        while kk:
-            if kk & 1:
-                acc = sq.copy() if acc is None else _conv_support(acc, sq).astype(np.float64)
-            kk >>= 1
-            if kk:
-                sq = _conv_support(sq, sq).astype(np.float64)
-        return acc
+        acc, sq = None, base
+        while True:
+            if k & 1:
+                acc = sq if acc is None else _conv_support(acc, sq).astype(np.float64)
+            k >>= 1
+            if not k:
+                return acc
+            sq = _conv_support(sq, sq).astype(np.float64)
 
     pos = fold(plus_count)
     offset = plus_count * a.min()
-    if minus_count:
-        neg = fold(minus_count)[::-1]
-        pos = _conv_support(pos, neg).astype(np.float64)
-        offset -= minus_count * a.max()
-    return offset, pos > 0.5
+    if not minus_count:
+        return offset, pos > 0.5
+    neg = pos if minus_count == plus_count else fold(minus_count)
+    offset -= minus_count * a.max()
+    return offset, _conv_support(pos, neg[::-1])
 
 
 def support_size(support: tuple[int, np.ndarray]) -> int:
@@ -250,7 +259,10 @@ class BohrSpec:
         if not (0 < self.width < 1):
             raise ValueError("width must lie in (0, 1)")
         fs = self.frequencies
-        if list(fs) != sorted(set(fs)) or any(not 1 <= r < self.m for r in fs):
+        # strictly increasing from >= 1 to < m: sorted, distinct, in range
+        if fs and not (
+            1 <= fs[0] and fs[-1] < self.m and all(map(operator.lt, fs, fs[1:]))
+        ):
             raise ValueError("frequencies must be sorted, distinct, in [1, m)")
 
 
@@ -273,7 +285,7 @@ def bogolyubov(b: IntegerSet, m: int, width: Fraction = Fraction(1, 4)) -> BohrS
     rs = rs[rs != 0]
     if len(rs) * len(b) ** 2 >= m * m:
         raise InvariantError("spectrum larger than 1/alpha^2")
-    return BohrSpec(m, tuple(int(r) for r in rs), width)
+    return BohrSpec(m, tuple(rs.tolist()), width)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +297,20 @@ class BohrGapResult:
     """Proper progression inside a Bohr set, with the directional basis that
     produced it. Dimensions whose box length would be 1 contribute nothing
     to the point set and are omitted from the gap; `d_original` keeps the
-    frequency count for the volume bound (eps/d)^d * m."""
+    frequency count for the volume bound (eps/d)^d * m, which is built from
+    the Bohr width only when read."""
 
     gap: Gap
     gammas: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
     norms: tuple[Fraction, ...]
     d_original: int
-    volume_bound: Fraction
+    width: Fraction
+
+    @functools.cached_property
+    def volume_bound(self) -> Fraction:
+        d, m = self.d_original, self.gap.modulus
+        return (self.width / d) ** d * m if d else Fraction(m)
 
 
 def _reduce_row(row: list[int]) -> list[int]:
@@ -341,10 +359,9 @@ def gap_in_bohr(spec: BohrSpec, enum_cap: int = DEFAULT_ENUM_CAP) -> BohrGapResu
         raise ValueError("width must be < 1/2 for a proper fit")
     pe, qe = eps.numerator, eps.denominator
     d = len(spec.frequencies)
-    bound = (eps / d) ** d * m if d else Fraction(m)
     if d == 0:
         gap = Gap(0, (1,), (m,), modulus=m)
-        return BohrGapResult(gap, (1,), ((1,),), (Fraction(1, m),), 0, bound)
+        return BohrGapResult(gap, (1,), ((1,),), (Fraction(1, m),), 0, eps)
 
     survivors = np.arange(1, m, dtype=np.int64)
     maxc = np.zeros(m - 1, dtype=np.int64)
@@ -369,35 +386,55 @@ def gap_in_bohr(spec: BohrSpec, enum_cap: int = DEFAULT_ENUM_CAP) -> BohrGapResu
     kept = _independent_prefix(cands, d)
     if not kept:
         gap = Gap(0, (), (), modulus=m)
-        _assert_bohr_gap(gap, spec, bound, enum_cap)
-        return BohrGapResult(gap, (), (), (), d, bound)
+        _assert_bohr_gap(gap, spec)
+        return BohrGapResult(gap, (), (), (), d, eps)
 
     gammas = tuple(g for g, _, _ in kept)
     basis = tuple(tuple(vec) for _, vec, _ in kept)
     norms = tuple(Fraction(nc, m) for _, _, nc in kept)
     lengths = tuple(-((-pe * m) // (qe * nc * d)) for _, _, nc in kept)
     gap = Gap(0, gammas, lengths, modulus=m)
-    _assert_bohr_gap(gap, spec, bound, enum_cap)
-    return BohrGapResult(gap, gammas, basis, norms, d, bound)
+    _assert_bohr_gap(gap, spec)
+    return BohrGapResult(gap, gammas, basis, norms, d, eps)
 
 
-def _assert_bohr_gap(gap: Gap, spec: BohrSpec, bound: Fraction, enum_cap: int) -> None:
+def _below_volume_bound(vol: int, eps: Fraction, d: int, m: int) -> bool:
+    """Exactly vol < (eps/d)^d * m for d >= 1, i.e. vol * (q*d)^d < p^d * m
+    with eps = p/q. A float log2 screen settles every case more than one bit
+    from the tie (its rounding error is far below that for any d that fits in
+    memory); the exact integer comparison runs only inside the margin."""
+    pe, qe = eps.numerator, eps.denominator
+    excess = math.log2(vol) + d * (math.log2(qe * d) - math.log2(pe)) - math.log2(m)
+    if excess < -1:
+        return True
+    if excess > 1:
+        return False
+    return vol * (qe * d) ** d < pe**d * m
+
+
+def _assert_bohr_gap(gap: Gap, spec: BohrSpec) -> None:
     m = spec.m
     vol = gap.volume()
     if vol > m:
         raise InvariantError("volume exceeds group order; properness impossible")
-    if vol < bound:
-        raise InvariantError(f"volume {vol} below guarantee {bound}")
+    d = len(spec.frequencies)
+    if _below_volume_bound(vol, spec.width, d, m):
+        raise InvariantError(f"volume {vol} below guarantee {(spec.width / d) ** d * m}")
     elems = np.zeros(1, dtype=np.int64)
     for g, l in zip(gap.generators, gap.lengths):
         elems = (elems[:, None] + (np.arange(l, dtype=np.int64) * g) % m).ravel() % m
     if len(_sorted_distinct(elems)) != vol:
         raise InvariantError("progression is not proper in Z_m")
+    # a block escapes iff its largest Bohr distance min(w, m - w) exceeds
+    # width * m; the comparison is made in Python ints
     pe, qe = spec.width.numerator, spec.width.denominator
-    for r in spec.frequencies:
-        w = (elems * r) % m
-        dist = np.minimum(w, m - w)
-        if np.any(dist * qe > pe * m):
+    freqs = np.asarray(spec.frequencies, dtype=np.int64)
+    step = max(1, _BOHR_BLOCK // len(elems))
+    for lo in range(0, d, step):
+        w = np.multiply.outer(elems, freqs[lo : lo + step])
+        w %= m
+        np.minimum(w, m - w, out=w)
+        if int(w.max()) * qe > pe * m:
             raise InvariantError("progression escapes the Bohr set")
 
 

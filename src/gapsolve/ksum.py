@@ -133,7 +133,7 @@ def sparse_sumset(
     Auto selection takes fft exactly when the range is within cap and
     smaller than the pair count, which is what separates structured from
     unstructured inputs. Values outside the int64 guard fall back to exact
-    Python hashing regardless.
+    Python hashing regardless, still under the pair cap.
     """
     if not a or not b:
         raise ValueError("sumset factors must be nonempty")
@@ -145,6 +145,8 @@ def sparse_sumset(
     if not (_int64_safe(a[0], a[-1]) and _int64_safe(b[0], b[-1])):
         if backend == "fft":
             raise EnumerationCapError("values exceed the convolution-safe range")
+        if pairs > pair_cap:
+            raise EnumerationCapError(f"{pairs} pairs above cap {pair_cap}")
         return SumsetFold(tuple(_pair_sumset(a, b)), "hash", pairs)
     span = (a[-1] - a[0]) + (b[-1] - b[0]) + 1
     if backend is None:

@@ -1,12 +1,16 @@
 """Structure pipeline stages: modeling, Bogolyubov, Bohr-set progressions,
 covering, and the assembled cover."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from gapsolve.core import IntegerSet, gap_enumerate, gap_membership
+from gapsolve import freiman
+from gapsolve.core import Gap, IntegerSet, InvariantError, gap_enumerate, gap_membership
 from gapsolve.freiman import (
     BohrSpec,
     ModelingFailure,
@@ -58,14 +62,18 @@ class TestIteratedSupport:
         from gapsolve.core import iterated_sumset
 
         rng = random.Random(2)
-        for _ in range(40):
-            n = rng.randint(1, 8)
+        # random counts, then equal counts (the minus side reuses the plus
+        # fold) and unequal ones up to the pipeline's 8A - 8A
+        counts = [(rng.randint(1, 3), rng.randint(0, 2)) for _ in range(40)]
+        for p, m in ((1, 1), (2, 2), (3, 3), (8, 8), (2, 1), (1, 3), (8, 5), (8, 0)):
+            counts += [(p, m)] * 4
+        for p, m in counts:
+            n = rng.randint(1, 8 if max(p, m) <= 3 else 5)
             a = IntegerSet.from_iterable(rng.sample(range(-30, 30), n))
-            p, m = rng.randint(1, 3), rng.randint(0, 2)
             off, sup = iterated_support(a, p, m)
             want = iterated_sumset(a, p, m)
             got = tuple(off + i for i in range(len(sup)) if sup[i])
-            assert got == want.elements
+            assert got == want.elements, (a.elements, p, m)
 
 
 def test_modulus_lower_bound():
@@ -161,17 +169,153 @@ class TestGapInBohr:
 
     def test_volume_bound_spot(self):
         rng = random.Random(12)
-        for m in (101, 257, 503):
-            freqs = tuple(sorted(rng.sample(range(1, m), 2)))
+        for m, d in itertools.product((101, 257, 503), (0, 1, 2, 5)):
+            freqs = tuple(sorted(rng.sample(range(1, m), d)))
             spec = BohrSpec(m, freqs, Fraction(1, 4))
             res = gap_in_bohr(spec)
-            d = res.d_original
+            assert res.d_original == d
             vol = res.gap.volume()
             assert vol * (4 * d) ** d >= m  # (eps/d)^d * m <= volume
+            assert isinstance(res.volume_bound, Fraction)
+            assert res.volume_bound == (Fraction(1, 4 * d) ** d * m if d else m)
             inside = set(bohr_enumerate(spec).elements)
             vals, proper = gap_enumerate(res.gap)
             assert proper
             assert set(vals.elements) <= inside
+
+
+def _bohr_verdict_reference(gap, spec):
+    """The Bohr-gap certificate checked one frequency at a time in Python
+    integers: the message of the first failed check, or None."""
+    m, eps, d = spec.m, spec.width, len(spec.frequencies)
+    vol = gap.volume()
+    if vol > m:
+        return "volume exceeds group order"
+    if vol < (eps / d) ** d * m:
+        return "below guarantee"
+    elems = {0}
+    for g, l in zip(gap.generators, gap.lengths):
+        elems = {(e + j * g) % m for e in elems for j in range(l)}
+    if len(elems) != vol:
+        return "not proper"
+    for r in spec.frequencies:
+        for x in elems:
+            w = r * x % m
+            if Fraction(min(w, m - w), m) > eps:
+                return "escapes the Bohr set"
+    return None
+
+
+def _bohr_verdict(gap, spec):
+    try:
+        freiman._assert_bohr_gap(gap, spec)
+    except InvariantError as exc:
+        for key in ("volume exceeds group order", "below guarantee",
+                    "not proper", "escapes the Bohr set"):
+            if key in str(exc):
+                return key
+        raise
+    return None
+
+
+class TestBohrCertificate:
+    def test_matches_per_frequency_reference(self):
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(400):
+            m = rng.choice((7, 31, 101, 257, 1009))
+            d = rng.randint(1, min(m - 1, 40))
+            spec = BohrSpec(
+                m,
+                tuple(sorted(rng.sample(range(1, m), d))),
+                rng.choice((Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 10))),
+            )
+            dim = rng.randint(0, 2)
+            gens = tuple(rng.randrange(1, m) for _ in range(dim))
+            lengths = tuple(rng.randint(1, 6) for _ in range(dim))
+            gap = Gap(0, gens, lengths, modulus=m)
+            want = _bohr_verdict_reference(gap, spec)
+            assert _bohr_verdict(gap, spec) == want, (spec, gap)
+            seen.add(want)
+        assert seen == {None, "volume exceeds group order", "below guarantee",
+                        "not proper", "escapes the Bohr set"}
+
+    def test_escape_seen_only_by_a_late_block(self):
+        # elements {0, 7}: about half of all frequencies keep both inside
+        m, width = 200003, Fraction(1, 4)
+        gap = Gap(0, (7,), (2,), modulus=m)
+        step = freiman._BOHR_BLOCK // 2
+        r = np.arange(1, m, dtype=np.int64)
+        w = np.multiply.outer(r, np.array([0, 7])) % m
+        worst = np.minimum(w, m - w).max(axis=1)
+        inside = r[worst * width.denominator <= width.numerator * m]
+        outside = r[worst * width.denominator > width.numerator * m]
+        assert len(inside) > 2 * step
+        bad = int(outside[outside > inside[2 * step]][0])
+        freqs = tuple(sorted(inside.tolist() + [bad]))
+        assert freqs.index(bad) >= 2 * step
+        spec = BohrSpec(m, freqs, width)
+        assert _bohr_verdict_reference(gap, spec) == "escapes the Bohr set"
+        with pytest.raises(InvariantError, match="escapes the Bohr set"):
+            freiman._assert_bohr_gap(gap, spec)
+        clean = BohrSpec(m, tuple(inside.tolist()), width)
+        assert _bohr_verdict_reference(gap, clean) is None
+        freiman._assert_bohr_gap(gap, clean)
+
+    def test_every_failure_fires(self):
+        q = Fraction(1, 4)
+        with pytest.raises(InvariantError, match="exceeds group order"):
+            freiman._assert_bohr_gap(Gap(0, (1,), (8,), modulus=7), BohrSpec(7, (1,), q))
+        with pytest.raises(InvariantError, match="below guarantee"):
+            freiman._assert_bohr_gap(Gap(0, (1,), (2,), modulus=101), BohrSpec(101, (1,), q))
+        with pytest.raises(InvariantError, match="not proper"):
+            freiman._assert_bohr_gap(
+                Gap(0, (1, 2), (3, 3), modulus=101), BohrSpec(101, (1, 2, 3, 4), q)
+            )
+        with pytest.raises(InvariantError, match="escapes the Bohr set"):
+            freiman._assert_bohr_gap(
+                Gap(0, (50,), (2,), modulus=101), BohrSpec(101, (1, 2, 3, 4), q)
+            )
+
+    def test_log_screen_matches_exact_bound(self):
+        rng = random.Random(41)
+        ds = list(range(1, 60)) + [97, 256, 1000, 2047, 5000]
+        checked = 0
+        for d in ds:
+            for eps in (Fraction(1, 4), Fraction(2, 5), Fraction(3, 7)):
+                pe, qe = eps.numerator, eps.denominator
+                for k in (1, 2, 3, 17, 1000, 1 << 40):
+                    # m chosen so the bound (eps/d)^d * m sits near k
+                    base = (qe * d) ** d * k // pe**d
+                    for m in {max(2, base + rng.randint(-3, 3)), max(2, base)}:
+                        bound = (eps / d) ** d * m
+                        for vol in {math.floor(bound), math.ceil(bound),
+                                    math.floor(bound) - 1, math.ceil(bound) + 1,
+                                    2 * math.ceil(bound) + 3, 1}:
+                            if vol < 1:
+                                continue
+                            got = freiman._below_volume_bound(vol, eps, d, m)
+                            assert got == (vol < bound), (vol, eps, d, m)
+                            checked += 1
+        assert checked > 3000
+
+
+class TestBohrSpec:
+    def test_validation_matches_set_based_rule(self):
+        rng = random.Random(61)
+        big = 1 << 70
+        for _ in range(2000):
+            m = rng.choice((2, 5, 11, big, big + 9))
+            pool = [0, 1, 2, m - 1, m, m + 1, big - 1, big, big + 1, -1, 2 * big]
+            fs = tuple(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+            if rng.random() < 0.5:
+                fs = tuple(sorted(fs))
+            bad = list(fs) != sorted(set(fs)) or any(not 1 <= r < m for r in fs)
+            if bad:
+                with pytest.raises(ValueError, match="sorted, distinct"):
+                    BohrSpec(m, fs, Fraction(1, 4))
+            else:
+                assert BohrSpec(m, fs, Fraction(1, 4)).frequencies == fs
 
 
 class TestRuzsaCover:

@@ -104,6 +104,14 @@ class TestSparseSumset:
         with pytest.raises(EnumerationCapError):
             sparse_sumset([big], [0], backend="fft")
 
+    def test_pair_cap_holds_beyond_int64(self):
+        a = [(1 << 70) + i for i in range(200)]
+        for backend in ("hash", None):
+            with pytest.raises(EnumerationCapError, match="40000 pairs above cap 100"):
+                sparse_sumset(a, a, backend=backend, pair_cap=100)
+        fold = sparse_sumset(a, a, backend="hash", pair_cap=40000)
+        assert fold.values == tuple((1 << 71) + i for i in range(399))
+
     def test_auto_prefers_fft_on_dense_range(self):
         a = list(range(500))
         fold = sparse_sumset(a, a)
