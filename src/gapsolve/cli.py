@@ -25,6 +25,7 @@ from gapsolve.freiman import freiman_gap, split_dimensions
 from gapsolve.ilp import (
     BilpInstance,
     HbilpInstance,
+    _decode_subset,
     bilp_feasibility_dp,
     bilp_nonnegative,
     bilp_to_hbilp,
@@ -102,20 +103,25 @@ def _cmd_ilp_solve(args) -> int:
 _REDUCTIONS = {("bilp", "hbilp"), ("bilp", "ss"), ("hbilp", "ss"), ("ss", "hbilp")}
 
 
+def _binary_subset_sum(d: dict) -> SubsetSumInstance:
+    inst = SubsetSumInstance.from_json_dict(d)
+    if inst.mode != "binary":
+        raise ValueError("only binary subset sum reduces to an aggregated program")
+    return inst
+
+
 def _run_reduction(src: str, dst: str, d: dict, seed: int, gamma: int):
     """Build the reduction chain and return (instance_json, meta, stages).
 
-    stages keeps the intermediate objects so decode can walk witnesses
-    back without re-parsing.
+    stages keeps the intermediate objects of the ILP routes so decode can
+    walk witnesses back without re-parsing.
     """
     meta: dict = {"from": src, "to": dst}
     if src == "ss":
-        inst = SubsetSumInstance.from_json_dict(d)
-        if inst.mode != "binary":
-            raise ValueError("only binary subset sum reduces to an aggregated program")
+        inst = _binary_subset_sum(d)
         enc = ss_to_hbilp(inst.elements, inst.target, _rng(seed), gamma=gamma)
         meta.update(enc.meta)
-        return enc.instance.to_json_dict(), meta, {"ss_enc": enc}
+        return enc.instance.to_json_dict(), meta, {}
     stages: dict = {}
     if src == "bilp":
         binst = BilpInstance.from_json_dict(d)
@@ -159,11 +165,13 @@ def _cmd_ilp_decode(args) -> int:
         raise ValueError(f"no reduction from {args.src} to {args.dst}")
     d = _read_json(args.input)
     w = SolveWitness.from_json_dict(_read_json(args.witness))
-    _, _, stages = _run_reduction(args.src, args.dst, d, args.seed, args.gamma)
     if args.src == "ss":
-        decoded = stages["ss_enc"].decode(w.payload)
-        _emit({"witness": decoded.to_json_dict()})
+        # the encoding keeps one column per element in order, so decoding
+        # needs only the original elements and target, not the seeded cover
+        inst = _binary_subset_sum(d)
+        _emit({"witness": _decode_subset(inst.elements, inst.target, w.payload).to_json_dict()})
         return 0
+    _, _, stages = _run_reduction(args.src, args.dst, d, args.seed, args.gamma)
     if args.dst == "ss":
         decoded = stages["ss"].decode(w.payload)
         y = decoded.payload

@@ -39,6 +39,7 @@ from gapsolve.core import (
     _indicator,
     _sorted_distinct,
     ceil_root,
+    gap_enumerate,
     sumset,
 )
 
@@ -343,7 +344,7 @@ def _independent_prefix(cands: list[tuple[int, list[int], int]], rank_cap: int):
     return kept
 
 
-def gap_in_bohr(spec: BohrSpec, enum_cap: int = DEFAULT_ENUM_CAP) -> BohrGapResult:
+def gap_in_bohr(spec: BohrSpec) -> BohrGapResult:
     """Fit a proper progression of volume >= (eps/d)^d * m inside the Bohr
     set, eps strictly below 1/2.
 
@@ -565,7 +566,7 @@ def freiman_gap(
         )
 
     bohr = bogolyubov(model.image, m)
-    bres = gap_in_bohr(bohr, enum_cap)
+    bres = gap_in_bohr(bohr)
 
     invert = _psi2_inverter(model)
     q_base = invert(0)
@@ -576,7 +577,7 @@ def freiman_gap(
         y_gens, q_lengths = (), ()
     q_gap = Gap(q_base, y_gens, q_lengths)
 
-    q_elems, q_proper = _enumerate_integer_gap(q_gap, enum_cap)
+    q_elems, q_proper = gap_enumerate(q_gap, enum_cap)
     if not q_proper:
         raise InvariantError("pulled-back progression not proper")
     diff2 = iterated_support(a, 2, 2, support_cap)
@@ -587,7 +588,7 @@ def freiman_gap(
     x_set = ruzsa_cover(q_elems, a)
 
     qq = {u - v for u in q_elems for v in q_elems}
-    q_coord = {val: coord for coord, val in _walk_gap(q_gap)}
+    q_coord = {q_gap.element_at(coord): coord for coord in q_gap.coordinate_boxes()}
     dims_q = q_gap.dimension
     singleton_x = len(x_set) == 1
     base = sum((l - 1) * g * -1 for l, g in zip(q_lengths, y_gens))
@@ -642,18 +643,6 @@ def freiman_gap(
         "modeling_failures": failures,
     }
     return FreimanGapResult(cover, coords, model, bohr, bres, q_gap, x_set, metrics)
-
-
-def _walk_gap(gap: Gap):
-    for coord in gap.coordinate_boxes():
-        yield coord, gap.element_at(coord)
-
-
-def _enumerate_integer_gap(gap: Gap, cap: int) -> tuple[IntegerSet, bool]:
-    if gap.volume() > cap:
-        raise EnumerationCapError("gap enumeration above cap")
-    vals = sorted({v for _, v in _walk_gap(gap)})
-    return IntegerSet(tuple(vals)), len(vals) == gap.volume()
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,11 @@ ints, the exact fallback. Reductions carry enough metadata to decode a
 downstream witness back to the original variables, and every decode
 re-evaluates the witness against the original instance before returning it.
 
+Unbounded reachability has one engine: big-int bitset closures of
+nonnegative column combinations in a box [0, B]^m by doubling passes, for
+the candidate supports here (B = n * Delta) and for the per-support coin
+step of unbounded subset sum (one row, B = the remainder).
+
 All arithmetic is exact. Instance constructors check the declared bit width
 on row-sum extremes only (the tracked sums are monotone in each variable),
 and bits=None switches to unchecked arbitrary precision, which the
@@ -628,11 +633,16 @@ class HbilpFromSubsetSum:
     meta: dict = field(default_factory=dict)
 
     def decode(self, y: Sequence[int]) -> SolveWitness:
-        indices = tuple(j for j, v in enumerate(y) if v)
-        total = sum(self.elements.elements[j] for j in indices)
-        if total != self.instance.t:
-            raise InvariantError("decoded subset misses the target")
-        return SolveWitness("subset-of-indices", indices)
+        return _decode_subset(self.elements, self.instance.t, y)
+
+
+def _decode_subset(z: IntegerSet, t: int, y: Sequence[int]) -> SolveWitness:
+    """Subset witness from an assignment of the encoding of (z, t), which
+    keeps one column per element in order, so only z and t are needed."""
+    indices = tuple(j for j, v in enumerate(y) if v)
+    if sum(z.elements[j] for j in indices) != t:
+        raise InvariantError("decoded subset misses the target")
+    return SolveWitness("subset-of-indices", indices)
 
 
 def ss_to_hbilp(z: IntegerSet, t: int, rng, gamma: int = 1) -> HbilpFromSubsetSum:
@@ -669,74 +679,94 @@ def ss_to_hbilp(z: IntegerSet, t: int, rng, gamma: int = 1) -> HbilpFromSubsetSu
 
 
 # ---------------------------------------------------------------------------
-# candidate supports for unbounded systems
+# unbounded reachability and candidate supports
+
+
+def _repeat(block: int, count: int, stride: int) -> int:
+    """`count` copies of `block`, which fits in `stride` bits, at offsets
+    0, stride, 2 * stride, ..."""
+    if block == (1 << stride) - 1:  # a full block repeats as one run of ones
+        return (1 << count * stride) - 1
+    out, have = block, 1
+    while have < count:
+        out |= out << have * stride
+        have *= 2
+    return out & ((1 << count * stride) - 1)
 
 
 class _BoxReachability:
-    """Suffix reachability tables over the box [0, n*Delta]^m.
+    """Suffix closures of nonnegative column combinations inside [0, bound]^m.
 
-    States are encoded little-endian; table[j] marks vectors reachable as
-    nonnegative combinations of columns j..n-1. Used both for enumerating
-    lexicographically-least solutions and for walking one out per target.
+    A state b is bit sum_i b_i * radix^i (radix = bound + 1) of a big int,
+    and suffix[j] marks the states reachable as nonnegative combinations of
+    columns j..n-1. Column j closes suffix[j + 1] by doubling passes over a
+    multiple k = 1, 2, 4, ...: each pass adds x + k*c for every marked x in
+    room(c, k), the states whose digits all stay <= bound - k*c_i, so the
+    shift by k * delta_j never carries between digits. As c >= 0, x + k*c
+    inside the box implies x + k'*c inside it for every k' < k; by induction
+    the pass for k leaves every x + t*c with t < 2k that fits the box. If a
+    pass adds nothing, the set is closed under +k*c, and so under +2k*c
+    (x + k*c fits whenever x + 2k*c does), so no later pass adds anything
+    and the column is done after about log2(bound / c) passes. The finished
+    closures are kept as their little-endian bytes, so that testing one
+    state does not shift a whole big int.
     """
 
-    def __init__(self, a: Matrix, state_cap: int):
-        self.a = a
-        self.n = a.num_cols
-        self.m = a.num_rows
-        self.bound = self.n * a.infinity_norm()
-        self.radix = self.bound + 1
-        states = self.radix**self.m
+    def __init__(self, cols: Sequence[Sequence[int]], bound: int, state_cap: int):
+        self.n = len(cols)
+        self.bound = bound
+        self.radix = bound + 1
+        m = len(cols[0]) if cols else 0
+        states = self.radix**m
         if states > state_cap:
-            raise EnumerationCapError(
-                f"support box has {states} states, above cap {state_cap}"
-            )
-        self.states = states
-        coords = [
-            (np.arange(states, dtype=np.int64) // self.radix**i) % self.radix
-            for i in range(self.m)
-        ]
-        self.cols = [tuple(a.rows[i][j] for i in range(self.m)) for j in range(self.n)]
-        self.deltas = [
-            sum(c * self.radix**i for i, c in enumerate(col)) for col in self.cols
-        ]
-        self.valid = []
-        for col in self.cols:
-            ok = np.ones(states, dtype=bool)
-            for i, c in enumerate(col):
-                if c > 0:
-                    ok &= coords[i] <= self.bound - c
-            self.valid.append(ok)
-        self.suffix = [None] * (self.n + 1)
-        last = np.zeros(states, dtype=bool)
-        last[0] = True
-        self.suffix[self.n] = last
-        for j in range(self.n - 1, -1, -1):
-            cur = self.suffix[j + 1].copy()
+            raise EnumerationCapError(f"support box has {states} states, above cap {state_cap}")
+        self.strides = [self.radix**i for i in range(m)]
+        self.deltas = [sum(c * st for c, st in zip(col, self.strides)) for col in cols]
+        reach = 1  # the origin
+        closures = [reach]
+        for col, delta in zip(reversed(cols), reversed(self.deltas)):
+            k = 1
             while True:
-                frontier = np.nonzero(cur & self.valid[j])[0] + self.deltas[j]
-                fresh = frontier[~cur[frontier]]
-                if len(fresh) == 0:
+                grown = reach | ((reach & self._room(col, k)) << k * delta)
+                if grown == reach:
                     break
-                cur[fresh] = True
-            self.suffix[j] = cur
+                reach, k = grown, 2 * k
+            closures.append(reach)
+        size = (states + 7) // 8
+        self.suffix = [r.to_bytes(size, "little") for r in reversed(closures)]
+
+    def _room(self, col: Sequence[int], k: int) -> int:
+        """Mask of the states whose every digit i stays <= bound - k*col[i]."""
+        mask = 1
+        for c, stride in zip(col, self.strides):
+            limit = self.bound - k * c
+            if limit < 0:
+                return 0
+            mask = _repeat(mask, limit + 1, stride)
+        return mask
+
+    def _has(self, j: int, idx: int) -> int:
+        return self.suffix[j][idx >> 3] >> (idx & 7) & 1
 
     def encode(self, b: Sequence[int]) -> Optional[int]:
         if any(not 0 <= v <= self.bound for v in b):
             return None
-        return sum(v * self.radix**i for i, v in enumerate(b))
+        return sum(v * st for v, st in zip(b, self.strides))
 
     def lexmin(self, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-        """Lexicographically least nonnegative solution of Ax = b, walking
-        suffix feasibility column by column."""
+        """Lexicographically least nonnegative solution of sum_j x_j col_j = b,
+        walking suffix feasibility column by column; None when unreachable."""
         idx = self.encode(b)
-        if idx is None or not self.suffix[0][idx]:
+        if idx is None or not self._has(0, idx):
             return None
         xs = []
-        for j in range(self.n):
+        for j, delta in enumerate(self.deltas):
             mult = 0
-            while not self.suffix[j + 1][idx]:
-                idx -= self.deltas[j]
+            if j == self.n - 1 and delta:
+                # suffix[n] holds the origin alone, so the last multiple is forced
+                mult, idx = divmod(idx, delta)
+            while not self._has(j + 1, idx):
+                idx -= delta
                 mult += 1
                 if idx < 0 or mult > self.bound:
                     raise InvariantError("suffix walk escaped the box")
@@ -756,12 +786,13 @@ def small_support_candidates(
     support size is asserted against m * log2(2*n*Delta + 1).
     """
     _validate_nonneg_no_zero_col(a)
-    box = _BoxReachability(a, state_cap)
+    bound = a.num_cols * a.infinity_norm()
+    box = _BoxReachability(a.columns(), bound, state_cap)
     supports = set()
-    limit_sq = (2 * a.num_cols * a.infinity_norm() + 1) ** a.num_rows
-    for idx in np.nonzero(box.suffix[0])[0].tolist():
-        b = [(idx // box.radix**i) % box.radix for i in range(box.m)]
-        x = box.lexmin(b)
+    limit_sq = (2 * bound + 1) ** a.num_rows
+    reached = np.unpackbits(np.frombuffer(box.suffix[0], dtype=np.uint8), bitorder="little")
+    for idx in np.flatnonzero(reached).tolist():
+        x = box.lexmin([idx // st % box.radix for st in box.strides])
         supp = tuple(j for j, v in enumerate(x) if v)
         if 2 ** len(supp) > limit_sq:
             raise InvariantError("support exceeds the logarithmic bound")
@@ -783,15 +814,10 @@ def binary_image_supports(
     n = a.num_cols
     if 1 << n > subset_cap:
         raise EnumerationCapError(f"2^{n} binary targets exceed cap {subset_cap}")
-    box = _BoxReachability(a, state_cap)
+    box = _BoxReachability(a.columns(), n * a.infinity_norm(), state_cap)
     supports = set()
     for mask in range(1 << n):
-        b = [0] * a.num_rows
-        for j in range(n):
-            if mask >> j & 1:
-                for i in range(a.num_rows):
-                    b[i] += a.rows[i][j]
-        x = box.lexmin(b)
+        x = box.lexmin(a.matvec([mask >> j & 1 for j in range(n)]))
         if x is not None:
             supports.add(tuple(j for j, v in enumerate(x) if v))
     return tuple(sorted(supports))

@@ -5,8 +5,9 @@ its cost follows the number of distinct reachable sums, which is what the
 doubling-sensitive analysis bounds, and a table cap turns the densest
 inputs into a clean failure. The unbounded solver goes the long way
 around: encode elements as progression coordinates, enumerate the few
-supports a lexicographically-least solution can use, then run a plain coin
-reachability per support. Witnesses always re-verify before returning.
+supports a lexicographically-least solution can use, then solve coin
+reachability per support; both steps run the box engine of `ilp` (big-int
+closures by doubling passes). Witnesses always re-verify before returning.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from gapsolve.core import (
 )
 from gapsolve.ilp import (
     BilpInstance,
+    _BoxReachability,
     bilp_feasibility_dp,
     binary_image_supports,
     ss_to_hbilp,
@@ -82,25 +84,6 @@ def subset_sum_doubling(
     return SolveWitness("subset-of-indices", indices)
 
 
-def _closure_masks(coins: list[int], limit: int) -> list[int]:
-    """suffix[i] has bit v set iff v is a nonnegative-combination of
-    coins[i:] and v <= limit. Bitmask ints with doubling shifts."""
-    mask = (1 << (limit + 1)) - 1
-    suffix = [0] * (len(coins) + 1)
-    suffix[len(coins)] = 1
-    for i in range(len(coins) - 1, -1, -1):
-        r = suffix[i + 1]
-        shift = coins[i]
-        while True:
-            grown = r | ((r << shift) & mask)
-            if grown == r:
-                break
-            r = grown
-            shift <<= 1
-        suffix[i] = r
-    return suffix
-
-
 def unbounded_subset_sum(
     z: IntegerSet,
     t: int,
@@ -134,24 +117,14 @@ def unbounded_subset_sum(
     for sigma in supports:
         if not sigma:
             continue
-        base = sum(values[j] for j in sigma)
-        rem = t - base
+        rem = t - sum(values[j] for j in sigma)
         if rem < 0:
             continue
-        coins = [values[j] for j in sigma]
-        suffix = _closure_masks(coins, rem)
-        if not (suffix[0] >> rem) & 1:
+        # a one-row box [0, rem]; the target cap already bounds its states
+        coins = _BoxReachability([(values[j],) for j in sigma], rem, target_cap + 1)
+        extras = coins.lexmin((rem,))
+        if extras is None:
             continue
-        extras = []
-        left = rem
-        for i, c in enumerate(coins):
-            e = 0
-            while not (suffix[i + 1] >> left) & 1:
-                left -= c
-                e += 1
-                if left < 0:
-                    raise InvariantError("coin walk escaped its certificate")
-            extras.append(e)
         x = [0] * n
         for j, e in zip(sigma, extras):
             x[j] = 1 + e

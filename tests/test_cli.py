@@ -144,6 +144,29 @@ class TestIlp:
         assert proc.returncode == 2
 
 
+    def test_decode_ss_reads_only_the_original(self, tmp_path, monkeypatch, capsys):
+        from gapsolve import cli
+
+        def no_reduction(*args, **kwargs):
+            raise AssertionError("the reduction was rebuilt")
+
+        monkeypatch.setattr(cli, "ss_to_hbilp", no_reduction)
+        inst = write_json(tmp_path / "ss.json", {"elements": [3, 5, 9, 14], "target": 17})
+        route = ["ilp", "decode", "--from", "ss", "--to", "hbilp", "--input", inst]
+        seeded = ["--seed", "4", "--gamma", "2"]
+        hit = write_json(tmp_path / "hit.json", {"kind": "binary-vector", "values": [1, 1, 1, 0]})
+        assert cli.main([*route, "--witness", hit, *seeded]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"witness": {"kind": "subset-of-indices", "values": [0, 1, 2]}}
+        miss = write_json(tmp_path / "miss.json", {"kind": "binary-vector", "values": [0, 1, 0, 1]})
+        assert cli.main([*route, "--witness", miss]) == 2
+        assert "decoded subset misses the target" in capsys.readouterr().err
+        # reduce still builds the reduction, so the patch is live
+        reduce = ["ilp", "reduce", "--from", "ss", "--to", "hbilp", "--input", inst]
+        assert cli.main(reduce) == 2
+        assert "the reduction was rebuilt" in capsys.readouterr().err
+
+
 class TestKsum:
     def test_feasible(self, tmp_path):
         inst = write_json(tmp_path / "z.json", {"elements": [1, 2, 3, 4, 5]})

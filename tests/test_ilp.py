@@ -9,6 +9,7 @@ from gapsolve import ilp
 from gapsolve.core import (
     BitWidthError,
     DuplicateColumnError,
+    EnumerationCapError,
     IntegerSet,
     InvariantError,
     Matrix,
@@ -513,3 +514,50 @@ class TestSmallSupport:
                     ok = True
                     break
             assert ok, b
+
+
+def _brute_lexmin_table(cols, m, bound):
+    """target -> lexicographically least x with sum_j x_j col_j = target, for
+    every target in [0, bound]^m; a nonzero column never takes more than
+    bound copies, and a zero column takes none in the least solution."""
+    first = {}
+    for x in itertools.product(range(bound + 1), repeat=len(cols)):
+        b = tuple(sum(v * col[i] for v, col in zip(x, cols)) for i in range(m))
+        if all(v <= bound for v in b):
+            first.setdefault(b, x)
+    return first
+
+
+class TestBoxReachability:
+    def test_matches_brute_lex_search(self):
+        rng = random.Random(115)
+        for _ in range(150):
+            m, n, bound = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 5)
+            cols = [tuple(rng.randint(0, 3) for _ in range(m)) for _ in range(n)]
+            box = ilp._BoxReachability(cols, bound, 10_000)
+            want = _brute_lexmin_table(cols, m, bound)
+            for b in itertools.product(range(bound + 1), repeat=m):
+                assert box.lexmin(b) == want.get(b), (cols, bound, b)
+            assert box.lexmin((bound + 1,) + (0,) * (m - 1)) is None
+
+    def test_doubling_leaves_box_in_one_row_only(self):
+        # (1, 3, 0) fits once in [0, 4]^3; doubling it has room in row 0 but
+        # not in row 1, where 2 * 3 would carry into row 2 as (2, 1, 1)
+        box = ilp._BoxReachability([(1, 3, 0)], 4, 10_000)
+        reached = {
+            b for b in itertools.product(range(5), repeat=3) if box.lexmin(b) is not None
+        }
+        assert reached == {(0, 0, 0), (1, 3, 0)}
+        # with a second column row 0 keeps growing after row 1 is full
+        cols = [(1, 3, 0), (2, 0, 1)]
+        box = ilp._BoxReachability(cols, 4, 10_000)
+        want = _brute_lexmin_table(cols, 3, 4)
+        for b in itertools.product(range(5), repeat=3):
+            assert box.lexmin(b) == want.get(b), b
+        assert box.lexmin((3, 3, 1)) == (1, 1)
+        assert box.lexmin((4, 3, 1)) is None
+
+    def test_state_cap(self):
+        with pytest.raises(EnumerationCapError, match="support box has 36 states, above cap 35"):
+            ilp._BoxReachability([(1, 1)], 5, 35)
+        assert ilp._BoxReachability([(1, 1)], 5, 36).lexmin((5, 5)) == (5,)

@@ -1,10 +1,12 @@
 """Binary and unbounded subset-sum solvers against the brute oracles."""
 
 import random
+import time
 
 import pytest
 
 from gapsolve.core import EnumerationCapError, IntegerSet, TableCapError
+from gapsolve.ilp import _BoxReachability
 from gapsolve.oracles import brute_subset_sum, brute_unbounded_subset_sum
 from gapsolve.subset_sum import (
     SS_MODES,
@@ -121,3 +123,26 @@ class TestDispatch:
         w2 = solve_subset_sum(unb, rng)
         assert w2.kind == "multiplicity-vector"
         assert sum(v * m for v, m in zip((2, 3, 9), w2.payload)) == 13
+
+
+class TestCoinStep:
+    """The coin step of the unbounded solver: a one-row box [0, bound]."""
+
+    def test_one_row_box_vs_brute(self):
+        rng = random.Random(202)
+        for _ in range(300):
+            coins = [rng.randint(1, 30) for _ in range(rng.randint(1, 5))]
+            bound = rng.randint(0, 400)
+            box = _BoxReachability([(c,) for c in coins], bound, bound + 1)
+            for t in {0, bound, rng.randint(0, bound), rng.randint(0, bound)}:
+                assert box.lexmin((t,)) == brute_unbounded_subset_sum(coins, t), (coins, t)
+            assert box.lexmin((bound + 1,)) is None
+
+    def test_unit_coin_large_bound(self):
+        start = time.perf_counter()
+        box = _BoxReachability([(1,)], 2_000_000, 2_000_001)
+        assert box.lexmin((2_000_000,)) == (2_000_000,)
+        assert box.lexmin((1_234_567,)) == (1_234_567,)
+        box = _BoxReachability([(2,), (1,)], 2_000_000, 2_000_001)
+        assert box.lexmin((1_999_999,)) == (0, 1_999_999)
+        assert time.perf_counter() - start < 1.0
