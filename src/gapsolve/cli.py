@@ -165,6 +165,10 @@ def _cmd_ilp_decode(args) -> int:
         raise ValueError(f"no reduction from {args.src} to {args.dst}")
     d = _read_json(args.input)
     w = SolveWitness.from_json_dict(_read_json(args.witness))
+    # the kind the reduced problem's solver emits
+    kind = "subset-of-indices" if args.dst == "ss" else "binary-vector"
+    if w.kind != kind:
+        raise ValueError(f"decoding to {args.dst} expects a {kind} witness, got {w.kind}")
     if args.src == "ss":
         # the encoding keeps one column per element in order, so decoding
         # needs only the original elements and target, not the seeded cover
@@ -262,6 +266,8 @@ def _verify_witness(d: dict, w: SolveWitness) -> bool:
             if len(w.payload) != len(vals) or any(v < 0 for v in w.payload):
                 return False
             return sum(v * m for v, m in zip(vals, w.payload)) == inst.target
+        return False
+    if w.kind == "subset-of-indices":  # ILP witnesses are assignments
         return False
     inst = _detect_ilp(d)
     if isinstance(inst, HbilpInstance):

@@ -176,9 +176,6 @@ class FreimanModel:
     def apply(self, x: int) -> int:
         return ((self.multiplier * (x % self.q)) % self.q) % self.m
 
-    def apply_array(self, xs: np.ndarray) -> np.ndarray:
-        return ((self.multiplier * (xs % self.q)) % self.q) % self.m
-
 
 def modeling_lemma(
     a: IntegerSet,

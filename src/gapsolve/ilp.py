@@ -19,7 +19,9 @@ re-evaluates the witness against the original instance before returning it.
 Unbounded reachability has one engine: big-int bitset closures of
 nonnegative column combinations in a box [0, B]^m by doubling passes, for
 the candidate supports here (B = n * Delta) and for the per-support coin
-step of unbounded subset sum (one row, B = the remainder).
+step of unbounded subset sum (one row, B = the remainder). The candidate
+supports are those of the least solutions for binary column-sum targets,
+which are all the supports any target in the box can need.
 
 All arithmetic is exact. Instance constructors check the declared bit width
 on row-sum extremes only (the tracked sums are monotone in each variable),
@@ -639,6 +641,8 @@ class HbilpFromSubsetSum:
 def _decode_subset(z: IntegerSet, t: int, y: Sequence[int]) -> SolveWitness:
     """Subset witness from an assignment of the encoding of (z, t), which
     keeps one column per element in order, so only z and t are needed."""
+    if len(y) != len(z):
+        raise ValueError(f"assignment has {len(y)} entries for {len(z)} elements")
     indices = tuple(j for j, v in enumerate(y) if v)
     if sum(z.elements[j] for j in indices) != t:
         raise InvariantError("decoded subset misses the target")
@@ -774,52 +778,50 @@ class _BoxReachability:
         return tuple(xs)
 
 
-def small_support_candidates(
-    a: Matrix, state_cap: int = 250_000
-) -> tuple[tuple[int, ...], ...]:
-    """Supports of lexicographically-least solutions across every target in
-    [0, n*Delta]^m, deduplicated and sorted.
+# states of the support box [0, n*Delta]^m that the enumerator may build
+SUPPORT_STATE_CAP = 250_000
 
-    Requires nonnegative entries and no zero column. The box is inclusive
-    at n*Delta: binary column sums reach it exactly, and those targets are
-    what transfers supports from arbitrary feasible right-hand sides. Each
-    support size is asserted against m * log2(2*n*Delta + 1).
+
+def small_support_candidates(a: Matrix) -> tuple[tuple[int, ...], ...]:
+    """Supports of lexicographically-least solutions across every target in
+    [0, n*Delta]^m; the same family as `binary_image_supports`."""
+    return binary_image_supports(a)
+
+
+def binary_image_supports(a: Matrix) -> tuple[tuple[int, ...], ...]:
+    """Supports of lexicographically-least solutions across every target in
+    the box [0, n*Delta]^m, deduplicated and sorted.
+
+    Requires nonnegative entries and no zero column. Only binary column sums
+    need a walk. Let x be the least solution for a box target b and sigma
+    its support. Then 1_sigma is the least solution for A * 1_sigma: a
+    solution y <lex 1_sigma there would make x - 1_sigma + y, nonnegative
+    as x >= 1 on sigma, a solution for b below x. And A * 1_sigma <=
+    n*Delta in every row, so it lies in the box. The supports over all box
+    targets are therefore exactly the supports over binary column sums, at
+    most min(2^n, box) of them. Those sums are marked on one big int by one
+    shift-or per column; a binary partial sum never exceeds n*Delta in any
+    digit, so no shift carries between digits. Each support size is
+    asserted against m * log2(2*n*Delta + 1).
     """
     _validate_nonneg_no_zero_col(a)
     bound = a.num_cols * a.infinity_norm()
-    box = _BoxReachability(a.columns(), bound, state_cap)
+    box = _BoxReachability(a.columns(), bound, SUPPORT_STATE_CAP)
+    binary = 1  # the empty sum
+    for delta in box.deltas:
+        binary |= binary << delta
+    marked = np.unpackbits(
+        np.frombuffer(binary.to_bytes((binary.bit_length() + 7) // 8, "little"), dtype=np.uint8),
+        bitorder="little",
+    )
     supports = set()
     limit_sq = (2 * bound + 1) ** a.num_rows
-    reached = np.unpackbits(np.frombuffer(box.suffix[0], dtype=np.uint8), bitorder="little")
-    for idx in np.flatnonzero(reached).tolist():
+    for idx in np.flatnonzero(marked).tolist():
         x = box.lexmin([idx // st % box.radix for st in box.strides])
         supp = tuple(j for j, v in enumerate(x) if v)
         if 2 ** len(supp) > limit_sq:
             raise InvariantError("support exceeds the logarithmic bound")
         supports.add(supp)
-    return tuple(sorted(supports))
-
-
-def binary_image_supports(
-    a: Matrix, state_cap: int = 250_000, subset_cap: int = 1 << 16
-) -> tuple[tuple[int, ...], ...]:
-    """Supports of lexicographically-least solutions for targets that are
-    binary column sums.
-
-    Any feasible target's least solution has a support indicator whose own
-    column sum is such a target, and the indicator is the least solution
-    there, so this smaller family already covers every feasible support.
-    """
-    _validate_nonneg_no_zero_col(a)
-    n = a.num_cols
-    if 1 << n > subset_cap:
-        raise EnumerationCapError(f"2^{n} binary targets exceed cap {subset_cap}")
-    box = _BoxReachability(a.columns(), n * a.infinity_norm(), state_cap)
-    supports = set()
-    for mask in range(1 << n):
-        x = box.lexmin(a.matvec([mask >> j & 1 for j in range(n)]))
-        if x is not None:
-            supports.add(tuple(j for j, v in enumerate(x) if v))
     return tuple(sorted(supports))
 
 

@@ -5,9 +5,11 @@ its cost follows the number of distinct reachable sums, which is what the
 doubling-sensitive analysis bounds, and a table cap turns the densest
 inputs into a clean failure. The unbounded solver goes the long way
 around: encode elements as progression coordinates, enumerate the few
-supports a lexicographically-least solution can use, then solve coin
-reachability per support; both steps run the box engine of `ilp` (big-int
-closures by doubling passes). Witnesses always re-verify before returning.
+supports a lexicographically-least solution can use (those of the least
+solutions for binary column-sum targets, one walk per target), then solve
+coin reachability per support; both steps run the box engine of `ilp`
+(big-int closures by doubling passes). Witnesses always re-verify before
+returning.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ def unbounded_subset_sum(
     t: int,
     rng,
     gamma: int = 1,
-    state_cap: int = 250_000,
     target_cap: int = 2_000_000,
 ) -> Optional[SolveWitness]:
     """Unbounded subset sum via progression structure of the element set.
@@ -100,7 +101,8 @@ def unbounded_subset_sum(
     column-sum target. Those supports are enumerable, and within a fixed
     support the problem is ordinary coin reachability. The coordinate box
     grows quickly with set size; this is a small-n solver by design, and
-    the caps say so rather than letting it thrash.
+    the box cap of `ilp` and target_cap say so rather than letting it
+    thrash.
     """
     if z.min() < 1:
         raise ValueError("elements must be positive")
@@ -112,7 +114,7 @@ def unbounded_subset_sum(
     if t > target_cap:
         raise EnumerationCapError(f"target {t} above cap {target_cap}")
     enc = ss_to_hbilp(z, t, rng, gamma=gamma)
-    supports = binary_image_supports(enc.instance.a, state_cap=state_cap)
+    supports = binary_image_supports(enc.instance.a)
     values = z.elements
     for sigma in supports:
         if not sigma:
@@ -138,17 +140,8 @@ def solve_subset_sum(
     inst: SubsetSumInstance,
     rng,
     table_cap: int = DEFAULT_TABLE_CAP,
-    state_cap: int = 250_000,
-    target_cap: int = 2_000_000,
     gamma: int = 1,
 ) -> Optional[SolveWitness]:
     if inst.mode == "binary":
         return subset_sum_doubling(inst.elements, inst.target, table_cap=table_cap)
-    return unbounded_subset_sum(
-        inst.elements,
-        inst.target,
-        rng,
-        gamma=gamma,
-        state_cap=state_cap,
-        target_cap=target_cap,
-    )
+    return unbounded_subset_sum(inst.elements, inst.target, rng, gamma=gamma)

@@ -166,6 +166,24 @@ class TestIlp:
         assert cli.main(reduce) == 2
         assert "the reduction was rebuilt" in capsys.readouterr().err
 
+    def test_decode_requires_the_reduced_witness_kind(self, tmp_path, capsys):
+        from gapsolve import cli
+
+        inst = write_json(tmp_path / "ss.json", {"elements": [3, 5, 7], "target": 5})
+        route = ["ilp", "decode", "--from", "ss", "--to", "hbilp", "--input", inst]
+        # indices {0, 2} sum to 10; read as a 0/1 vector they would pick 5
+        indices = write_json(tmp_path / "i.json", {"kind": "subset-of-indices", "values": [0, 2]})
+        assert cli.main([*route, "--witness", indices]) == 2
+        assert "expects a binary-vector witness" in capsys.readouterr().err
+        short = write_json(tmp_path / "s.json", {"kind": "binary-vector", "values": [0, 1]})
+        assert cli.main([*route, "--witness", short]) == 2
+        assert "assignment has 2 entries for 3 elements" in capsys.readouterr().err
+        hb = write_json(tmp_path / "hb.json", {"A": [[1, 2]], "s": [1], "t": 2})
+        vector = write_json(tmp_path / "v.json", {"kind": "binary-vector", "values": [0, 1]})
+        to_ss = ["ilp", "decode", "--from", "hbilp", "--to", "ss", "--input", hb]
+        assert cli.main([*to_ss, "--witness", vector]) == 2
+        assert "expects a subset-of-indices witness" in capsys.readouterr().err
+
 
 class TestKsum:
     def test_feasible(self, tmp_path):
@@ -226,6 +244,19 @@ class TestFreimanAndVerify:
         )
         run_cli("verify", "witness", "--input", inst, "--witness", good, check=0)
         run_cli("verify", "witness", "--input", inst, "--witness", bad, check=1)
+
+    def test_witness_check_rejects_indices_on_programs(self, tmp_path):
+        # indices {0, 1} mean x = (1, 1), whose sum 3 misses the target 2
+        indices = write_json(
+            tmp_path / "w.json", {"kind": "subset-of-indices", "values": [0, 1]}
+        )
+        for name, prog in (
+            ("bilp", {"A": [[1, 2]], "b": [2]}),
+            ("hbilp", {"A": [[1, 2]], "s": [1], "t": 2}),
+        ):
+            inst = write_json(tmp_path / f"{name}.json", prog)
+            proc = run_cli("verify", "witness", "--input", inst, "--witness", indices, check=1)
+            assert last_json(proc) == {"ok": False}, name
 
 
 class TestBench:

@@ -515,6 +515,38 @@ class TestSmallSupport:
                     break
             assert ok, b
 
+    def test_binary_targets_give_every_box_support(self):
+        # the supports of the least solutions over the whole box, brute force
+        rng = random.Random(116)
+        for _ in range(60):
+            m, n = rng.randint(1, 3), rng.randint(1, 4)
+            nonzero = [c for c in itertools.product(range(4), repeat=m) if any(c)]
+            cols = [rng.choice(nonzero) for _ in range(n)]
+            a = Matrix.from_rows([[col[i] for col in cols] for i in range(m)])
+            table = _brute_lexmin_table(cols, m, n * a.infinity_norm())
+            want = {tuple(j for j, v in enumerate(x) if v) for x in table.values()}
+            assert binary_image_supports(a) == tuple(sorted(want)), a.rows
+
+    def test_seventeen_columns(self):
+        # 2^17 binary targets collapse onto the 290 states of the one-row box
+        a = Matrix.from_rows([list(range(1, 18))])
+        box = ilp._BoxReachability(a.columns(), 17 * 17, 10_000)
+        want = set()
+        for b in range(17 * 17 + 1):
+            x = box.lexmin((b,))
+            if x is not None:
+                want.add(tuple(j for j, v in enumerate(x) if v))
+        got = binary_image_supports(a)
+        assert got == tuple(sorted(want))
+        assert small_support_candidates(a) == got
+
+    def test_box_cap(self):
+        a = Matrix.from_rows([[100, 1, 1, 1, 1], [1, 1, 1, 1, 1]])
+        with pytest.raises(
+            EnumerationCapError, match="support box has 251001 states, above cap 250000"
+        ):
+            binary_image_supports(a)
+
 
 def _brute_lexmin_table(cols, m, bound):
     """target -> lexicographically least x with sum_j x_j col_j = target, for
