@@ -498,10 +498,22 @@ class SubsetSumFromHbilp:
     meta: dict = field(default_factory=dict)
 
     def decode(self, indices: Sequence[int]) -> SolveWitness:
+        """Raises ValueError for indices that are not a solution of the
+        reduced instance, InvariantError if a solution fails to decode."""
+        elems = self.elements.elements
+        seen = set()
+        for i in indices:
+            if not 0 <= i < len(elems):
+                raise ValueError(f"index {i} out of range for {len(elems)} elements")
+            if i in seen:
+                raise ValueError(f"index {i} repeated")
+            seen.add(i)
+        if sum(elems[i] for i in indices) != self.target:
+            raise ValueError("subset misses the reduced target")
         n0 = self.original.a.num_cols
         x = [0] * n0
         if not self.trivial:
-            chosen = {self.elements.elements[i] for i in indices}
+            chosen = {elems[i] for i in indices}
             col_of = {v: j for j, v in enumerate(self.column_values)}
             picked = sorted(col_of[v] for v in chosen)
             half = [0] * self.n_normalized

@@ -1,17 +1,22 @@
-"""k-SUM by color splitting and structure-aware sumset folding.
+"""k-SUM by capped pair representatives and, past the exhaustive regime,
+by color splitting and structure-aware sumset folding.
 
-A splitter family isolates the unknown solution, one element per color
-block; each half of the blocks is folded into a sumset whose
+While the plan is exhaustive (C(n-1, k-1) within the cut cap, and always
+for k = 1), one pass over the index pairs tabulates a few representative
+pairs per sum, and every query is settled from that table. Past it, a
+random splitter family isolates the unknown solution, one element per
+color block; each half of the blocks is folded into a sumset whose
 representation cost depends on the additive structure of the input, and
-the two halves meet in the middle. Work is accounted per fold in units
-native to the backend that ran it (transform length for convolution,
-pair count for hashing), so structured and unstructured inputs separate
-honestly in benchmarks.
+the two halves meet in the middle. Fold work is accounted in units native
+to the backend that ran it (transform length for convolution, pair count
+for hashing), so structured and unstructured inputs separate honestly in
+benchmarks.
 
 Every fold runs on the sumset kernel in `gapsolve.core`: values are plain
 Python ints at fold boundaries, numpy engages only when the kernel's one
 int64 guard admits the operands (all strictly inside +-2^62), and anything
-larger takes the kernel's exact Python-int fallback.
+larger takes the kernel's exact Python-int fallback. The pair table keys
+exact Python ints.
 """
 
 from __future__ import annotations
@@ -73,28 +78,17 @@ def splitter_plan(n: int, k: int, gamma: int = 1, cut_cap: int = DEFAULT_CUT_CAP
 def splitter_family(
     n: int, k: int, rng, gamma: int = 1, cut_cap: int = DEFAULT_CUT_CAP
 ) -> Iterator[ColorPartition]:
-    """Partitions of range(n) into k blocks, one of which isolates any
-    fixed k-subset.
+    """Uniform random colorings of range(n) into k blocks, enough of them
+    that a fixed k-subset is isolated (one member per block) with
+    probability 1 - n^-(gamma+1); colorings that leave a block empty cannot
+    isolate anything and are skipped.
 
-    Small instances get every consecutive-cut partition: sorted subsets
-    are always split by cuts between their members, so the family is a
-    complete splitter. Larger instances fall back to uniform random
-    colorings, enough of them that a fixed subset is isolated with
-    probability 1 - n^-(gamma+1); colorings that leave a block empty
-    cannot isolate anything and are skipped.
+    Only plans that are not exhaustive have a family: exhaustive queries
+    are settled from the pair table instead (see `ksum`).
     """
     plan = splitter_plan(n, k, gamma, cut_cap)
-    if k == 1:
-        yield ColorPartition((tuple(range(n)),))
-        return
     if plan.exhaustive:
-        idx = tuple(range(n))
-        for cuts in combinations(range(1, n), k - 1):
-            edges = (0,) + cuts + (n,)
-            yield ColorPartition(
-                tuple(idx[edges[i] : edges[i + 1]] for i in range(k))
-            )
-        return
+        raise ValueError("exhaustive plans are solved without a splitter family")
     for _ in range(plan.planned):
         colors = [rng.randrange(k) for _ in range(n)]
         blocks = [[] for _ in range(k)]
@@ -176,11 +170,106 @@ def sparse_sumset(
 
 @dataclass(frozen=True)
 class KsumResult:
+    """One k-SUM answer and the work behind it, counted per path.
+
+    Exhaustive plans: `work` is the index pairs tabulated plus the sums
+    scanned (a value lookup counts as one scanned sum), and
+    `partitions_tried` the fixed (k-4)-tuples scanned, which is 1 for
+    k <= 4. Random colorings: `work` is the folds' backend work plus the
+    sizes of the met sumsets, and `partitions_tried` the colorings folded.
+    """
+
     witness: Optional[SolveWitness]
     work: int
     partitions_tried: int
     exhaustive: bool
     meta: dict = field(default_factory=dict)
+
+
+def _pair_ksum(values: Sequence[int], t: int, k: int) -> tuple[Optional[tuple[int, ...]], int, int]:
+    """k distinct indices into the distinct `values` summing to t, or None,
+    which proves that none exist; returns (indices, work, fixed tuples).
+
+    2k > n solves the complementary (n-k)-SUM (down to the empty sum for
+    k = n), and k <= 2 are value lookups. Otherwise one pass over the index
+    pairs i < j keeps, for each sum, the first k-1 pairs found: the
+    representatives. Distinct pairs with one sum are pairwise disjoint,
+    since the values are distinct, so a set of at most k-2 indices meets at
+    most k-2 of them. Take a solution F + p + q with |F| = k-4 and pair
+    sums s <= r - s (swap p and q if need be). If p is not kept, k-1 pairs
+    of sum s are, and F + q meets at most k-2 of them: one kept p' avoids
+    F + q. Likewise a kept q' avoids F + p'. So scanning every (k-4)-tuple
+    F, every sum s <= r - s with r = t - sum(F), and the kept pairs on both
+    sides finds a solution whenever one exists.
+    k = 3 is the same with F + q replaced by one element a (which meets at
+    most one pair of a sum, so two representatives would do).
+    """
+    n = len(values)
+    if 2 * k > n:
+        rest, work, tried = _pair_ksum(values, sum(values) - t, n - k)
+        if rest is None:
+            return None, work, tried
+        drop = set(rest)
+        return tuple(i for i in range(n) if i not in drop), work, tried
+    if k == 0:
+        return ((), 0, 1) if t == 0 else (None, 0, 1)
+    if k <= 2:
+        index_of = {v: i for i, v in enumerate(values)}
+        if k == 1:
+            i = index_of.get(t)
+            return (None if i is None else (i,)), 1, 1
+        for i, v in enumerate(values):
+            # ascending values: a partner below i was met from its own side
+            j = index_of.get(t - v)
+            if j is not None and j > i:
+                return (i, j), i + 1, 1
+        return None, n, 1
+    reps: dict = {}
+    for i in range(n):
+        vi = values[i]
+        for j in range(i + 1, n):
+            kept = reps.get(vi + values[j])
+            if kept is None:
+                reps[vi + values[j]] = [(i, j)]
+            elif len(kept) < k - 1:
+                kept.append((i, j))
+    work = n * (n - 1) // 2
+    if k == 3:
+        for a, va in enumerate(values):
+            work += 1
+            for p in reps.get(t - va, ()):
+                if a not in p:
+                    return tuple(sorted((a,) + p)), work, 1
+        return None, work, 1
+    sums = sorted(reps)
+    tried = 0
+    for fixed in combinations(range(n), k - 4):
+        tried += 1
+        r = t - sum(values[i] for i in fixed)
+        for s in sums:
+            if 2 * s > r:
+                break
+            work += 1
+            right = reps.get(r - s)
+            if right is None:
+                continue
+            for p in reps[s]:
+                if p[0] in fixed or p[1] in fixed:
+                    continue
+                for q in right:
+                    if q[0] in fixed or q[1] in fixed or q[0] in p or q[1] in p:
+                        continue
+                    return tuple(sorted(fixed + p + q)), work, tried
+    return None, work, tried
+
+
+def _checked(values: Sequence[int], indices: tuple[int, ...], t: int, k: int) -> SolveWitness:
+    """Re-evaluate a witness against the instance before it leaves ksum."""
+    if len(indices) != k or len(set(indices)) != k:
+        raise InvariantError("witness indices are not k distinct positions")
+    if sum(values[i] for i in indices) != t:
+        raise InvariantError("k-sum witness failed re-evaluation")
+    return SolveWitness("subset-of-indices", indices)
 
 
 def _fold_blocks(
@@ -263,10 +352,13 @@ def ksum(
 ) -> KsumResult:
     """Find k distinct indices of z summing to t.
 
-    Per partition, the first floor(k/2) blocks fold into the left sumset
-    and the rest into the right; the halves meet by complement lookup.
-    A None witness is a proof of infeasibility exactly when the splitter
-    family was exhaustive (see the result's `exhaustive` field).
+    Exhaustive plans (see `splitter_plan`) are settled from capped pair
+    representatives, and a None witness then proves infeasibility. Other
+    plans fold each random coloring: the first floor(k/2) blocks into the
+    left sumset and the rest into the right, meeting by complement lookup;
+    a None witness there is probabilistic (`exhaustive` is False). On
+    exhaustive plans the witness does not depend on rng, and on every plan
+    it is re-evaluated before it is returned.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -275,6 +367,10 @@ def ksum(
     if k > n:
         return KsumResult(None, 0, 0, True)
     values = z.elements
+    if plan.exhaustive:
+        indices, work, tried = _pair_ksum(values, t, k)
+        witness = None if indices is None else _checked(values, indices, t, k)
+        return KsumResult(witness, work, tried, True, {"backends": {}})
     index_of = {v: i for i, v in enumerate(values)}
     work = 0
     tried = 0
@@ -298,18 +394,9 @@ def ksum(
         lpicks = _unfold(llevels, lblocks, hit)
         rpicks = _unfold(rlevels, rblocks, t - hit)
         indices = tuple(sorted(index_of[v] for v in lpicks + rpicks))
-        if len(indices) != k or len(set(indices)) != k:
-            raise InvariantError("witness indices are not k distinct positions")
-        if sum(values[i] for i in indices) != t:
-            raise InvariantError("k-sum witness failed re-evaluation")
-        return KsumResult(
-            SolveWitness("subset-of-indices", indices),
-            work,
-            tried,
-            plan.exhaustive,
-            {"backends": backends},
-        )
-    return KsumResult(None, work, tried, plan.exhaustive, {"backends": backends})
+        witness = _checked(values, indices, t, k)
+        return KsumResult(witness, work, tried, False, {"backends": backends})
+    return KsumResult(None, work, tried, False, {"backends": backends})
 
 
 def foursum(z: IntegerSet, t: int, rng, **kwargs) -> KsumResult:

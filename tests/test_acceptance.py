@@ -110,8 +110,8 @@ def test_criterion_1_oracle_equivalence():
         runs += 1
     counts["subset_sum_doubling"] = runs
 
-    # ksum, k <= 5; infeasible cases kept at smaller n so the exhaustive
-    # splitter sweep stays honest but cheap
+    # ksum, k <= 5, every case inside the exhaustive regime, where a None
+    # witness is a proof of infeasibility; infeasible cases stay at n <= 12
     runs = 0
     for trial in range(1000):
         k = rng.randint(1, 5)
@@ -592,6 +592,9 @@ def test_criterion_8_determinism(tmp_path):
         ["ilp", "reduce", "--from", "hbilp", "--to", "ss", "--input", str(hb_path), "--seed", "3"],
         ["ilp", "reduce", "--from", "ss", "--to", "hbilp", "--input", str(ss_path), "--seed", "4"],
         ["ksum", "--input", str(ap_path), "--k", "4", "--target", "66", "--seed", "6"],
+        ["ksum", "--input", str(ap_path), "--k", "3", "--target", "66", "--seed", "6"],
+        ["ksum", "--input", str(ap_path), "--k", "5", "--target", "100", "--seed", "6"],
+        ["ksum", "--input", str(ap_path), "--k", "30", "--target", "1413", "--seed", "6"],
         ["verify", "witness", "--input", str(ss_path), "--witness", str(wit_path)],
     ]
     for argv in commands:

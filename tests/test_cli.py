@@ -184,6 +184,20 @@ class TestIlp:
         assert cli.main([*to_ss, "--witness", vector]) == 2
         assert "expects a subset-of-indices witness" in capsys.readouterr().err
 
+    def test_decode_to_ss_checks_the_reduced_subset(self, tmp_path, capsys):
+        from gapsolve import cli
+
+        bilp = write_json(tmp_path / "b.json", {"A": [[2, -3], [1, 1]], "b": [-1, 2]})
+        every = write_json(tmp_path / "w.json", {"kind": "subset-of-indices", "values": list(range(20))})
+        route = ["ilp", "decode", "--from", "bilp", "--to", "ss", "--input", bilp]
+        assert cli.main([*route, "--witness", every]) == 2
+        assert "index 16 out of range for 16 elements" in capsys.readouterr().err
+        hb = write_json(tmp_path / "hb.json", {"A": [[1, 2]], "s": [1], "t": 2})
+        miss = write_json(tmp_path / "m.json", {"kind": "subset-of-indices", "values": [0, 7]})
+        route = ["ilp", "decode", "--from", "hbilp", "--to", "ss", "--input", hb]
+        assert cli.main([*route, "--witness", miss]) == 2
+        assert "subset misses the reduced target" in capsys.readouterr().err
+
 
 class TestKsum:
     def test_feasible(self, tmp_path):

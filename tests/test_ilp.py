@@ -395,6 +395,18 @@ class TestHbilpToSs:
         bad = hbilp_to_ss(HbilpInstance(Matrix.from_rows([[0]]), (5,), 3))
         assert bad.trivial and bad.target == -1
 
+    def test_decode_rejects_non_solutions(self):
+        res = hbilp_to_ss(HbilpInstance(Matrix.from_rows([[1, 2]]), (1,), 2))
+        n = len(res.elements)
+        for indices, msg in (
+            ((0, n), f"index {n} out of range for {n} elements"),
+            ((-1,), f"index -1 out of range for {n} elements"),
+            ((1, 1), "index 1 repeated"),
+            ((0, n - 1), "subset misses the reduced target"),
+        ):
+            with pytest.raises(ValueError, match=msg):
+                res.decode(indices)
+
     def test_elements_distinct_positive(self):
         rng = random.Random(107)
         for _ in range(80):
@@ -481,17 +493,23 @@ class TestSmallSupport:
             small_support_candidates(Matrix.from_rows([[1, 0]]))
 
     def test_binary_image_subset(self):
+        # each returned sigma is the support of the lexicographically least
+        # solution for A * 1_sigma, found by brute search in lex order
         rng = random.Random(112)
         for _ in range(40):
             m, n = rng.randint(1, 2), rng.randint(1, 4)
             a = _rand_matrix(rng, m, n, 0, 3)
             try:
-                small_support_candidates(a)
+                supports = binary_image_supports(a)
             except ValueError:
                 continue
-            full = set(small_support_candidates(a))
-            binary = set(binary_image_supports(a))
-            assert binary <= full
+            bound = n * a.infinity_norm()
+            for sigma in supports:
+                b = a.matvec(tuple(int(j in sigma) for j in range(n)))
+                least = next(
+                    x for x in itertools.product(range(bound + 1), repeat=n) if a.matvec(x) == b
+                )
+                assert tuple(j for j, v in enumerate(least) if v) == sigma, (a.rows, sigma)
 
     def test_lexmin_supports_cover_feasible(self):
         # every feasible target in the box must have a solution supported

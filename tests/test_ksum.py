@@ -1,4 +1,4 @@
-"""k-SUM via splitters and structure-aware sumset folding."""
+"""k-SUM via pair representatives, splitters and structure-aware sumset folding."""
 
 import itertools
 import random
@@ -27,24 +27,13 @@ class TestSplitters:
         plan = splitter_plan(100, 5, cut_cap=100)
         assert not plan.exhaustive and plan.planned > 100
 
-    def test_k1(self):
-        parts = list(splitter_family(4, 1, random.Random(0)))
-        assert parts == [ColorPartition(((0, 1, 2, 3),))]
-
     def test_blocks_nonempty(self):
         with pytest.raises(ValueError):
             ColorPartition(((0,), ()))
 
-    def test_consecutive_cuts_isolate_every_subset(self):
-        n, k = 7, 3
-        parts = list(splitter_family(n, k, random.Random(0)))
-        assert len(parts) == splitter_plan(n, k).planned
-        for subset in itertools.combinations(range(n), k):
-            hit = any(
-                all(len(set(b) & set(subset)) == 1 for b in p.blocks)
-                for p in parts
-            )
-            assert hit, subset
+    def test_exhaustive_plans_have_no_family(self):
+        with pytest.raises(ValueError, match="without a splitter family"):
+            next(splitter_family(10, 3, random.Random(0)))
 
     def test_random_colorings_partition(self):
         rng = random.Random(5)
@@ -203,3 +192,91 @@ class TestBigValues:
         assert res.witness is not None
         els = IntegerSet(vals).elements
         assert sum(els[i] for i in res.witness.payload) == t
+
+
+class TestPairRepresentatives:
+    """The exhaustive regime: capped pair representatives against brute force."""
+
+    def _agrees(self, z, t, k, rng_seed=0):
+        res = ksum(z, t, k, random.Random(rng_seed))
+        want = brute_ksum(z.elements, t, k)
+        assert res.exhaustive
+        assert (res.witness is None) == (want is None), (z.elements, t, k)
+        if res.witness is not None:
+            idx = res.witness.payload
+            assert len(set(idx)) == k and idx == tuple(sorted(idx))
+            assert sum(z.elements[i] for i in idx) == t
+        return res
+
+    def test_vs_brute_many(self):
+        rng = random.Random(700)
+        shapes = set()
+        for trial in range(3000):
+            n = rng.randint(1, 14)
+            k = rng.randint(1, min(7, n))
+            if trial % 10 == 0:
+                n = k = rng.randint(1, 7)
+            z = IntegerSet.from_iterable(rng.sample(range(-40, 40), n))
+            if trial % 2:
+                t = sum(rng.sample(z.elements, k))
+            else:
+                t = rng.randint(-100, 100)
+            self._agrees(z, t, k)
+            shapes.add((k, 2 * k > n, k == n))
+        assert {k for k, _, _ in shapes} == set(range(1, 8))
+        assert any(big for _, big, _ in shapes) and any(full for _, _, full in shapes)
+
+    def test_one_pair_per_sum_is_not_enough(self):
+        # 13 = 1 + 3 + 4 + 5 only, and each way of splitting it into two pairs
+        # puts the 1 on one side while the first pair of the other side's sum
+        # holds the 1 too (9 = 1 + 8, 8 = 1 + 7, 7 = 1 + 6): one representative
+        # per sum answers no
+        z = IntegerSet((1, 3, 4, 5, 6, 7, 8, 9, 11, 12))
+        res = self._agrees(z, 13, 4)
+        assert res.witness.payload == (0, 1, 2, 3)
+        assert res.partitions_tried == 1
+
+    def test_values_past_int64(self):
+        base = 1 << 64
+        rng = random.Random(701)
+        for _ in range(200):
+            n = rng.randint(4, 12)
+            k = rng.randint(1, min(6, n))
+            z = IntegerSet.from_iterable(base * v + v for v in rng.sample(range(-30, 30), n))
+            t = sum(rng.sample(z.elements, k)) + rng.choice((0, 0, 1, -base))
+            self._agrees(z, t, k)
+
+    def test_witness_independent_of_rng(self):
+        rng = random.Random(702)
+        for _ in range(200):
+            n = rng.randint(4, 14)
+            k = rng.randint(1, min(7, n))
+            z = IntegerSet.from_iterable(rng.sample(range(-40, 40), n))
+            t = sum(rng.sample(z.elements, k))
+            one = ksum(z, t, k, random.Random(1))
+            two = ksum(z, t, k, random.Random(2))
+            assert one.witness is not None and one == two
+
+    def test_exhaustive_matches_plan_at_the_cap(self):
+        z = IntegerSet.from_iterable(range(0, 60, 3))
+        for k in (2, 3, 4, 5):
+            cuts = splitter_plan(len(z), k, cut_cap=10**9).planned
+            for cap in (cuts, cuts - 1):  # C(n-1, k-1) at the cap, then one past it
+                res = ksum(z, sum(z.elements[:k]), k, random.Random(3), cut_cap=cap)
+                assert res.exhaustive == splitter_plan(len(z), k, cut_cap=cap).exhaustive
+                assert res.exhaustive == (cap == cuts)
+                assert res.witness is not None
+        # at the default cap: C(316, 2) = 49,770 and C(317, 2) = 50,086
+        for n, want in ((317, True), (318, False)):
+            assert splitter_plan(n, 3).exhaustive == want
+            z = IntegerSet.from_iterable(range(0, 3 * n, 3))
+            res = ksum(z, 3 * n + 1, 3, random.Random(4))
+            assert res.exhaustive == want
+            assert res.witness is None
+
+    def test_counters(self):
+        z = IntegerSet.from_iterable(range(0, 30, 3))  # n = 10, 45 pairs
+        assert ksum(z, 61, 3, random.Random(0)).partitions_tried == 1
+        res = ksum(z, 61, 5, random.Random(0))
+        assert res.partitions_tried == 10  # one fixed index per tuple
+        assert res.work > 45
