@@ -265,6 +265,8 @@ def _verify_witness(d: dict, w: SolveWitness) -> bool:
         if w.kind == "multiplicity-vector":
             if len(w.payload) != len(vals) or any(v < 0 for v in w.payload):
                 return False
+            if inst.mode == "binary" and any(v > 1 for v in w.payload):
+                return False
             return sum(v * m for v, m in zip(vals, w.payload)) == inst.target
         return False
     if w.kind == "subset-of-indices":  # ILP witnesses are assignments

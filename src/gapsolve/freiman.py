@@ -45,6 +45,7 @@ from gapsolve.core import (
 
 MODELING_FOLD = 8  # the pipeline models 8-fold sums
 DEFAULT_SUPPORT_CAP = 1 << 24
+BOHR_WIDTH = Fraction(1, 4)  # the width of every Bohr set bogolyubov returns
 # entries of one elements x frequencies block in the Bohr membership check
 _BOHR_BLOCK = 1 << 16
 
@@ -87,9 +88,7 @@ def next_prime(n: int) -> int:
 # iterated difference supports
 
 
-def iterated_support(
-    a: IntegerSet, plus_count: int, minus_count: int, cap: int = DEFAULT_SUPPORT_CAP
-) -> tuple[int, np.ndarray]:
+def iterated_support(a: IntegerSet, plus_count: int, minus_count: int) -> tuple[int, np.ndarray]:
     """(offset, boolean array) for plus_count*A - minus_count*A.
 
     Supports are built by repeated squaring of clipped indicator vectors, so
@@ -100,8 +99,10 @@ def iterated_support(
     if plus_count < 1 or minus_count < 0:
         raise ValueError("need plus_count >= 1, minus_count >= 0")
     span = (plus_count + minus_count) * a.diameter() + 1
-    if span > cap:
-        raise EnumerationCapError(f"difference support range {span} exceeds cap {cap}")
+    if span > DEFAULT_SUPPORT_CAP:
+        raise EnumerationCapError(
+            f"difference support range {span} exceeds cap {DEFAULT_SUPPORT_CAP}"
+        )
     base = _indicator(a.elements)
 
     def fold(k: int) -> np.ndarray:
@@ -183,7 +184,6 @@ def modeling_lemma(
     m: int,
     rng,
     diff_support: Optional[tuple[int, np.ndarray]] = None,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
 ):
     """One modeling attempt. Returns a FreimanModel or a ModelingFailure.
 
@@ -195,7 +195,7 @@ def modeling_lemma(
     if s < 1:
         raise ValueError("fold count must be >= 1")
     if diff_support is None:
-        diff_support = iterated_support(a, s, s, support_cap)
+        diff_support = iterated_support(a, s, s)
     d_size = support_size(diff_support)
     if m < 4 * d_size:
         raise ValueError(f"modulus {m} below 4*|sA-sA| = {4 * d_size}")
@@ -221,7 +221,7 @@ def modeling_lemma(
 
     strict_checked = False
     try:
-        off, arr = iterated_support(a_prime, s, s, support_cap)
+        off, arr = iterated_support(a_prime, s, s)
         cs = (np.nonzero(arr)[0] + off).astype(np.int64)
         cs = cs[cs != 0]
         imgs = (lam * (cs % q)) % q
@@ -264,7 +264,7 @@ class BohrSpec:
             raise ValueError("frequencies must be sorted, distinct, in [1, m)")
 
 
-def bogolyubov(b: IntegerSet, m: int, width: Fraction = Fraction(1, 4)) -> BohrSpec:
+def bogolyubov(b: IntegerSet, m: int) -> BohrSpec:
     """Frequencies whose Fourier coefficient exceeds alpha^(3/2), where
     alpha = |b|/m. The Bohr set they define sits inside 2B - 2B.
 
@@ -283,7 +283,7 @@ def bogolyubov(b: IntegerSet, m: int, width: Fraction = Fraction(1, 4)) -> BohrS
     rs = rs[rs != 0]
     if len(rs) * len(b) ** 2 >= m * m:
         raise InvariantError("spectrum larger than 1/alpha^2")
-    return BohrSpec(m, tuple(rs.tolist()), width)
+    return BohrSpec(m, tuple(rs.tolist()), BOHR_WIDTH)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +521,6 @@ def freiman_gap(
     rng,
     gamma: int = 1,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> FreimanGapResult:
     """Cover `a` by a progression shaped (Q - Q) + X.
 
@@ -540,7 +539,7 @@ def freiman_gap(
             {"n": 1, "m": None, "attempts": 0, "cover_dimension": 1, "cover_volume": 1},
         )
 
-    diff8 = iterated_support(a, MODELING_FOLD, MODELING_FOLD, support_cap)
+    diff8 = iterated_support(a, MODELING_FOLD, MODELING_FOLD)
     d_size = support_size(diff8)
     m = next_prime(4 * d_size + 1)
     if m >= 16 * d_size:
@@ -552,7 +551,7 @@ def freiman_gap(
     failures: list[str] = []
     for _ in range(budget):
         attempts += 1
-        got = modeling_lemma(a, MODELING_FOLD, m, rng, diff_support=diff8, support_cap=support_cap)
+        got = modeling_lemma(a, MODELING_FOLD, m, rng, diff_support=diff8)
         if isinstance(got, FreimanModel):
             model = got
             break
@@ -567,17 +566,17 @@ def freiman_gap(
 
     invert = _psi2_inverter(model)
     q_base = invert(0)
-    y_gens = tuple(invert(g) - q_base for g in bres.gap.generators) if bres.gap.dimension else ()
-    q_lengths = bres.gap.lengths if bres.gap.dimension else ()
     # the full-group fit (empty frequency set) pulls back to the trivial gap
-    if bres.d_original == 0:
-        y_gens, q_lengths = (), ()
+    q_gens, q_lengths = (), ()
+    if bres.d_original:
+        q_gens, q_lengths = bres.gap.generators, bres.gap.lengths
+    y_gens = tuple(invert(g) - q_base for g in q_gens)
     q_gap = Gap(q_base, y_gens, q_lengths)
 
     q_elems, q_proper = gap_enumerate(q_gap, enum_cap)
     if not q_proper:
         raise InvariantError("pulled-back progression not proper")
-    diff2 = iterated_support(a, 2, 2, support_cap)
+    diff2 = iterated_support(a, 2, 2)
     inside = support_contains(diff2, np.asarray(q_elems.elements, dtype=np.int64))
     if not bool(np.all(inside)):
         raise InvariantError("pulled-back progression escapes 2A - 2A")
@@ -656,21 +655,20 @@ class SplitResult:
     threshold: int
 
 
-def split_dimensions(p: Gap, n: int, threshold: Optional[int] = None) -> SplitResult:
+def split_dimensions(p: Gap, n: int) -> SplitResult:
     """Split long dimensions into base-b digit dimensions.
 
-    The threshold defaults to max(2, ceil(n^(1/d))) for the input dimension
-    d. A length L > threshold becomes k digits in base b = ceil(L^(1/k)) for
-    the smallest k with b <= threshold; generators scale by powers of b, so
-    the refined progression contains the original one.
+    The threshold is max(2, ceil(n^(1/d))) for the input dimension d. A
+    length L > threshold becomes k digits in base b = ceil(L^(1/k)) for the
+    smallest k with b <= threshold; generators scale by powers of b, so the
+    refined progression contains the original one.
     """
     if p.modulus is not None:
         raise ValueError("dimension splitting applies to integer progressions")
     d = p.dimension
     if d == 0:
-        return SplitResult(p, (), threshold or 2)
-    if threshold is None:
-        threshold = max(2, ceil_root(n, d))
+        return SplitResult(p, (), 2)
+    threshold = max(2, ceil_root(n, d))
     gens: list[int] = []
     lengths: list[int] = []
     plan: list[tuple[tuple[int, int], ...]] = []

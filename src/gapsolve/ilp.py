@@ -2,18 +2,18 @@
 with few constraints.
 
 Solvers are exact dynamic programs over reachable constraint-vector values,
-encoded as integer keys. The table is filled variable by variable and keeps
-the reachable keys as a sorted int64 array with each key's insertion rank,
+encoded as integer keys. One engine fills the table variable by variable and
+keeps the reachable keys as a sorted array with each key's insertion rank,
 and per rank the variable that first wrote the key and the value written;
 each step merges in the candidates key + v * column that are not yet
-present. Cost follows the number of distinct reachable vectors, not the size
-of the values. Witnesses are deterministic: a new key is written by the
-candidate (source key, value) whose source ranks first, then whose value is
-smallest, and new keys rank after old ones in that order, so the walk back
-from the target gives the same assignment as scanning an insertion-ordered
-table. When the key range exceeds 2^62 the same DP runs on a dict of Python
-ints, the exact fallback. Reductions carry enough metadata to decode a
-downstream witness back to the original variables, and every decode
+present. The keys are int64 while the key range stays within 2^62 and exact
+Python ints in an object array past it. Cost follows the number of distinct
+reachable vectors, not the size of the values. Witnesses are deterministic:
+a new key is written by the candidate (source key, value) whose source ranks
+first, then whose value is smallest, and new keys rank after old ones in that
+order, so the walk back from the target gives the same assignment as
+scanning an insertion-ordered table. Reductions carry enough metadata to
+decode a downstream witness back to the original variables, and every decode
 re-evaluates the witness against the original instance before returning it.
 
 Unbounded reachability has one engine: big-int bitset closures of
@@ -48,6 +48,7 @@ from gapsolve.core import (
     Matrix,
     SolveWitness,
     TableCapError,
+    _int64_safe,
     check_width,
 )
 from gapsolve.freiman import FreimanGapResult, freiman_gap, split_coords, split_dimensions
@@ -137,66 +138,21 @@ class HbilpInstance:
 # ---------------------------------------------------------------------------
 # reachable-sum dynamic program
 
-# Every key and every candidate key + v * delta lies in [0, key range), so
-# the int64 engine cannot wrap while the range stays at or below this.
-_INT64_KEY_RANGE = 1 << 62
 
-_ROOT = None
-
-
-def _dict_engine(root_key: int, deltas: Sequence[int], spans: Sequence[int], table_cap: int):
-    """Reference DP on arbitrary-precision keys, the only engine for key
-    ranges above _INT64_KEY_RANGE.
-
-    The table maps an encoded reachable vector to a back-pointer
-    (prev_key, var, value) chain ending at _ROOT. Keys are scanned in
-    insertion order and values in ascending order, and the first writer of
-    a key keeps it. Returns the witness lookup for a target key.
-    """
-    table: dict[int, object] = {root_key: _ROOT}
-    for j, (delta, span) in enumerate(zip(deltas, spans)):
-        if span == 0 or delta == 0:
-            continue
-        additions: dict[int, tuple] = {}
-        for key in table:
-            nk = key
-            for v in range(1, span + 1):
-                nk += delta
-                if nk not in table and nk not in additions:
-                    additions[nk] = (key, j, v)
-        table.update(additions)
-        if len(table) > table_cap:
-            raise TableCapError(
-                f"reachable table hit {len(table)} entries at variable {j} (cap {table_cap})"
-            )
-
-    def witness(key: int) -> Optional[list[int]]:
-        if key not in table:
-            return None
-        x = [0] * len(spans)
-        cur = table[key]
-        while cur is not _ROOT:
-            prev, j, v = cur
-            x[j] = v
-            cur = table[prev]
-        return x
-
-    return witness
-
-
-def _array_engine(root_key: int, deltas: Sequence[int], spans: Sequence[int], table_cap: int):
-    """The dict engine's DP on sorted int64 arrays, with identical witnesses.
+def _array_engine(keys: np.ndarray, deltas: Sequence[int], spans: Sequence[int], table_cap: int):
+    """Reachable-sum DP on sorted arrays, started from `keys`, the
+    one-element array of the root key: int64 when every key fits, else an
+    object array of exact Python ints. Ranks, priorities and values are
+    int64 either way.
 
     `keys` holds the reachable keys sorted and `rank`, parallel to it, each
-    key's position in the dict engine's insertion order. A candidate
-    key + v * delta has priority (rank of key, v): the smallest priority
-    writes each new key, and new keys rank after all old ones in priority
-    order. The keys a variable writes thus take consecutive ranks, so
-    `ends` and `writers` give the writer of every rank, and `value[rank]`
-    is the value it took. Each step costs about |table| * span, whatever
-    the size of the keys.
+    key's position in insertion order. A candidate key + v * delta has
+    priority (rank of key, v): the smallest priority writes each new key,
+    and new keys rank after all old ones in priority order. The keys a
+    variable writes thus take consecutive ranks, so `ends` and `writers`
+    give the writer of every rank, and `value[rank]` is the value it took.
+    Each step costs about |table| * span, whatever the size of the keys.
     """
-    keys = np.array([root_key], dtype=np.int64)
     rank = np.zeros(1, dtype=np.int64)
     values = [np.zeros(1, dtype=np.int64)]
     ends, writers = [1], [-1]  # writers[b] wrote ranks ends[b - 1] to ends[b] - 1
@@ -205,7 +161,7 @@ def _array_engine(root_key: int, deltas: Sequence[int], spans: Sequence[int], ta
             continue
         size = len(keys)
         steps = np.arange(1, span + 1, dtype=np.int64)
-        cand = (keys[:, None] + steps * delta).ravel()
+        cand = (keys[:, None] + steps.astype(keys.dtype, copy=False) * delta).ravel()
         prio = (rank[:, None] * span + (steps - 1)).ravel()
         at = np.searchsorted(keys, cand)
         fresh = keys[np.minimum(at, size - 1)] != cand
@@ -283,8 +239,11 @@ def _reach(a: Matrix, spans: Sequence[int], table_cap: int, bits: Optional[int])
         key_range *= hi - lo + 1
     root_key = sum(-lo * st for lo, st in zip(lows, strides))
     deltas = [sum(col[i] * strides[i] for i in range(m)) for col in cols]
-    engine = _array_engine if key_range <= _INT64_KEY_RANGE else _dict_engine
-    return lows, highs, strides, engine(root_key, deltas, spans, table_cap)
+    # every key and every candidate key + v * delta lies in [0, key_range)
+    dtype = np.int64 if _int64_safe(0, key_range - 1) else object
+    return lows, highs, strides, _array_engine(
+        np.array([root_key], dtype=dtype), deltas, spans, table_cap
+    )
 
 
 def _solve_bounded(
@@ -680,7 +639,7 @@ def ss_to_hbilp(z: IntegerSet, t: int, rng, gamma: int = 1) -> HbilpFromSubsetSu
         c = coords[e]
         col = ([1] if base != 0 else []) + list(c)
         cols.append(col)
-        if base * (1 if base != 0 else 0) + sum(ci * gi for ci, gi in zip(c, gens)) != e:
+        if base + sum(ci * gi for ci, gi in zip(c, gens)) != e:
             raise InvariantError(f"coordinates of {e} do not reproduce it")
     steps = ((base,) if base != 0 else ()) + tuple(gens)
     rows = [[col[i] for col in cols] for i in range(len(steps))]

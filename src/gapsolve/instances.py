@@ -22,6 +22,7 @@ from gapsolve.freiman import next_prime
 from gapsolve.ksum import foursum
 
 MEASURE_LIMIT = 2048
+_SAMPLE_ENUM_CAP = 1 << 20  # points enumerated per progression gap_sample_set draws
 
 
 def ap_set(n: int, start: int = 0, step: int = 1) -> IntegerSet:
@@ -49,7 +50,7 @@ def random_dense_set(rng, n: int, span: int) -> IntegerSet:
     return IntegerSet(tuple(sorted(rng.sample(range(span), n))))
 
 
-def gap_sample_set(rng, n: int, dimension: int = 2, enum_cap: int = 1 << 20) -> IntegerSet:
+def gap_sample_set(rng, n: int, dimension: int = 2) -> IntegerSet:
     """n points sampled without replacement from a random proper
     progression of volume at least n."""
     if n < 1 or dimension < 1:
@@ -63,7 +64,7 @@ def gap_sample_set(rng, n: int, dimension: int = 2, enum_cap: int = 1 << 20) -> 
             gens.append(scale * rng.randrange(1, 4))
             scale *= side * 4
         gap = Gap(base, tuple(gens), (side,) * dimension)
-        values = gap.enumerate_elements(enum_cap)
+        values = gap.enumerate_elements(_SAMPLE_ENUM_CAP)
         if len(values) == gap.volume() and len(values) >= n:
             return IntegerSet(tuple(sorted(rng.sample(values, n))))
     raise EnumerationCapError("could not draw a proper progression to sample")
@@ -163,9 +164,9 @@ def bench_foursum_scaling(
     max_exp: int = 14,
     timing: bool = False,
     gamma: int = 1,
-    families: tuple[str, ...] = ("ap", "sidon"),
 ) -> dict:
-    """Run foursum over geometric sizes per family and fit work ~ n^e.
+    """Run foursum over geometric sizes on the ap and sidon families and fit
+    work ~ n^e per family.
 
     Tasks run sequentially in canonical (family, n, trial) order with one
     string-seeded rng each, so two runs with the same arguments produce
@@ -175,7 +176,7 @@ def bench_foursum_scaling(
     """
     records = []
     fits = {}
-    for family in families:
+    for family in ("ap", "sidon"):
         points = []
         for exp in range(min_exp, max_exp + 1):
             n = 1 << exp

@@ -272,6 +272,27 @@ class TestFreimanAndVerify:
             proc = run_cli("verify", "witness", "--input", inst, "--witness", indices, check=1)
             assert last_json(proc) == {"ok": False}, name
 
+    def test_multiplicity_witness_respects_the_mode(self, tmp_path):
+        # 2 * 3 = 6 uses element 0 twice: an unbounded solution, not a binary one
+        twice = write_json(
+            tmp_path / "w.json", {"kind": "multiplicity-vector", "values": [2, 0, 0]}
+        )
+        once = write_json(
+            tmp_path / "w1.json", {"kind": "multiplicity-vector", "values": [1, 1, 0]}
+        )
+        binary = write_json(tmp_path / "b.json", {"elements": [3, 7, 12], "target": 6})
+        proc = run_cli("subset-sum", "solve", "--input", binary, check=1)
+        assert last_json(proc)["feasible"] is False
+        proc = run_cli("verify", "witness", "--input", binary, "--witness", twice, check=1)
+        assert last_json(proc) == {"ok": False}
+        ten = write_json(tmp_path / "b10.json", {"elements": [3, 7, 12], "target": 10})
+        run_cli("verify", "witness", "--input", ten, "--witness", once, check=0)
+        unbounded = write_json(
+            tmp_path / "u.json", {"elements": [3, 7, 12], "target": 6, "mode": "unbounded"}
+        )
+        proc = run_cli("verify", "witness", "--input", unbounded, "--witness", twice, check=0)
+        assert last_json(proc) == {"ok": True}
+
 
 class TestBench:
     def test_jsonl_deterministic(self, tmp_path):

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from gapsolve import freiman
-from gapsolve.core import Gap, IntegerSet, InvariantError, gap_enumerate, gap_membership
+from gapsolve.core import (
+    EnumerationCapError,
+    Gap,
+    IntegerSet,
+    InvariantError,
+    gap_enumerate,
+    gap_membership,
+)
 from gapsolve.freiman import (
     BohrSpec,
     ModelingFailure,
@@ -74,6 +81,15 @@ class TestIteratedSupport:
             want = iterated_sumset(a, p, m)
             got = tuple(off + i for i in range(len(sup)) if sup[i])
             assert got == want.elements, (a.elements, p, m)
+
+
+    def test_support_cap_refuses(self):
+        # 16 * 2^20 + 1 is one past the cap; the refusal comes before any fold
+        assert freiman.DEFAULT_SUPPORT_CAP == 1 << 24
+        with pytest.raises(EnumerationCapError, match="16777217 exceeds cap 16777216"):
+            iterated_support(IntegerSet((0, 1 << 20)), 8, 8)
+        with pytest.raises(EnumerationCapError, match="33554433 exceeds cap"):
+            freiman_gap(IntegerSet((0, 1 << 21)), random.Random(0))
 
 
 def test_modulus_lower_bound():

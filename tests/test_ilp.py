@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from gapsolve import ilp
@@ -209,17 +210,81 @@ def _outcome(solve, inst, cap):
     return w.kind, w.payload
 
 
+_ROOT = None
+
+
+def _dict_engine(keys, deltas, spans, table_cap):
+    """Reference DP on a dict of Python ints, with the signature of
+    `ilp._array_engine`, which must match it witness for witness.
+
+    The table maps an encoded reachable vector to a back-pointer
+    (prev_key, var, value) chain ending at _ROOT. Keys are scanned in
+    insertion order and values in ascending order, and the first writer of
+    a key keeps it.
+    """
+    table = {int(keys[0]): _ROOT}
+    for j, (delta, span) in enumerate(zip(deltas, spans)):
+        if span == 0 or delta == 0:
+            continue
+        additions = {}
+        for key in table:
+            nk = key
+            for v in range(1, span + 1):
+                nk += delta
+                if nk not in table and nk not in additions:
+                    additions[nk] = (key, j, v)
+        table.update(additions)
+        if len(table) > table_cap:
+            raise TableCapError(
+                f"reachable table hit {len(table)} entries at variable {j} (cap {table_cap})"
+            )
+
+    def witness(key):
+        if key not in table:
+            return None
+        x = [0] * len(spans)
+        cur = table[key]
+        while cur is not _ROOT:
+            prev, j, v = cur
+            x[j] = v
+            cur = table[prev]
+        return x
+
+    return witness
+
+
+def _key_widths(mp):
+    """Record the key dtype of every DP the solvers run under `mp`."""
+    widths = []
+    engine = ilp._array_engine
+
+    def spy(keys, *args):
+        widths.append(keys.dtype)
+        return engine(keys, *args)
+
+    mp.setattr(ilp, "_array_engine", spy)
+    return widths
+
+
 class TestEngineEquivalence:
-    """The int64 array engine against the dict engine, which is the
-    reference: same witnesses, same Nones, same cap failures."""
+    """The array engine, with int64 keys and with object keys, against the
+    dict reference: same witnesses, same Nones, same cap failures."""
 
     def _compare(self, monkeypatch, solve, inst, cap):
-        got = _outcome(solve, inst, cap)
+        got = {}
+        for width in (np.int64, object):
+            with monkeypatch.context() as mp:
+                if width is object:
+                    mp.setattr(ilp, "_int64_safe", lambda lo, hi: False)
+                widths = _key_widths(mp)
+                got[width] = _outcome(solve, inst, cap)
+            assert widths == [width]
         with monkeypatch.context() as mp:
-            mp.setattr(ilp, "_INT64_KEY_RANGE", 0)
+            mp.setattr(ilp, "_array_engine", _dict_engine)
             want = _outcome(solve, inst, cap)
-        assert got == want
-        return got
+        assert got[np.int64] == want
+        assert got[object] == want
+        return want
 
     def test_random_programs(self, monkeypatch):
         rng = random.Random(105)
@@ -265,26 +330,54 @@ class TestEngineEquivalence:
             inst = HbilpInstance(a, s, rng.randint(-150, 150))
             self._compare(monkeypatch, hbilp_feasibility, inst, 1 << 20)
 
+    def test_random_programs_past_int64(self, monkeypatch):
+        """Binary and bounded programs whose key range is past 2^62, so the
+        engine runs on object keys, with entries scaled by 2^40 to 2^100."""
+        rng = random.Random(107)
+        seen = set()
+        checked = 0
+        while checked < 1000:
+            m, n = rng.randint(1, 3), rng.randint(1, 8)
+            small = _rand_matrix(rng, m, n)
+            scales = [1 << rng.randint(40, 100) for _ in range(m)]
+            a = Matrix.from_rows([[v * sc for v in r] for r, sc in zip(small.rows, scales)])
+            if rng.random() < 0.5:
+                bounds = ((0, 1),) * n
+            else:
+                bounds = []
+                for _ in range(n):
+                    lo = rng.randint(-3, 1)
+                    bounds.append((lo, lo + rng.randint(0, 3)))
+                bounds = tuple(bounds)
+            x = [rng.randint(lo - 1, hi + 1) for lo, hi in bounds]
+            b = list(a.matvec(x))
+            if rng.random() < 0.25:
+                b[rng.randrange(m)] += rng.choice((-1, 1))
+            cap = rng.choice((1 << 20, rng.randint(1, 60)))
+            inst = BilpInstance(a, tuple(b), bounds)
+            solve = bilp_feasibility_dp if inst.is_binary else bounded_ilp_feasibility
+            with monkeypatch.context() as mp:
+                widths = _key_widths(mp)
+                got = _outcome(solve, inst, cap)
+            if widths != [object]:
+                continue  # key range within 2^62
+            with monkeypatch.context() as mp:
+                mp.setattr(ilp, "_array_engine", _dict_engine)
+                assert got == _outcome(solve, inst, cap)
+            checked += 1
+            seen.add("none" if got is None else got[0])
+        assert seen == {"none", "cap", "binary-vector", "multiplicity-vector"}
+
     def test_fallback_above_int64(self, monkeypatch):
-        """Key ranges above 2^62 run on the dict engine, those at 2^62 on
-        the array engine."""
-
-        def refuse(*args):
-            raise AssertionError("wrong engine")
-
+        """A key range of 2^62 + 4 runs on object keys, one of 2^62 on int64
+        keys."""
         big = 1 << 62
         above = BilpInstance.binary(Matrix.from_rows([[big, 3]]), (big + 3,))
         at = BilpInstance.binary(Matrix.from_rows([[big - 4, 3]]), (big - 4,))
-        with monkeypatch.context() as mp:
-            mp.setattr(ilp, "_array_engine", refuse)
-            assert bilp_feasibility_dp(above, bits=None).payload == (1, 1)
-            with pytest.raises(AssertionError):
-                bilp_feasibility_dp(at, bits=None)
-        with monkeypatch.context() as mp:
-            mp.setattr(ilp, "_dict_engine", refuse)
-            assert bilp_feasibility_dp(at, bits=None).payload == (1, 0)
-            with pytest.raises(AssertionError):
-                bilp_feasibility_dp(above, bits=None)
+        widths = _key_widths(monkeypatch)
+        assert bilp_feasibility_dp(above, bits=None).payload == (1, 1)
+        assert bilp_feasibility_dp(at, bits=None).payload == (1, 0)
+        assert widths == [object, np.int64]
 
 
 class TestBilpNonnegative:
