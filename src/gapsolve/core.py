@@ -12,13 +12,15 @@ modeling path uses that switch because its intermediate values can grow far
 past 64 bits.
 
 Set arithmetic: one private sumset kernel serves `sumset`, the k-SUM folds
-and the Freiman supports. Its single int64 guard admits numpy only when every
-operand lies strictly inside +-2^62, read off the extremes of sorted inputs,
-so no pairwise sum or difference can wrap; anything else takes the exact
-Python-int fallback. Pairwise sumsets of at least 4096 pairs take a numpy
-outer sum deduplicated by sort plus an adjacent-difference mask; dense ranges
-take an FFT convolution of indicator vectors (exact: counts stay far inside
-float64's integer range).
+and the Freiman supports. Its single int64 guard admits numpy int64 only when
+every operand lies strictly inside +-2^62, read off the extremes of sorted
+inputs, so no pairwise sum or difference can wrap. The pairwise kernel
+returns its sorted distinct sums as one array: an int64 numpy outer sum,
+deduplicated by sort plus an adjacent-difference mask, when the guard admits
+both operands, and an object array of exact Python ints from a Python set
+otherwise. `sumset` turns that array into Python ints at its own boundary;
+the k-SUM folds keep it. Dense ranges take an FFT convolution of indicator
+vectors (exact: counts stay far inside float64's integer range).
 
 GAP convention: coefficient boxes are zero-based and half-open, so a
 generalized arithmetic progression is {base + sum(l_i * y_i) : 0 <= l_i < L_i}.
@@ -160,8 +162,6 @@ def _check_extremes(lo: int, hi: int, bits: Optional[int]) -> None:
 # operands strictly inside +-2^62 keep every pairwise sum or difference
 # strictly inside int64
 _INT64_SAFE = 1 << 62
-# pair count from which the numpy outer sum beats the Python set
-_NUMPY_MIN_PAIRS = 4096
 
 
 def _int64_safe(lo: int, hi: int) -> bool:
@@ -178,27 +178,26 @@ def _sorted_distinct(arr: np.ndarray) -> np.ndarray:
     return arr[keep]
 
 
-def _pair_sumset(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Sorted distinct {x + y} of two sorted nonempty sequences, as Python
-    ints: a numpy outer sum when there are enough pairs and the guard admits
-    both inputs, exact Python ints otherwise."""
-    if (
-        len(a) * len(b) >= _NUMPY_MIN_PAIRS
-        and _int64_safe(a[0], a[-1])
-        and _int64_safe(b[0], b[-1])
-    ):
-        sums = np.add.outer(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return _sorted_distinct(sums).tolist()
-    return sorted({x + y for x in a for y in b})
+def _pair_sumset(a: Sequence[int], b: Sequence[int]) -> np.ndarray:
+    """Sorted distinct {x + y} of two sorted nonempty sequences or arrays: an
+    int64 array from a numpy outer sum when the guard admits both inputs, an
+    object array of exact Python ints otherwise."""
+    if _int64_safe(a[0], a[-1]) and _int64_safe(b[0], b[-1]):
+        return _sorted_distinct(
+            np.add.outer(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        )
+    # object arrays iterate as Python ints, so no sum can wrap
+    a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
+    return np.array(sorted({x + y for x in a for y in b}), dtype=object)
 
 
-def _indicator(values: Sequence[int]) -> np.ndarray:
-    """0/1 float64 vector over [values[0], values[-1]] marking a sorted
-    sequence. Only offsets from the minimum enter numpy, so the values
-    themselves may exceed int64."""
-    lo = values[0]
-    out = np.zeros(values[-1] - lo + 1, dtype=np.float64)
-    out[np.fromiter((v - lo for v in values), dtype=np.int64, count=len(values))] = 1.0
+def _indicator(values: np.ndarray) -> np.ndarray:
+    """0/1 float64 vector over [values[0], values[-1]] marking a sorted array.
+    Only offsets from the minimum enter int64, so an object array of values
+    past int64 works too."""
+    offsets = (values - values[0]).astype(np.int64)
+    out = np.zeros(int(offsets[-1]) + 1, dtype=np.float64)
+    out[offsets] = 1.0
     return out
 
 
@@ -244,7 +243,7 @@ def sumset(
     out = _pair_sumset(ea, eb)
     if cap is not None and len(out) > cap:
         raise EnumerationCapError(f"sumset size {len(out)} exceeds cap {cap}")
-    return IntegerSet(tuple(out))
+    return IntegerSet(tuple(out.tolist()))
 
 
 def negate(a: IntegerSet, *, bits: Optional[int] = DEFAULT_BIT_WIDTH) -> IntegerSet:

@@ -103,7 +103,7 @@ def iterated_support(a: IntegerSet, plus_count: int, minus_count: int) -> tuple[
         raise EnumerationCapError(
             f"difference support range {span} exceeds cap {DEFAULT_SUPPORT_CAP}"
         )
-    base = _indicator(a.elements)
+    base = _indicator(np.array(a.elements, dtype=object))
 
     def fold(k: int) -> np.ndarray:
         acc, sq = None, base

@@ -12,15 +12,16 @@ to the backend that ran it (transform length for convolution, pair count
 for hashing), so structured and unstructured inputs separate honestly in
 benchmarks.
 
-Every fold runs on the sumset kernel in `gapsolve.core`: values are plain
-Python ints at fold boundaries, numpy engages only when the kernel's one
-int64 guard admits the operands (all strictly inside +-2^62), and anything
-larger takes the kernel's exact Python-int fallback. The pair table keys
-exact Python ints.
+Every fold runs on the sumset kernel in `gapsolve.core`. Each fold level is
+one sorted numpy array from the fold through the meet to the witness walk:
+int64 while the kernel's one guard admits the operands (all strictly inside
++-2^62), exact Python ints in an object array past it. Python ints appear
+only in the k witness values; the pair table keys exact Python ints.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -105,12 +106,17 @@ def splitter_family(
 
 @dataclass(frozen=True)
 class SumsetFold:
-    """One pairwise sumset: sorted distinct values and the work the chosen
-    backend actually did."""
+    """One pairwise sumset: its sorted distinct values as the kernel's array
+    and the work the chosen backend actually did."""
 
-    values: tuple[int, ...]
+    sums: np.ndarray
     backend: str
     work: int
+
+    @functools.cached_property
+    def values(self) -> tuple[int, ...]:
+        """The sums as a tuple of Python ints, built on first read."""
+        return tuple(self.sums.tolist())
 
 
 def sparse_sumset(
@@ -127,22 +133,25 @@ def sparse_sumset(
     Auto selection takes fft exactly when the range is within cap and
     smaller than the pair count, which is what separates structured from
     unstructured inputs. Values outside the int64 guard fall back to exact
-    Python hashing regardless, still under the pair cap.
+    Python hashing regardless, still under the pair cap. Arrays keep their
+    dtype; other sequences enter as exact Python ints.
     """
-    if not a or not b:
+    if not len(a) or not len(b):
         raise ValueError("sumset factors must be nonempty")
-    a = sorted(a)
-    b = sorted(b)
     if backend not in (None, "hash", "fft"):
         raise ValueError("backend must be 'hash' or 'fft'")
+    a, b = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (a, b))
+    # a stable sort is linear on the already sorted fold levels
+    a, b = np.sort(a, kind="stable"), np.sort(b, kind="stable")
     pairs = len(a) * len(b)
     if not (_int64_safe(a[0], a[-1]) and _int64_safe(b[0], b[-1])):
         if backend == "fft":
             raise EnumerationCapError("values exceed the convolution-safe range")
         if pairs > pair_cap:
             raise EnumerationCapError(f"{pairs} pairs above cap {pair_cap}")
-        return SumsetFold(tuple(_pair_sumset(a, b)), "hash", pairs)
-    span = (a[-1] - a[0]) + (b[-1] - b[0]) + 1
+        return SumsetFold(_pair_sumset(a, b), "hash", pairs)
+    lo = int(a[0]) + int(b[0])
+    span = int(a[-1]) + int(b[-1]) - lo + 1
     if backend is None:
         if span <= range_cap and pairs > span:
             backend = "fft"
@@ -157,11 +166,11 @@ def sparse_sumset(
     if backend == "hash":
         if pairs > pair_cap:
             raise EnumerationCapError(f"{pairs} pairs above cap {pair_cap}")
-        return SumsetFold(tuple(_pair_sumset(a, b)), "hash", pairs)
+        return SumsetFold(_pair_sumset(a, b), "hash", pairs)
     if span > range_cap:
         raise EnumerationCapError(f"range {span} above cap {range_cap}")
     hit = np.flatnonzero(_conv_support(_indicator(a), _indicator(b)))
-    return SumsetFold(tuple((hit + (a[0] + b[0])).tolist()), "fft", _transform_size(span))
+    return SumsetFold(hit + lo, "fft", _transform_size(span))
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +282,13 @@ def _checked(values: Sequence[int], indices: tuple[int, ...], t: int, k: int) ->
 
 
 def _fold_blocks(
-    block_values: list[list[int]], backend, pair_cap, range_cap
-) -> tuple[list[list[int]], int, dict]:
+    block_values: list[np.ndarray], used: dict, backend, pair_cap, range_cap
+) -> tuple[list[np.ndarray], int]:
     """Left-fold the blocks, keeping every intermediate level's support so
-    witnesses can be walked back later without storing pair maps."""
-    levels = [[0]]
+    witnesses can be walked back later without storing pair maps; counts
+    each backend's folds into `used`."""
+    levels = [np.zeros(1, dtype=np.int64)]
     work = 0
-    used: dict = {}
     for bv in block_values:
         fold = sparse_sumset(
             levels[-1],
@@ -288,55 +297,47 @@ def _fold_blocks(
             pair_cap=pair_cap,
             range_cap=range_cap,
         )
-        levels.append(list(fold.values))
+        levels.append(fold.sums)
         work += fold.work
         used[fold.backend] = used.get(fold.backend, 0) + 1
-    return levels, work, used
+    return levels, work
 
 
-def _unfold(levels: list[list[int]], block_values: list[list[int]], total: int) -> list[int]:
-    """Recover one value per block summing to `total`, scanning each block
-    ascending so the result is deterministic."""
+def _minus(t: int, arr: np.ndarray) -> np.ndarray:
+    """t - arr without wrapping: int64 when t and the ascending arr pass the guard."""
+    if not (_int64_safe(arr[0], arr[-1]) and _int64_safe(t, t)):
+        arr = arr.astype(object)
+    return t - arr
+
+
+def _first_in(keys: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Positions of the keys that occur in a sorted level, ascending."""
+    pos = np.minimum(np.searchsorted(level, keys), len(level) - 1)
+    return np.flatnonzero(level[pos] == keys)
+
+
+def _unfold(levels: list[np.ndarray], block_values: list[np.ndarray], total: int) -> list[int]:
+    """One value per block summing to `total`, deterministically: each block's
+    first value (ascending) whose remainder is on the level below."""
     picks = []
     v = total
     for i in range(len(block_values) - 1, -1, -1):
-        prev = levels[i]
-        for bval in block_values[i]:
-            rest = v - bval
-            j = bisect_left(prev, rest)
-            if j < len(prev) and prev[j] == rest:
-                picks.append(bval)
-                v = rest
-                break
-        else:
+        rest = _minus(v, block_values[i])
+        hits = _first_in(rest, levels[i])
+        if not len(hits):
             raise InvariantError("fold walk lost its value")
+        picks.append(int(block_values[i][hits[0]]))
+        v = int(rest[hits[0]])
     if v != 0:
         raise InvariantError("fold walk did not terminate at zero")
     return list(reversed(picks))
 
 
-def _meet(lvals: list[int], rvals: list[int], t: int) -> Optional[int]:
-    """First left value (ascending) whose complement t - v is on the right."""
-    if (
-        len(lvals) > 64
-        and _int64_safe(lvals[0], lvals[-1])
-        and _int64_safe(rvals[0], rvals[-1])
-        and _int64_safe(t, t)
-    ):
-        la = np.array(lvals, dtype=np.int64)
-        ra = np.array(rvals, dtype=np.int64)
-        need = t - la
-        pos = np.searchsorted(ra, need)
-        found = np.zeros(len(la), dtype=bool)
-        valid = pos < len(ra)
-        found[valid] = ra[pos[valid]] == need[valid]
-        idx = np.nonzero(found)[0]
-        return int(la[idx[0]]) if len(idx) else None
-    rset = set(rvals)
-    for v in lvals:
-        if t - v in rset:
-            return v
-    return None
+def _meet(lvals: np.ndarray, rvals: np.ndarray, t: int) -> Optional[int]:
+    """First left value (ascending) whose complement t - v is on the right,
+    by one search of the complements in ascending order."""
+    hits = _first_in(_minus(t, lvals)[::-1], rvals)
+    return int(lvals[len(lvals) - 1 - hits[-1]]) if len(hits) else None
 
 
 def ksum(
@@ -362,6 +363,10 @@ def ksum(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    if backend not in (None, "hash", "fft"):
+        raise ValueError("backend must be 'hash' or 'fft'")
     n = len(z)
     plan = splitter_plan(n, k, gamma, cut_cap)
     if k > n:
@@ -371,29 +376,24 @@ def ksum(
         indices, work, tried = _pair_ksum(values, t, k)
         witness = None if indices is None else _checked(values, indices, t, k)
         return KsumResult(witness, work, tried, True, {"backends": {}})
-    index_of = {v: i for i, v in enumerate(values)}
+    # blocks list indices ascending, so indexing the sorted values keeps them sorted
+    arr = np.array(values, dtype=np.int64 if _int64_safe(values[0], values[-1]) else object)
     work = 0
     tried = 0
     backends: dict = {}
+    split_at = k // 2
     for part in splitter_family(n, k, rng, gamma, cut_cap):
         tried += 1
-        split_at = k // 2
-        lblocks = [sorted(values[i] for i in b) for b in part.blocks[:split_at]]
-        rblocks = [sorted(values[i] for i in b) for b in part.blocks[split_at:]]
-        llevels, lwork, lused = _fold_blocks(lblocks, backend, pair_cap, range_cap)
-        rlevels, rwork, rused = _fold_blocks(rblocks, backend, pair_cap, range_cap)
-        work += lwork + rwork
-        for src in (lused, rused):
-            for key, cnt in src.items():
-                backends[key] = backends.get(key, 0) + cnt
-        lvals, rvals = llevels[-1], rlevels[-1]
-        work += len(lvals) + len(rvals)
-        hit = _meet(lvals, rvals, t)
+        lblocks = [arr[list(b)] for b in part.blocks[:split_at]]
+        rblocks = [arr[list(b)] for b in part.blocks[split_at:]]
+        llevels, lwork = _fold_blocks(lblocks, backends, backend, pair_cap, range_cap)
+        rlevels, rwork = _fold_blocks(rblocks, backends, backend, pair_cap, range_cap)
+        work += lwork + rwork + len(llevels[-1]) + len(rlevels[-1])
+        hit = _meet(llevels[-1], rlevels[-1], t)
         if hit is None:
             continue
-        lpicks = _unfold(llevels, lblocks, hit)
-        rpicks = _unfold(rlevels, rblocks, t - hit)
-        indices = tuple(sorted(index_of[v] for v in lpicks + rpicks))
+        picks = _unfold(llevels, lblocks, hit) + _unfold(rlevels, rblocks, t - hit)
+        indices = tuple(sorted(bisect_left(values, v) for v in picks))
         witness = _checked(values, indices, t, k)
         return KsumResult(witness, work, tried, False, {"backends": backends})
     return KsumResult(None, work, tried, False, {"backends": backends})

@@ -216,6 +216,15 @@ class TestKsum:
         )
         assert last_json(proc)["feasible"] is False
 
+    def test_negative_gamma_refused(self, tmp_path):
+        # an exhaustive plan, which never reads gamma: still refused, exit 2
+        inst = write_json(tmp_path / "z.json", {"elements": [1, 2, 3, 4, 5]})
+        proc = run_cli(
+            "ksum", "--input", inst, "--k", "3", "--target", "12", "--gamma", "-1", check=2
+        )
+        assert proc.stdout == ""
+        assert "gamma must be nonnegative" in proc.stderr
+
 
 class TestFreimanAndVerify:
     def test_cover_and_verify(self, tmp_path):

@@ -79,14 +79,13 @@ class TestSumset:
         assert sumset(big, big, bits=None).elements == (1 << 63,)
 
     def test_unchecked_sums_past_int64_stay_exact(self):
-        # 65 * 65 pairs take the numpy path unless a sum would leave int64
+        # 65 * 65 pairs take numpy's int64 unless a sum could leave int64
         a = IntegerSet(tuple(range(64)) + (1 << 62,))
         want = sorted({x + y for x in a for y in a})
         got = sumset(a, a, bits=None).elements
         assert got == tuple(want)
         assert (got[0], got[-1]) == (0, 1 << 63)
-        # operands on both sides of the int64 guard (2^62) and past int64,
-        # with pair counts on both sides of the numpy threshold (4096)
+        # operands on both sides of the int64 guard (2^62) and past int64
         for top in ((1 << 62) - 1, 1 << 62, 1 << 63, 1 << 70):
             for sign in (1, -1):
                 for na, nb in ((63, 65), (64, 64), (65, 65)):

@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import sys
 
+import numpy as np
 import pytest
 
 from gapsolve.core import EnumerationCapError, IntegerSet, sumset
@@ -16,6 +18,9 @@ from gapsolve.ksum import (
     splitter_plan,
 )
 from gapsolve.oracles import brute_ksum
+
+# the package exports the function ksum under the module's name
+ksum_module = sys.modules[ksum.__module__]
 
 
 class TestSplitters:
@@ -53,7 +58,7 @@ class TestSparseSumset:
             )
             for _ in range(30)
         ]
-        # pair counts on both sides of the numpy threshold (4096)
+        # larger pair counts, up to 4096
         for na, nb in ((63, 65), (64, 64), (65, 65), (1, 4096)):
             cases.append(
                 (
@@ -81,7 +86,7 @@ class TestSparseSumset:
     def test_numpy_hash_path(self):
         rng = random.Random(7)
         a = sorted(rng.sample(range(10**6), 80))
-        b = sorted(rng.sample(range(10**6), 80))  # 6400 pairs > 4096
+        b = sorted(rng.sample(range(10**6), 80))
         fold = sparse_sumset(a, b, backend="hash")
         want = sorted({x + y for x in a for y in b})
         assert list(fold.values) == want
@@ -134,6 +139,16 @@ class TestKsum:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             ksum(IntegerSet((1, 2)), 3, 0, random.Random(0))
+
+    def test_arguments_checked_on_every_plan(self):
+        exhaustive = IntegerSet((1, 2, 3, 4, 5))
+        colored = IntegerSet(tuple(range(40)))
+        for z, cut_cap in ((exhaustive, 50), (colored, 2)):
+            assert splitter_plan(len(z), 3, cut_cap=cut_cap).exhaustive == (z is exhaustive)
+            with pytest.raises(ValueError, match="backend must be"):
+                ksum(z, 12, 3, random.Random(0), backend="bogus", cut_cap=cut_cap)
+            with pytest.raises(ValueError, match="gamma must be nonnegative"):
+                ksum(z, 12, 3, random.Random(0), gamma=-1, cut_cap=cut_cap)
 
     def test_k_exceeds_n(self):
         res = ksum(IntegerSet((1, 2)), 3, 5, random.Random(0))
@@ -192,6 +207,110 @@ class TestBigValues:
         assert res.witness is not None
         els = IntegerSet(vals).elements
         assert sum(els[i] for i in res.witness.payload) == t
+
+
+class TestRandomPathValueRegimes:
+    """The coloring path (cut_cap 2) folds, meets and walks back arrays:
+    int64 near 0, int64 levels crossing +-2^62 that turn into object arrays
+    mid-fold, and object arrays throughout past 2^64."""
+
+    REGIMES = {"near 0": 0, "straddling 2^62": 1 << 61, "past 2^64": -(1 << 66)}
+
+    def _levels_seen(self, monkeypatch):
+        seen = []
+        fold = ksum_module._fold_blocks
+
+        def spy(*args):
+            levels, work = fold(*args)
+            seen.extend(levels[1:])
+            return levels, work
+
+        monkeypatch.setattr(ksum_module, "_fold_blocks", spy)
+        return seen
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_planted_and_residue_infeasible(self, regime, monkeypatch):
+        base = self.REGIMES[regime]
+        seen = self._levels_seen(monkeypatch)
+        rng = random.Random(710 + len(regime))
+        for k in range(3, 7):
+            # planted: the witness must sum to t
+            z = IntegerSet.from_iterable(
+                base + 3 * v for v in rng.sample(range(-(1 << 20), 1 << 20), rng.randint(k + 3, 14))
+            )
+            t = sum(rng.sample(z.elements, k))
+            res = ksum(z, t, k, random.Random(rng.randrange(2**30)), cut_cap=2)
+            assert not res.exhaustive and res.witness is not None
+            idx = res.witness.payload
+            assert len(set(idx)) == k and sum(z.elements[i] for i in idx) == t
+            # every value is base mod 3, so no k of them reach t = k*base + 1 mod 3
+            z = IntegerSet.from_iterable(base + 3 * v for v in rng.sample(range(-50, 50), k + 2))
+            t = k * base + 3 * rng.randrange(-40, 40) + 1
+            res = ksum(z, t, k, random.Random(rng.randrange(2**30)), gamma=0, cut_cap=2)
+            assert res.witness is None and not res.exhaustive and res.partitions_tried > 0
+            assert brute_ksum(z.elements, t, k) is None
+        dtypes = {level.dtype.kind for level in seen}
+        crossing = [
+            level for level in seen
+            if level.dtype.kind == "i" and max(-int(level[0]), int(level[-1])) >= 1 << 62
+        ]
+        if regime == "near 0":
+            assert dtypes == {"i"}
+        elif regime == "straddling 2^62":
+            assert dtypes == {"i", "O"} and crossing
+        else:
+            assert dtypes == {"O"}
+
+    def test_complements_do_not_wrap(self):
+        # t - lvals[0] = 3 * 2^62 - 11 leaves int64, and wrapped it would be
+        # -2^62 - 11, which is on the right
+        lvals = np.array([-(1 << 63) + 5, 0], dtype=np.int64)
+        rvals = np.array([-(1 << 62) - 11, 5], dtype=np.int64)
+        assert ksum_module._meet(lvals, rvals, (1 << 62) - 6) is None
+        assert ksum_module._meet(lvals, rvals, 5) == 0
+        levels = [np.zeros(1, dtype=np.int64), rvals]
+        assert ksum_module._unfold(levels, [rvals], 5) == [5]
+
+
+class TestFrozenRandomPath:
+    """Whole results of seeded coloring-path queries, pinned: witness, work,
+    colorings folded and backends."""
+
+    CASES = {
+        # name: (values, k, rng seed, options, target, witness, work, colorings, backends)
+        "hash": (
+            [5 * v * v + v for v in range(14)], 4, 11, {},
+            2054, (7, 8, 11, 13), 307, 6, {"hash": 24},
+        ),
+        "fft": (
+            list(range(0, 42, 3)), 3, 12, {"backend": "fft"},
+            63, (2, 6, 13), 222, 1, {"fft": 3},
+        ),
+        "mixed": (
+            list(range(40)), 5, 13, {},
+            68, (2, 8, 9, 17, 32), 393, 1, {"hash": 2, "fft": 3},
+        ),
+        "object": (
+            [(1 << 70) + 7 * v * v for v in range(13)], 4, 14, {},
+            4722366482869645215418, (4, 7, 9, 10), 96, 2, {"hash": 8},
+        ),
+        "straddle": (
+            [(1 << 61) + 3 * v * v - 40 for v in range(12)], 5, 15, {},
+            11529215046068470091, (0, 2, 3, 8, 10), 75, 1, {"hash": 5},
+        ),
+        "residue": (
+            [3 * v * v for v in range(10)], 3, 16, {},
+            301, None, 7702, 260, {"hash": 780},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_frozen(self, name):
+        values, k, seed, options, t, witness, work, tried, backends = self.CASES[name]
+        res = ksum(IntegerSet(tuple(values)), t, k, random.Random(seed), cut_cap=2, **options)
+        assert (None if res.witness is None else res.witness.payload) == witness
+        assert (res.work, res.partitions_tried, res.exhaustive) == (work, tried, False)
+        assert res.meta == {"backends": backends}
 
 
 class TestPairRepresentatives:
