@@ -257,8 +257,6 @@ def _verify_witness(d: dict, w: SolveWitness) -> bool:
         inst = SubsetSumInstance.from_json_dict(d)
         vals = inst.elements.elements
         if w.kind == "subset-of-indices":
-            if len(set(w.payload)) != len(w.payload):
-                return False
             if any(not 0 <= i < len(vals) for i in w.payload):
                 return False
             return sum(vals[i] for i in w.payload) == inst.target
@@ -273,10 +271,7 @@ def _verify_witness(d: dict, w: SolveWitness) -> bool:
         return False
     inst = _detect_ilp(d)
     if isinstance(inst, HbilpInstance):
-        if len(w.payload) != inst.a.num_cols or any(v not in (0, 1) for v in w.payload):
-            return False
-        dots = inst.dots()
-        return sum(dv * v for dv, v in zip(dots, w.payload)) == inst.t
+        return inst.solved_by(w.payload)
     if len(w.payload) != inst.a.num_cols:
         return False
     if any(not lo <= v <= hi for v, (lo, hi) in zip(w.payload, inst.bounds)):

@@ -274,9 +274,9 @@ def iterated_sumset(
     return acc
 
 
-def doubling_constant(a: IntegerSet, *, bits: Optional[int] = DEFAULT_BIT_WIDTH) -> Fraction:
+def doubling_constant(a: IntegerSet) -> Fraction:
     """|A+A| / |A| as an exact fraction."""
-    return Fraction(len(sumset(a, a, bits=bits)), len(a))
+    return Fraction(len(sumset(a, a)), len(a))
 
 
 # ---------------------------------------------------------------------------

@@ -161,9 +161,8 @@ class ModelingFailure:
 class FreimanModel:
     """A verified s-fold sum-preserving injection from a_prime into Z_m.
 
-    The map is x -> ((multiplier * (x mod q)) mod q) mod m. `strict_checked`
-    records whether the exact divisibility check over the full s-fold
-    difference set ran (it is skipped only above the range cap).
+    The map is x -> ((multiplier * (x mod q)) mod q) mod m, certified by the
+    exact divisibility check over the slice's full s-fold difference set.
     """
 
     q: int
@@ -172,7 +171,6 @@ class FreimanModel:
     s: int
     a_prime: IntegerSet
     image: IntegerSet
-    strict_checked: bool
 
     def apply(self, x: int) -> int:
         return ((self.multiplier * (x % self.q)) % self.q) % self.m
@@ -190,7 +188,8 @@ def modeling_lemma(
     Precondition: m >= 4 * |sA - sA| so a uniform multiplier fails with
     probability below 1/2. The divisibility check runs on the s-fold
     difference set of the selected slice, which certifies the isomorphism
-    outright rather than probabilistically.
+    outright rather than probabilistically. The slice lies inside a, so its
+    difference support fits wherever a's does.
     """
     if s < 1:
         raise ValueError("fold count must be >= 1")
@@ -219,23 +218,17 @@ def modeling_lemma(
     if len(a_prime) * s < len(a):
         raise InvariantError("slice smaller than n/s")
 
-    strict_checked = False
-    try:
-        off, arr = iterated_support(a_prime, s, s)
-        cs = (np.nonzero(arr)[0] + off).astype(np.int64)
-        cs = cs[cs != 0]
-        imgs = (lam * (cs % q)) % q
-        if np.any(imgs % m == 0):
-            return ModelingFailure("iso-divisibility", q, lam)
-        strict_checked = True
-    except EnumerationCapError:
-        pass
+    off, arr = iterated_support(a_prime, s, s)
+    cs = (np.nonzero(arr)[0] + off).astype(np.int64)
+    cs = cs[cs != 0]
+    if np.any((lam * (cs % q)) % q % m == 0):
+        return ModelingFailure("iso-divisibility", q, lam)
 
     image = sorted({((lam * (x % q)) % q) % m for x in a_prime})
     if len(image) < len(a_prime):
         return ModelingFailure("collision", q, lam)
     image_set = IntegerSet(tuple(image))
-    return FreimanModel(q, lam, m, s, a_prime, image_set, strict_checked)
+    return FreimanModel(q, lam, m, s, a_prime, image_set)
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +285,13 @@ def bogolyubov(b: IntegerSet, m: int) -> BohrSpec:
 
 @dataclass(frozen=True)
 class BohrGapResult:
-    """Proper progression inside a Bohr set, with the directional basis that
-    produced it. Dimensions whose box length would be 1 contribute nothing
-    to the point set and are omitted from the gap; `d_original` keeps the
-    frequency count for the volume bound (eps/d)^d * m, which is built from
-    the Bohr width only when read."""
+    """Proper progression inside a Bohr set, with the sup-norm of each
+    generator's direction. Dimensions whose box length would be 1 contribute
+    nothing to the point set and are omitted from the gap; `d_original`
+    keeps the frequency count for the volume bound (eps/d)^d * m, which is
+    built from the Bohr width only when read."""
 
     gap: Gap
-    gammas: tuple[int, ...]
-    basis: tuple[tuple[int, ...], ...]
     norms: tuple[Fraction, ...]
     d_original: int
     width: Fraction
@@ -359,7 +350,7 @@ def gap_in_bohr(spec: BohrSpec) -> BohrGapResult:
     d = len(spec.frequencies)
     if d == 0:
         gap = Gap(0, (1,), (m,), modulus=m)
-        return BohrGapResult(gap, (1,), ((1,),), (Fraction(1, m),), 0, eps)
+        return BohrGapResult(gap, (Fraction(1, m),), 0, eps)
 
     survivors = np.arange(1, m, dtype=np.int64)
     maxc = np.zeros(m - 1, dtype=np.int64)
@@ -385,15 +376,13 @@ def gap_in_bohr(spec: BohrSpec) -> BohrGapResult:
     if not kept:
         gap = Gap(0, (), (), modulus=m)
         _assert_bohr_gap(gap, spec)
-        return BohrGapResult(gap, (), (), (), d, eps)
+        return BohrGapResult(gap, (), d, eps)
 
-    gammas = tuple(g for g, _, _ in kept)
-    basis = tuple(tuple(vec) for _, vec, _ in kept)
     norms = tuple(Fraction(nc, m) for _, _, nc in kept)
     lengths = tuple(-((-pe * m) // (qe * nc * d)) for _, _, nc in kept)
-    gap = Gap(0, gammas, lengths, modulus=m)
+    gap = Gap(0, tuple(g for g, _, _ in kept), lengths, modulus=m)
     _assert_bohr_gap(gap, spec)
-    return BohrGapResult(gap, gammas, basis, norms, d, eps)
+    return BohrGapResult(gap, norms, d, eps)
 
 
 def _below_volume_bound(vol: int, eps: Fraction, d: int, m: int) -> bool:
@@ -564,28 +553,39 @@ def freiman_gap(
     bohr = bogolyubov(model.image, m)
     bres = gap_in_bohr(bohr)
 
-    invert = _psi2_inverter(model)
-    q_base = invert(0)
-    # the full-group fit (empty frequency set) pulls back to the trivial gap
-    q_gens, q_lengths = (), ()
-    if bres.d_original:
-        q_gens, q_lengths = bres.gap.generators, bres.gap.lengths
-    y_gens = tuple(invert(g) - q_base for g in q_gens)
-    q_gap = Gap(q_base, y_gens, q_lengths)
+    # Q is based at 0, the pull-back of 0 (the smallest pair sum is its own
+    # first preimage); the full-group fit (empty frequency set) and a fit
+    # without generators pull back to Q = {0}, which needs neither the
+    # inverter nor the 2A - 2A fold
+    y_gens, q_lengths = (), ()
+    if bres.d_original and bres.gap.generators:
+        invert = _psi2_inverter(model)
+        y_gens = tuple(invert(g) for g in bres.gap.generators)
+        q_lengths = bres.gap.lengths
+    q_gap = Gap(0, y_gens, q_lengths)
 
     q_elems, q_proper = gap_enumerate(q_gap, enum_cap)
     if not q_proper:
         raise InvariantError("pulled-back progression not proper")
-    diff2 = iterated_support(a, 2, 2)
-    inside = support_contains(diff2, np.asarray(q_elems.elements, dtype=np.int64))
-    if not bool(np.all(inside)):
-        raise InvariantError("pulled-back progression escapes 2A - 2A")
+    if len(q_elems) > 1:
+        inside = support_contains(
+            iterated_support(a, 2, 2), np.asarray(q_elems.elements, dtype=np.int64)
+        )
+        if not bool(np.all(inside)):
+            raise InvariantError("pulled-back progression escapes 2A - 2A")
 
     x_set = ruzsa_cover(q_elems, a)
 
-    qq = {u - v for u in q_elems for v in q_elems}
+    # Q - Q with the coordinates of each difference d = qv - qw, shifted into
+    # the box [0, 2L - 1); the smallest qv reaching d wins
     q_coord = {q_gap.element_at(coord): coord for coord in q_gap.coordinate_boxes()}
-    dims_q = q_gap.dimension
+    qq_coord: dict[int, tuple[int, ...]] = {}
+    for qv in q_elems:
+        for qw in q_elems:
+            if qv - qw not in qq_coord:
+                qq_coord[qv - qw] = tuple(
+                    a1 - a2 + (l - 1) for a1, a2, l in zip(q_coord[qv], q_coord[qw], q_lengths)
+                )
     singleton_x = len(x_set) == 1
     base = sum((l - 1) * g * -1 for l, g in zip(q_lengths, y_gens))
     if singleton_x:
@@ -599,22 +599,10 @@ def freiman_gap(
 
     coords: dict[int, tuple[int, ...]] = {}
     for elem in a:
-        hit = None
-        for xx in x_set:
-            if elem - xx in qq:
-                hit = xx
-                break
+        hit = next((xx for xx in x_set if elem - xx in qq_coord), None)
         if hit is None:
             raise InvariantError(f"{elem} not covered")
-        delta = elem - hit
-        dcoord = None
-        for qv in q_elems:
-            if qv - delta in q_elems:
-                c1, c2 = q_coord[qv], q_coord[qv - delta]
-                dcoord = tuple(a1 - a2 + (l - 1) for a1, a2, l in zip(c1, c2, q_lengths))
-                break
-        if dcoord is None:
-            raise InvariantError(f"difference {delta} not split by Q - Q")
+        dcoord = qq_coord[elem - hit]
         if singleton_x:
             coords[elem] = dcoord
         else:
@@ -630,12 +618,12 @@ def freiman_gap(
         "attempts": attempts,
         "aprime_size": len(model.a_prime),
         "bohr_frequencies": bres.d_original,
-        "kept_dims": dims_q,
+        "kept_dims": q_gap.dimension,
         "q_volume": q_gap.volume(),
         "x_size": len(x_set),
         "cover_dimension": cover.dimension,
         "cover_volume": cover.volume(),
-        "strict_checked": model.strict_checked,
+        "strict_checked": True,
         "modeling_failures": failures,
     }
     return FreimanGapResult(cover, coords, model, bohr, bres, q_gap, x_set, metrics)

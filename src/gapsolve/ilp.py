@@ -127,6 +127,12 @@ class HbilpInstance:
             for j in range(self.a.num_cols)
         )
 
+    def solved_by(self, x: Sequence[int]) -> bool:
+        """Whether x is a 0/1 vector over the columns with <Ax, s> = t."""
+        if len(x) != self.a.num_cols or any(v not in (0, 1) for v in x):
+            return False
+        return sum(d * v for d, v in zip(self.dots(), x)) == self.t
+
     def to_json_dict(self) -> dict:
         return {"A": self.a.to_json_rows(), "s": list(self.s), "t": self.t}
 
@@ -312,7 +318,7 @@ def hbilp_feasibility(
     )
     if x is None:
         return None
-    if sum(d * v for d, v in zip(dots, x)) != inst.t:
+    if not inst.solved_by(x):
         raise InvariantError("witness failed re-evaluation")
     return SolveWitness("binary-vector", tuple(x))
 
@@ -365,6 +371,9 @@ class HbilpFromBilp:
     guard_tripped: bool
 
     def decode(self, y: Sequence[int]) -> tuple[int, ...]:
+        """Raises ValueError for y that does not solve the aggregated instance."""
+        if not self.instance.solved_by(y):
+            raise ValueError("assignment does not solve the aggregated program")
         return tuple(int(v) for v in y)
 
 
@@ -616,7 +625,7 @@ def _decode_subset(z: IntegerSet, t: int, y: Sequence[int]) -> SolveWitness:
         raise ValueError(f"assignment has {len(y)} entries for {len(z)} elements")
     indices = tuple(j for j, v in enumerate(y) if v)
     if sum(z.elements[j] for j in indices) != t:
-        raise InvariantError("decoded subset misses the target")
+        raise ValueError("decoded subset misses the target")
     return SolveWitness("subset-of-indices", indices)
 
 

@@ -282,7 +282,7 @@ def _checked(values: Sequence[int], indices: tuple[int, ...], t: int, k: int) ->
 
 
 def _fold_blocks(
-    block_values: list[np.ndarray], used: dict, backend, pair_cap, range_cap
+    block_values: list[np.ndarray], used: dict, backend
 ) -> tuple[list[np.ndarray], int]:
     """Left-fold the blocks, keeping every intermediate level's support so
     witnesses can be walked back later without storing pair maps; counts
@@ -290,13 +290,7 @@ def _fold_blocks(
     levels = [np.zeros(1, dtype=np.int64)]
     work = 0
     for bv in block_values:
-        fold = sparse_sumset(
-            levels[-1],
-            bv,
-            backend=backend,
-            pair_cap=pair_cap,
-            range_cap=range_cap,
-        )
+        fold = sparse_sumset(levels[-1], bv, backend=backend)
         levels.append(fold.sums)
         work += fold.work
         used[fold.backend] = used.get(fold.backend, 0) + 1
@@ -348,8 +342,6 @@ def ksum(
     gamma: int = 1,
     backend: Optional[str] = None,
     cut_cap: int = DEFAULT_CUT_CAP,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-    range_cap: int = DEFAULT_RANGE_CAP,
 ) -> KsumResult:
     """Find k distinct indices of z summing to t.
 
@@ -386,8 +378,8 @@ def ksum(
         tried += 1
         lblocks = [arr[list(b)] for b in part.blocks[:split_at]]
         rblocks = [arr[list(b)] for b in part.blocks[split_at:]]
-        llevels, lwork = _fold_blocks(lblocks, backends, backend, pair_cap, range_cap)
-        rlevels, rwork = _fold_blocks(rblocks, backends, backend, pair_cap, range_cap)
+        llevels, lwork = _fold_blocks(lblocks, backends, backend)
+        rlevels, rwork = _fold_blocks(rblocks, backends, backend)
         work += lwork + rwork + len(llevels[-1]) + len(rlevels[-1])
         hit = _meet(llevels[-1], rlevels[-1], t)
         if hit is None:

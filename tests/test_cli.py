@@ -198,6 +198,25 @@ class TestIlp:
         assert cli.main([*route, "--witness", miss]) == 2
         assert "subset misses the reduced target" in capsys.readouterr().err
 
+    def test_decode_to_hbilp_checks_the_reduced_assignment(self, tmp_path, capsys):
+        from gapsolve import cli
+
+        # reduces to 4 columns: x = (1, 1) and its complement copies (0, 0)
+        bilp = write_json(tmp_path / "b.json", {"A": [[2, -3], [1, 1]], "b": [-1, 2]})
+        route = ["ilp", "decode", "--from", "bilp", "--to", "hbilp", "--input", bilp]
+        hit = write_json(tmp_path / "hit.json", {"kind": "binary-vector", "values": [1, 1, 0, 0]})
+        assert cli.main([*route, "--witness", hit]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"witness": {"kind": "binary-vector", "values": [1, 1]}}
+        # too long, too short, and the right length but off the target: each
+        # starts with the solution (1, 1), which decoding used to keep
+        for values in ([1] * 9, [1, 1, 0], [1, 1, 1, 1]):
+            miss = write_json(tmp_path / "miss.json", {"kind": "binary-vector", "values": values})
+            assert cli.main([*route, "--witness", miss]) == 2, values
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "assignment does not solve the aggregated program" in captured.err
+
 
 class TestKsum:
     def test_feasible(self, tmp_path):

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -393,6 +394,106 @@ class TestFreimanGap:
         res = freiman_gap(a, random.Random(1))
         for key in ("n", "m", "attempts", "cover_dimension", "cover_volume"):
             assert key in res.metrics
+
+    # (set, seed) -> (m, q, aprime_size, bohr_frequencies); every such cover
+    # keeps no Bohr dimension, so Q = {0} and X = A
+    FROZEN = (
+        ((3, 7, 11, 15, 19, 23), 2, (331, 163, 2, 314)),
+        ((0, 11, 24, 34, 41), 1, (2503, 331, 3, 2496)),
+        ((8, 23, 30, 34, 37, 38, 58), 4, (2999, 401, 3, 2998)),
+        ((0, 6, 12, 13, 18, 20, 27, 34), 6, (2099, 277, 3, 2094)),
+        ((-21, -19, -17, -15, 11, 49), 9, (2251, 563, 4, 2242)),
+    )
+
+    @pytest.mark.parametrize("elements,seed,frozen", FROZEN)
+    def test_frozen_covers(self, elements, seed, frozen):
+        n = len(elements)
+        res = freiman_gap(IntegerSet(elements), random.Random(seed))
+        assert res.cover == Gap(0, elements, (2,) * n)
+        assert res.q_gap == Gap(0, (), ())
+        assert res.coords == {
+            e: tuple(int(i == j) for j in range(n)) for i, e in enumerate(elements)
+        }
+        m, q, aprime, freqs = frozen
+        assert res.metrics == {
+            "n": n, "m": m, "q": q, "attempts": 1, "aprime_size": aprime,
+            "bohr_frequencies": freqs, "kept_dims": 0, "q_volume": 1, "x_size": n,
+            "cover_dimension": n, "cover_volume": 2**n, "strict_checked": True,
+            "modeling_failures": [],
+        }
+
+    def test_trivial_q_skips_inverter_and_2a_fold(self, monkeypatch):
+        folds = []
+        support = freiman.iterated_support
+
+        def counted(a, plus_count, minus_count):
+            folds.append(plus_count)
+            return support(a, plus_count, minus_count)
+
+        def no_inverter(model):
+            raise AssertionError("Q = {0} needs no inverter")
+
+        monkeypatch.setattr(freiman, "iterated_support", counted)
+        monkeypatch.setattr(freiman, "_psi2_inverter", no_inverter)
+        res = freiman_gap(IntegerSet((3, 7, 11, 15, 19, 23)), random.Random(2))
+        assert res.metrics["kept_dims"] == 0
+        assert folds == [8, 8]  # 8A - 8A, then the slice's 8A' - 8A'
+
+    @staticmethod
+    def _forced_q(monkeypatch, gens, lengths, inverse):
+        """Make the Bohr fit return a progression with these generators and
+        the inverter map them as `inverse` says, so Q is non-trivial."""
+        monkeypatch.setattr(
+            freiman,
+            "gap_in_bohr",
+            lambda spec: SimpleNamespace(
+                gap=Gap(0, gens, lengths, modulus=spec.m), d_original=len(gens)
+            ),
+        )
+        monkeypatch.setattr(freiman, "_psi2_inverter", lambda model: {0: 0, **inverse}.__getitem__)
+
+    def test_forced_one_dimensional_q(self, monkeypatch):
+        step = 7
+        a = IntegerSet(tuple(range(5, 5 + 12 * step, step)))
+        self._forced_q(monkeypatch, (1,), (4,), {1: step})
+        res = freiman_gap(a, random.Random(0))
+        assert res.q_gap == Gap(0, (step,), (4,))
+        assert res.x_set.elements == (5, 33, 61)
+        assert res.cover == Gap(-21, (step, 5, 33, 61), (7, 2, 2, 2))
+        assert res.coords == {
+            5 + step * i: (3 + i % 4,) + tuple(int(i // 4 == j) for j in range(3))
+            for i in range(12)
+        }
+        assert res.metrics["kept_dims"] == 1
+        assert res.metrics["q_volume"] == 4
+        assert res.metrics["cover_volume"] == 56
+
+    def test_forced_q_with_one_translate(self, monkeypatch):
+        step = 7
+        a = IntegerSet(tuple(range(5, 5 + 12 * step, step)))
+        self._forced_q(monkeypatch, (1,), (12,), {1: step})
+        res = freiman_gap(a, random.Random(0))
+        assert res.x_set.elements == (5,)
+        assert res.cover == Gap(-72, (step,), (23,))
+        assert res.coords == {5 + step * i: (11 + i,) for i in range(12)}
+
+    def test_forced_two_dimensional_q(self, monkeypatch):
+        a = IntegerSet(tuple(range(6)) + tuple(range(100, 106)))
+        self._forced_q(monkeypatch, (1, 2), (3, 2), {1: 1, 2: 100})
+        res = freiman_gap(a, random.Random(0))
+        assert res.q_gap == Gap(0, (1, 100), (3, 2))
+        assert res.x_set.elements == (0, 3)
+        assert res.cover == Gap(-102, (1, 100, 0, 3), (5, 3, 2, 2))
+        assert res.coords == {
+            e: (2 + e % 100 % 3, 1 + e // 100) + ((1, 0) if e % 100 < 3 else (0, 1)) for e in a
+        }
+        assert res.metrics["kept_dims"] == 2
+
+    def test_forced_q_outside_2a_minus_2a(self, monkeypatch):
+        a = IntegerSet(tuple(range(5, 5 + 12 * 7, 7)))
+        self._forced_q(monkeypatch, (1,), (4,), {1: 3})
+        with pytest.raises(InvariantError, match="escapes 2A - 2A"):
+            freiman_gap(a, random.Random(0))
 
 
 class TestSplitDimensions:

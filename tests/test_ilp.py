@@ -435,6 +435,14 @@ class TestBilpToHbilp:
             if agg is not None:
                 assert a.matvec(res.decode(agg.payload)) == b
 
+    def test_decode_rejects_non_solutions(self):
+        # columns (1, 0), (0, 1), (1, 1): x = (1, 0, 1) and (0, 1, 1) solve b = (1, 2)
+        res = bilp_to_hbilp(Matrix.from_rows([[1, 0, 1], [0, 1, 1]]), (1, 2))
+        assert res.decode((0, 1, 1)) == (0, 1, 1)
+        for y in ((0, 1, 1, 0), (0, 1), (1, 1, 1), (0, 1, 2)):
+            with pytest.raises(ValueError, match="does not solve the aggregated program"):
+                res.decode(y)
+
 
 class TestHbilpNonnegative:
     def test_zero_matrix_rejected(self):
@@ -559,6 +567,13 @@ class TestSsToHbilp:
         sol = res.decode(w.payload)
         assert sol.kind == "subset-of-indices"
         assert sum(z.elements[i] for i in sol.payload) == 13
+
+    def test_decode_rejects_a_miss(self):
+        res = ss_to_hbilp(IntegerSet((2, 7, 11)), 13, random.Random(110))
+        with pytest.raises(ValueError, match="decoded subset misses the target"):
+            res.decode((1, 1, 0))
+        with pytest.raises(ValueError, match="assignment has 2 entries for 3 elements"):
+            res.decode((1, 1))
 
     def test_equivalence(self):
         from gapsolve.oracles import brute_subset_sum
