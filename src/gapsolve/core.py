@@ -19,8 +19,13 @@ returns its sorted distinct sums as one array: an int64 numpy outer sum,
 deduplicated by sort plus an adjacent-difference mask, when the guard admits
 both operands, and an object array of exact Python ints from a Python set
 otherwise. `sumset` turns that array into Python ints at its own boundary;
-the k-SUM folds keep it. Dense ranges take an FFT convolution of indicator
-vectors (exact: counts stay far inside float64's integer range).
+the k-SUM folds keep it. Dense ranges take `_fft_sumset`, sorted arrays in
+and a sorted int64 array out, by an FFT convolution of indicator vectors
+(exact: counts stay far inside float64's integer range); its cost is the
+transform length over the combined range. The k-SUM fft backend and the
+Freiman supports both call it. A support fold x + y takes the pairwise
+kernel when |x|*|y| is at most that transform length and the FFT otherwise,
+so a support costs about the sizes of its partial sumsets, not the range.
 
 GAP convention: coefficient boxes are zero-based and half-open, so a
 generalized arithmetic progression is {base + sum(l_i * y_i) : 0 <= l_i < L_i}.
@@ -193,8 +198,8 @@ def _pair_sumset(a: Sequence[int], b: Sequence[int]) -> np.ndarray:
 
 def _indicator(values: np.ndarray) -> np.ndarray:
     """0/1 float64 vector over [values[0], values[-1]] marking a sorted array.
-    Only offsets from the minimum enter int64, so an object array of values
-    past int64 works too."""
+    Only offsets from the minimum enter int64, so an object array of Python
+    ints works too."""
     offsets = (values - values[0]).astype(np.int64)
     out = np.zeros(int(offsets[-1]) + 1, dtype=np.float64)
     out[offsets] = 1.0
@@ -219,6 +224,16 @@ def _conv_support(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     spec = np.fft.rfft(x, size)
     spec *= spec if y is x else np.fft.rfft(y, size)
     return np.fft.irfft(spec, size)[:n] > 0.5
+
+
+def _fft_sumset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted distinct {x + y} of two sorted nonempty arrays whose combined
+    range the int64 guard admits, as an int64 array, by convolving their
+    indicator vectors; cost is the transform length over that range.
+    Squaring (b is a) builds one indicator and one transform."""
+    x = _indicator(a)
+    hit = np.flatnonzero(_conv_support(x, x if b is a else _indicator(b)))
+    return hit + (a[0] + b[0])
 
 
 def sumset(

@@ -35,9 +35,10 @@ from gapsolve.core import (
     IntegerSet,
     InvariantError,
     PipelineFailureError,
-    _conv_support,
-    _indicator,
+    _fft_sumset,
+    _pair_sumset,
     _sorted_distinct,
+    _transform_size,
     ceil_root,
     gap_enumerate,
     sumset,
@@ -91,37 +92,52 @@ def next_prime(n: int) -> int:
 def iterated_support(a: IntegerSet, plus_count: int, minus_count: int) -> tuple[int, np.ndarray]:
     """(offset, boolean array) for plus_count*A - minus_count*A.
 
-    Supports are built by repeated squaring of clipped indicator vectors, so
-    the cost is governed by the value range, not the set cardinality. A
-    squaring costs one forward transform; when plus_count == minus_count the
-    minus side is the plus fold reversed rather than a second fold.
+    The support is folded by repeated squaring on sorted int64 arrays of
+    offsets from min A (the span cap keeps every offset far inside int64).
+    Each fold x + y enumerates pairs when |x|*|y| is at most the transform
+    length of its range, the work `ksum.sparse_sumset` reports for its fft
+    backend, and convolves indicator vectors otherwise, so the cost follows
+    the sizes of the partial sumsets up to |sA - tA| rather than the value
+    range. When plus_count == minus_count the minus side is the plus fold
+    reflected rather than a second fold. Only the span cap and the returned
+    boolean array, one byte per value in the range, follow the diameter.
     """
     if plus_count < 1 or minus_count < 0:
         raise ValueError("need plus_count >= 1, minus_count >= 0")
-    span = (plus_count + minus_count) * a.diameter() + 1
+    diam = a.diameter()
+    span = (plus_count + minus_count) * diam + 1
     if span > DEFAULT_SUPPORT_CAP:
         raise EnumerationCapError(
             f"difference support range {span} exceeds cap {DEFAULT_SUPPORT_CAP}"
         )
-    base = _indicator(np.array(a.elements, dtype=object))
+    lo = a.min()
+    base = np.fromiter((x - lo for x in a.elements), dtype=np.int64, count=len(a))
+
+    def add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # both operands start at offset 0, so x[-1] + y[-1] + 1 is the range
+        if len(x) * len(y) <= _transform_size(int(x[-1] + y[-1]) + 1):
+            return _pair_sumset(x, y)
+        return _fft_sumset(x, y)
 
     def fold(k: int) -> np.ndarray:
         acc, sq = None, base
         while True:
             if k & 1:
-                acc = sq if acc is None else _conv_support(acc, sq).astype(np.float64)
+                acc = sq if acc is None else add(acc, sq)
             k >>= 1
             if not k:
                 return acc
-            sq = _conv_support(sq, sq).astype(np.float64)
+            sq = add(sq, sq)
 
-    pos = fold(plus_count)
-    offset = plus_count * a.min()
-    if not minus_count:
-        return offset, pos > 0.5
-    neg = pos if minus_count == plus_count else fold(minus_count)
-    offset -= minus_count * a.max()
-    return offset, _conv_support(pos, neg[::-1])
+    sums = fold(plus_count)
+    offset = plus_count * lo
+    if minus_count:
+        neg = sums if minus_count == plus_count else fold(minus_count)
+        sums = add(sums, minus_count * diam - neg[::-1])
+        offset -= minus_count * a.max()
+    out = np.zeros(span, dtype=bool)
+    out[sums] = True
+    return offset, out
 
 
 def support_size(support: tuple[int, np.ndarray]) -> int:

@@ -762,12 +762,6 @@ class _BoxReachability:
 SUPPORT_STATE_CAP = 250_000
 
 
-def small_support_candidates(a: Matrix) -> tuple[tuple[int, ...], ...]:
-    """Supports of lexicographically-least solutions across every target in
-    [0, n*Delta]^m; the same family as `binary_image_supports`."""
-    return binary_image_supports(a)
-
-
 def binary_image_supports(a: Matrix) -> tuple[tuple[int, ...], ...]:
     """Supports of lexicographically-least solutions across every target in
     the box [0, n*Delta]^m, deduplicated and sorted.

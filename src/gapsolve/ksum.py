@@ -35,8 +35,7 @@ from gapsolve.core import (
     IntegerSet,
     InvariantError,
     SolveWitness,
-    _conv_support,
-    _indicator,
+    _fft_sumset,
     _int64_safe,
     _pair_sumset,
     _transform_size,
@@ -169,8 +168,7 @@ def sparse_sumset(
         return SumsetFold(_pair_sumset(a, b), "hash", pairs)
     if span > range_cap:
         raise EnumerationCapError(f"range {span} above cap {range_cap}")
-    hit = np.flatnonzero(_conv_support(_indicator(a), _indicator(b)))
-    return SumsetFold(hit + lo, "fft", _transform_size(span))
+    return SumsetFold(_fft_sumset(a, b), "fft", _transform_size(span))
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,10 @@ from gapsolve.ilp import (
     bilp_feasibility_dp,
     bilp_nonnegative,
     bilp_to_hbilp,
+    binary_image_supports,
     bounded_ilp_feasibility,
     hbilp_feasibility,
     hbilp_to_ss,
-    small_support_candidates,
 )
 from gapsolve.instances import (
     ap_set,
@@ -491,7 +491,7 @@ def test_criterion_6_small_support_exhaustive():
                 )
                 delta = a.infinity_norm()
                 radix = n * delta  # strict box: 0 <= b_i < n*delta
-                cands = small_support_candidates(a)
+                cands = binary_image_supports(a)
                 bound_rhs = (2 * n * delta + 1) ** m
                 for supp in cands:
                     assert 2 ** len(supp) <= bound_rhs, (a.rows, supp)

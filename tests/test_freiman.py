@@ -35,6 +35,7 @@ from gapsolve.freiman import (
     split_dimensions,
     support_size,
 )
+from gapsolve.instances import ap_set, gap_sample_set
 from gapsolve.oracles import (
     bohr_enumerate,
     bohr_subset_check,
@@ -83,6 +84,56 @@ class TestIteratedSupport:
             got = tuple(off + i for i in range(len(sup)) if sup[i])
             assert got == want.elements, (a.elements, p, m)
 
+    @staticmethod
+    def _counted_folds(monkeypatch) -> dict:
+        """Count the folds that enumerate pairs and those that convolve."""
+        calls = {"pair": 0, "fft": 0}
+
+        def counted(name, fn):
+            def wrapped(x, y):
+                calls[name] += 1
+                return fn(x, y)
+
+            return wrapped
+
+        monkeypatch.setattr(freiman, "_pair_sumset", counted("pair", freiman._pair_sumset))
+        monkeypatch.setattr(freiman, "_fft_sumset", counted("fft", freiman._fft_sumset))
+        return calls
+
+    def test_wide_matches_sumset(self, monkeypatch):
+        from gapsolve.core import iterated_sumset
+
+        calls = self._counted_folds(monkeypatch)
+        rng = random.Random(4)
+        sets = [ap_set(n, 0, step) for n, step in ((8, 1000), (4, 10_000), (2, 10**6), (5, 31_337))]
+        for scale in (1, 3, 100, 1000):
+            gap = gap_sample_set(rng, rng.randint(3, 6), 2)
+            sets.append(IntegerSet(tuple(scale * v for v in gap.elements)))
+        bases = (0, -(10**12), (1 << 63) + 5, -(1 << 64), 1 << 70)
+        checked = 0
+        for a in sets:
+            for base in bases:
+                z = IntegerSet(tuple(base + v for v in a.elements))
+                for p, m in ((8, 8), (2, 2), (8, 5), (1, 3), (8, 0)):
+                    if (p + m) * z.diameter() + 1 > freiman.DEFAULT_SUPPORT_CAP:
+                        continue
+                    off, sup = iterated_support(z, p, m)
+                    want = iterated_sumset(z, p, m, bits=None)
+                    assert len(sup) == (p + m) * z.diameter() + 1
+                    got = tuple(off + int(i) for i in np.flatnonzero(sup))
+                    assert got == want.elements, (z.elements, p, m)
+                    checked += 1
+        assert checked > 150
+        assert calls["pair"] and calls["fft"]
+
+    def test_wide_ap_makes_no_fft(self, monkeypatch):
+        calls = self._counted_folds(monkeypatch)
+        support = iterated_support(ap_set(8, 0, 2500), 8, 8)
+        assert support_size(support) == 113
+        assert calls["fft"] == 0
+        # the counter is live: the same AP at step 1 folds by convolution
+        iterated_support(ap_set(8, 0, 1), 8, 8)
+        assert calls["fft"] > 0
 
     def test_support_cap_refuses(self):
         # 16 * 2^20 + 1 is one past the cap; the refusal comes before any fold
@@ -403,6 +454,11 @@ class TestFreimanGap:
         ((8, 23, 30, 34, 37, 38, 58), 4, (2999, 401, 3, 2998)),
         ((0, 6, 12, 13, 18, 20, 27, 34), 6, (2099, 277, 3, 2094)),
         ((-21, -19, -17, -15, 11, 49), 9, (2251, 563, 4, 2242)),
+        # the cover benchmark's wide shapes: APs of step 2500 and 1000 and a
+        # gap sample scaled by 100
+        (tuple(range(0, 8 * 2500, 2500)), 5, (457, 140009, 1, 456)),
+        (tuple(range(0, 10 * 1000, 1000)), 3, (587, 72019, 2, 564)),
+        ((3100, 3200, 3400, 4700, 4800, 5000, 6400, 8100), 2, (3209, 40009, 3, 3204)),
     )
 
     @pytest.mark.parametrize("elements,seed,frozen", FROZEN)

@@ -27,7 +27,6 @@ from gapsolve.ilp import (
     hbilp_feasibility,
     hbilp_nonnegative,
     hbilp_to_ss,
-    small_support_candidates,
     ss_to_hbilp,
 )
 from gapsolve.oracles import (
@@ -592,13 +591,13 @@ class TestSsToHbilp:
 class TestSmallSupport:
     def test_frozen(self):
         a = Matrix.from_rows([[1, 2]])
-        assert small_support_candidates(a) == ((), (0,), (0, 1), (1,))
+        assert binary_image_supports(a) == ((), (0,), (0, 1), (1,))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            small_support_candidates(Matrix.from_rows([[1, -1]]))
+            binary_image_supports(Matrix.from_rows([[1, -1]]))
         with pytest.raises(ValueError):
-            small_support_candidates(Matrix.from_rows([[1, 0]]))
+            binary_image_supports(Matrix.from_rows([[1, 0]]))
 
     def test_binary_image_subset(self):
         # each returned sigma is the support of the lexicographically least
@@ -623,7 +622,7 @@ class TestSmallSupport:
         # every feasible target in the box must have a solution supported
         # on one of the candidates
         a = Matrix.from_rows([[1, 2, 1], [0, 1, 2]])
-        cands = set(small_support_candidates(a))
+        cands = set(binary_image_supports(a))
         n, delta = a.num_cols, a.infinity_norm()
         for b in itertools.product(range(n * delta + 1), repeat=a.num_rows):
             sols = [
@@ -664,7 +663,7 @@ class TestSmallSupport:
                 want.add(tuple(j for j, v in enumerate(x) if v))
         got = binary_image_supports(a)
         assert got == tuple(sorted(want))
-        assert small_support_candidates(a) == got
+        assert binary_image_supports(a) == got
 
     def test_box_cap(self):
         a = Matrix.from_rows([[100, 1, 1, 1, 1], [1, 1, 1, 1, 1]])
