@@ -3,18 +3,21 @@ with few constraints.
 
 Solvers are exact dynamic programs over reachable constraint-vector values,
 encoded as integer keys. One engine fills the table variable by variable and
-keeps the reachable keys as a sorted array with each key's insertion rank,
-and per rank the variable that first wrote the key and the value written;
-each step merges in the candidates key + v * column that are not yet
-present. The keys are int64 while the key range stays within 2^62 and exact
-Python ints in an object array past it. Cost follows the number of distinct
-reachable vectors, not the size of the values. Witnesses are deterministic:
-a new key is written by the candidate (source key, value) whose source ranks
-first, then whose value is smallest, and new keys rank after old ones in that
+keeps, as a sorted array with each key's insertion rank, only the reachable
+keys whose distance to the target lies in the range the later variables
+can add; each step merges in the candidates key + v * column that land in
+that window and are not yet present, and records per new key its value and
+the rank of its source. The keys are int64 while the key range stays within
+2^62 and exact Python ints in an object array past it. Cost and the table
+cap follow the number of distinct reachable vectors that can still hit the
+target, not the size of the values. Witnesses are deterministic: a new key
+is written by the candidate (source key, value) whose source ranks first,
+then whose value is smallest, and new keys rank after old ones in that
 order, so the walk back from the target gives the same assignment as
-scanning an insertion-ordered table. Reductions carry enough metadata to
-decode a downstream witness back to the original variables, and every decode
-re-evaluates the witness against the original instance before returning it.
+scanning an insertion-ordered table of every reachable vector. Reductions
+carry enough metadata to decode a downstream witness back to the original
+variables, and every decode re-evaluates the witness against the original
+instance before returning it.
 
 Unbounded reachability has one engine: big-int bitset closures of
 nonnegative column combinations in a box [0, B]^m by doubling passes, for
@@ -31,7 +34,6 @@ subset-sum reduction uses for its deliberately enormous step coefficients.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -145,35 +147,56 @@ class HbilpInstance:
 # reachable-sum dynamic program
 
 
-def _array_engine(keys: np.ndarray, deltas: Sequence[int], spans: Sequence[int], table_cap: int):
-    """Reachable-sum DP on sorted arrays, started from `keys`, the
-    one-element array of the root key: int64 when every key fits, else an
-    object array of exact Python ints. Ranks, priorities and values are
-    int64 either way.
+def _array_engine(
+    keys: np.ndarray, deltas: Sequence[int], spans: Sequence[int], target: int, table_cap: int
+) -> Optional[list[int]]:
+    """Reachable-sum DP on sorted arrays from `keys`, the one-element array
+    of the root key, towards the key `target`; returns the x~ that reaches
+    it, or None. Keys are int64 when every key fits, else an object array of
+    exact Python ints; ranks, priorities and values are int64 either way.
 
-    `keys` holds the reachable keys sorted and `rank`, parallel to it, each
-    key's position in insertion order. A candidate key + v * delta has
-    priority (rank of key, v): the smallest priority writes each new key,
-    and new keys rank after all old ones in priority order. The keys a
-    variable writes thus take consecutive ranks, so `ends` and `writers`
-    give the writer of every rank, and `value[rank]` is the value it took.
-    Each step costs about |table| * span, whatever the size of the keys.
+    After variable j the table keeps only the keys K that the later
+    variables can still carry to the target as far as their range tells:
+    target - K must lie in [low_j, high_j], the sums of min(0, delta * span)
+    and max(0, delta * span) over the later variables. `keys` holds the
+    kept keys sorted and `rank`, parallel to it, each key's position in
+    insertion order. A candidate key + v * delta has priority (rank of key,
+    v): the smallest priority writes each new key, and new keys rank after
+    all earlier ones in priority order. The windows are nested, so every
+    source of a kept key was kept one step earlier, and a kept key is in
+    the old table exactly when it is in the unpruned one: pruning changes
+    no priority order and so no witness. Per variable, `value` and `parent`
+    give the value and the source rank of each key it wrote, and the walk
+    back from the target follows the parent ranks. Each step costs about
+    |table| * span, whatever the size of the keys, and the table cap
+    applies to the kept table.
     """
+    low, high = [0] * len(spans), [0] * len(spans)
+    for j in range(len(spans) - 1, 0, -1):
+        step = deltas[j] * spans[j]
+        low[j - 1], high[j - 1] = low[j] + min(0, step), high[j] + max(0, step)
     rank = np.zeros(1, dtype=np.int64)
-    values = [np.zeros(1, dtype=np.int64)]
-    ends, writers = [1], [-1]  # writers[b] wrote ranks ends[b - 1] to ends[b] - 1
+    total = 1  # keys inserted so far, the root included
+    written = []  # (variable, first rank, value, parent) per variable
     for j, (delta, span) in enumerate(zip(deltas, spans)):
         if span == 0 or delta == 0:
             continue
+        lo, hi = target - high[j], target - low[j]
+        cand, prio = [], []
+        for v in range(1, span + 1):
+            first = np.searchsorted(keys, lo - v * delta)
+            last = np.searchsorted(keys, hi - v * delta, side="right")
+            cand.append(keys[first:last] + v * delta)
+            prio.append(rank[first:last] * span + (v - 1))
+        cand, prio = np.concatenate(cand), np.concatenate(prio)
+        first, last = np.searchsorted(keys, lo), np.searchsorted(keys, hi, side="right")
+        keys, rank = keys[first:last], rank[first:last]
         size = len(keys)
-        steps = np.arange(1, span + 1, dtype=np.int64)
-        cand = (keys[:, None] + steps.astype(keys.dtype, copy=False) * delta).ravel()
-        prio = (rank[:, None] * span + (steps - 1)).ravel()
         at = np.searchsorted(keys, cand)
-        fresh = keys[np.minimum(at, size - 1)] != cand
-        # never empty: the extreme key moved by delta leaves the table
-        cand, prio, at = cand[fresh], prio[fresh], at[fresh]
-        if span > 1:
+        if size:
+            fresh = keys[np.minimum(at, size - 1)] != cand
+            cand, prio, at = cand[fresh], prio[fresh], at[fresh]
+        if span > 1 and len(cand):
             # with one step per key, keys + delta is already sorted and distinct
             order = np.argsort(cand, kind="stable")
             cand, prio, at = cand[order], prio[order], at[order]
@@ -184,34 +207,29 @@ def _array_engine(keys: np.ndarray, deltas: Sequence[int], spans: Sequence[int],
             raise TableCapError(
                 f"reachable table hit {count} entries at variable {j} (cap {table_cap})"
             )
+        if not count:
+            return None
         by_prio = np.argsort(prio)
         new_rank = np.empty(len(cand), dtype=np.int64)
-        new_rank[by_prio] = np.arange(size, count, dtype=np.int64)
-        values.append(prio[by_prio] % span + 1)
-        ends.append(count)
-        writers.append(j)
+        new_rank[by_prio] = np.arange(total, total + len(cand), dtype=np.int64)
+        prio = prio[by_prio]
+        written.append((j, total, prio % span + 1, prio // span))
+        total += len(cand)
         slots = at + np.arange(len(cand))
         kept = np.ones(count, dtype=bool)
         kept[slots] = False
         keys = _merge(keys, cand, slots, kept)
         rank = _merge(rank, new_rank, slots, kept)
-    value = np.concatenate(values)
-
-    def witness(key: int) -> Optional[list[int]]:
-        i = np.searchsorted(keys, key)
-        if i == len(keys) or keys[i] != key:
-            return None
-        x = [0] * len(spans)
-        r = int(rank[i])
-        while r:  # rank 0 is the root
-            j = writers[bisect.bisect_right(ends, r)]
-            v = int(value[r])
-            x[j] = v
-            key -= v * deltas[j]
-            r = int(rank[np.searchsorted(keys, key)])
-        return x
-
-    return witness
+    # the window after the last variable that moves a key is {target}
+    if keys[0] != target:
+        return None
+    x = [0] * len(spans)
+    r = int(rank[0])
+    for j, start, value, parent in reversed(written):
+        if r >= start:  # a source always ranks before the keys its variable wrote
+            x[j] = int(value[r - start])
+            r = int(parent[r - start])
+    return x
 
 
 def _merge(old: np.ndarray, new: np.ndarray, slots: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -222,36 +240,6 @@ def _merge(old: np.ndarray, new: np.ndarray, slots: np.ndarray, kept: np.ndarray
     return out
 
 
-def _reach(a: Matrix, spans: Sequence[int], table_cap: int, bits: Optional[int]):
-    """Fill the table of vectors A x~ over x~_j in [0, spans_j].
-
-    Returns (lows, highs, strides, witness). A vector v with
-    lows <= v <= highs is encoded as the key sum_i (v_i - lows_i) * strides_i;
-    the encoding is linear, so adding a column contribution is integer
-    addition on keys. witness(key) gives the x~ that reaches it, or None.
-    """
-    cols, m = a.columns(), a.num_rows
-    lows, highs, strides = [], [], []
-    key_range = 1
-    for i in range(m):
-        lo = sum(min(0, col[i] * span) for col, span in zip(cols, spans))
-        hi = sum(max(0, col[i] * span) for col, span in zip(cols, spans))
-        if bits is not None:
-            check_width(lo, bits)
-            check_width(hi, bits)
-        lows.append(lo)
-        highs.append(hi)
-        strides.append(key_range)
-        key_range *= hi - lo + 1
-    root_key = sum(-lo * st for lo, st in zip(lows, strides))
-    deltas = [sum(col[i] * strides[i] for i in range(m)) for col in cols]
-    # every key and every candidate key + v * delta lies in [0, key_range)
-    dtype = np.int64 if _int64_safe(0, key_range - 1) else object
-    return lows, highs, strides, _array_engine(
-        np.array([root_key], dtype=dtype), deltas, spans, table_cap
-    )
-
-
 def _solve_bounded(
     a: Matrix,
     b: Sequence[int],
@@ -259,17 +247,41 @@ def _solve_bounded(
     table_cap: int,
     bits: Optional[int],
 ) -> Optional[list[int]]:
+    """An x with A x = b inside `bounds`, or None.
+
+    Variables are shifted to x~ = x - lower bound in [0, spans_j]. A vector
+    v of A x~ lies between lows and highs, the row extremes, and is encoded
+    as the key sum_i (v_i - lows_i) * strides_i; the encoding is linear, so
+    adding a column contribution is integer addition on keys.
+    """
     spans = [hi - lo for lo, hi in bounds]
     shift = [lo for lo, _ in bounds]
-    base = a.matvec(shift)
-    target = [bv - bb for bv, bb in zip(b, base)]
+    target = [bv - bb for bv, bb in zip(b, a.matvec(shift))]
     if bits is not None:
         for v in target:
             check_width(v, bits)
-    lows, highs, strides, witness = _reach(a, spans, table_cap, bits)
-    if any(not lo <= t <= hi for lo, t, hi in zip(lows, target, highs)):
+    cols, m = a.columns(), a.num_rows
+    lows, strides = [], []
+    key_range = 1
+    outside = False
+    for i in range(m):
+        lo = sum(min(0, col[i] * span) for col, span in zip(cols, spans))
+        hi = sum(max(0, col[i] * span) for col, span in zip(cols, spans))
+        if bits is not None:
+            check_width(lo, bits)
+            check_width(hi, bits)
+        outside = outside or not lo <= target[i] <= hi
+        lows.append(lo)
+        strides.append(key_range)
+        key_range *= hi - lo + 1
+    if outside:
         return None
-    xt = witness(sum((t - lo) * st for t, lo, st in zip(target, lows, strides)))
+    deltas = [sum(col[i] * strides[i] for i in range(m)) for col in cols]
+    # every key and every candidate key + v * delta lies in [0, key_range)
+    dtype = np.int64 if _int64_safe(0, key_range - 1) else object
+    root = sum(-lo * st for lo, st in zip(lows, strides))
+    goal = sum((t - lo) * st for t, lo, st in zip(target, lows, strides))
+    xt = _array_engine(np.array([root], dtype=dtype), deltas, spans, goal, table_cap)
     if xt is None:
         return None
     return [s + v for s, v in zip(shift, xt)]

@@ -1,19 +1,20 @@
 """Subset-sum solvers driven by additive structure.
 
 The binary solver is the one-row specialization of the reachable-sum DP;
-its cost follows the number of distinct reachable sums, which is what the
-doubling-sensitive analysis bounds, and a table cap turns the densest
-inputs into a clean failure. The unbounded solver goes the long way
-around: encode elements as progression coordinates, enumerate the few
-supports a lexicographically-least solution can use (those of the least
-solutions for binary column-sum targets, one walk per target), then solve
-coin reachability per support; both steps run the box engine of `ilp`
-(big-int closures by doubling passes). Witnesses always re-verify before
-returning.
+its cost follows the number of distinct reachable sums that can still hit
+the target, at most what the doubling-sensitive analysis bounds, and a
+table cap turns the densest inputs into a clean failure. The unbounded
+solver goes the long way around: encode elements as progression
+coordinates, enumerate the few supports a lexicographically-least solution
+can use (those of the least solutions for binary column-sum targets, one
+walk per target), then solve coin reachability per support whose gcd
+divides the remainder; both steps run the box engine of `ilp` (big-int
+closures by doubling passes). Witnesses always re-verify before returning.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,8 +72,11 @@ def subset_sum_doubling(
 ) -> Optional[SolveWitness]:
     """Binary subset sum through the reachable-sum table.
 
-    The table never exceeds the number of distinct subset sums, which is
-    what additive structure in z keeps small; table_cap turns the densest
+    After each element the table keeps the distinct subset sums s for which
+    t - s lies between the least and the greatest sum of the remaining
+    elements, so it never exceeds the number of distinct subset sums, which
+    is what additive structure in z keeps small; table_cap bounds that kept
+    table and turns the densest
     inputs into a clean failure instead of a memory grab. The fill order is
     deterministic.
     """
@@ -120,8 +124,8 @@ def unbounded_subset_sum(
         if not sigma:
             continue
         rem = t - sum(values[j] for j in sigma)
-        if rem < 0:
-            continue
+        if rem < 0 or rem % math.gcd(*(values[j] for j in sigma)):
+            continue  # every coin sum over sigma is a multiple of that gcd
         # a one-row box [0, rem]; the target cap already bounds its states
         coins = _BoxReachability([(values[j],) for j in sigma], rem, target_cap + 1)
         extras = coins.lexmin((rem,))

@@ -1,5 +1,6 @@
 """Bounded-ILP solvers and the reduction chain down to subset sum."""
 
+import functools
 import itertools
 import random
 
@@ -102,9 +103,12 @@ class TestSolvers:
 
     def test_table_cap(self):
         a = Matrix.from_rows([[1, 10, 100, 1000]])
-        inst = BilpInstance.binary(a, (1111,))
-        with pytest.raises(TableCapError):
+        inst = BilpInstance.binary(a, (111,))
+        with pytest.raises(TableCapError, match=r"hit 4 entries at variable 1 \(cap 3\)"):
             bilp_feasibility_dp(inst, table_cap=3)
+        # only the sum of every column reaches 1111, so the kept table is one key
+        every = BilpInstance.binary(a, (1111,))
+        assert bilp_feasibility_dp(every, table_cap=3).payload == (1, 1, 1, 1)
 
     def test_bit_width(self):
         big = 1 << 62
@@ -159,19 +163,22 @@ class TestSolvers:
 
 
 def _reachable(a, bounds):
-    """Every vector the reachable table holds, each re-checked against the
-    witness the table returns for it."""
-    spans = [hi - lo for lo, hi in bounds]
-    shift = [lo for lo, _ in bounds]
-    base = a.matvec(shift)
-    lows, highs, strides, witness = ilp._reach(a, spans, 1 << 20, 64)
+    """Every vector of the box of A x over `bounds` that the solver reaches,
+    each re-checked against the witness it returns."""
+    box = [
+        range(
+            sum(min(v * lo, v * hi) for v, (lo, hi) in zip(row, bounds)),
+            sum(max(v * lo, v * hi) for v, (lo, hi) in zip(row, bounds)) + 1,
+        )
+        for row in a.rows
+    ]
     out = set()
-    for vec in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
-        xt = witness(sum((v - lo) * st for v, lo, st in zip(vec, lows, strides)))
-        if xt is not None:
-            x = tuple(s + v for s, v in zip(shift, xt))
+    for vec in itertools.product(*box):
+        w = bounded_ilp_feasibility(BilpInstance(a, vec, bounds), table_cap=1 << 20, bits=64)
+        if w is not None:
+            x = w.payload
             assert all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds))
-            assert a.matvec(x) == tuple(b + v for b, v in zip(base, vec))
+            assert a.matvec(x) == vec
             out.add(a.matvec(x))
     return out
 
@@ -212,44 +219,85 @@ def _outcome(solve, inst, cap):
 _ROOT = None
 
 
-def _dict_engine(keys, deltas, spans, table_cap):
-    """Reference DP on a dict of Python ints, with the signature of
-    `ilp._array_engine`, which must match it witness for witness.
+def _dict_engine(keys, deltas, spans, target, table_cap, window=True):
+    """Reference DP on Python ints, with the signature of
+    `ilp._array_engine` plus `window`; with the window on, the engine must
+    match it witness for witness.
 
-    The table maps an encoded reachable vector to a back-pointer
-    (prev_key, var, value) chain ending at _ROOT. Keys are scanned in
-    insertion order and values in ascending order, and the first writer of
-    a key keeps it.
+    `table` lists the live keys in insertion order, and `back` maps every
+    key ever written to a back-pointer (prev_key, var, value) chain ending
+    at _ROOT. Keys are scanned in insertion order and values in ascending
+    order, and the first writer of a key keeps it. After variable j only the
+    keys K with target - K in the range of what the later variables can add
+    stay live; window=False keeps every reachable key instead.
     """
-    table = {int(keys[0]): _ROOT}
+    table = [int(keys[0])]
+    back = {table[0]: _ROOT}
     for j, (delta, span) in enumerate(zip(deltas, spans)):
         if span == 0 or delta == 0:
             continue
-        additions = {}
+        later = [d * s for d, s in zip(deltas[j + 1 :], spans[j + 1 :])]
+        low, high = sum(min(0, v) for v in later), sum(max(0, v) for v in later)
+
+        def live(key):
+            return not window or low <= target - key <= high
+
+        additions = []
         for key in table:
             nk = key
             for v in range(1, span + 1):
                 nk += delta
-                if nk not in table and nk not in additions:
-                    additions[nk] = (key, j, v)
-        table.update(additions)
+                if live(nk) and nk not in back:
+                    back[nk] = (key, j, v)
+                    additions.append(nk)
+        table = [key for key in table if live(key)] + additions
         if len(table) > table_cap:
             raise TableCapError(
                 f"reachable table hit {len(table)} entries at variable {j} (cap {table_cap})"
             )
+    if target not in table:
+        return None
+    x = [0] * len(spans)
+    cur = back[target]
+    while cur is not _ROOT:
+        prev, j, v = cur
+        x[j] = v
+        cur = back[prev]
+    return x
 
-    def witness(key):
-        if key not in table:
-            return None
-        x = [0] * len(spans)
-        cur = table[key]
-        while cur is not _ROOT:
-            prev, j, v = cur
-            x[j] = v
-            cur = table[prev]
-        return x
 
-    return witness
+def _random_programs(rng, count):
+    """(solver, instance, table cap) for `count` draws of binary, bounded
+    and mixed programs, some with a zero column and half with a planted
+    right-hand side; caps are either loose or between 1 and 60."""
+    for _ in range(count):
+        m, n = rng.randint(1, 3), rng.randint(1, 8)
+        a = _rand_matrix(rng, m, n)
+        if rng.random() < 0.3:
+            zero = rng.randrange(n)
+            rows = [[0 if j == zero else v for j, v in enumerate(r)] for r in a.rows]
+            if len(set(zip(*rows))) < n:
+                continue
+            a = Matrix.from_rows(rows)
+        kind = rng.choice(("binary", "bounded", "mixed"))
+        if kind == "binary":
+            bounds = ((0, 1),) * n
+        else:
+            bounds = []
+            for _ in range(n):
+                lo = rng.randint(-3, 1)
+                top = 4 if kind == "mixed" else 3
+                span = rng.randint(0 if kind == "mixed" else 1, top)
+                bounds.append((lo, lo + span))
+            bounds = tuple(bounds)
+        if rng.random() < 0.5:
+            x = [rng.randint(lo, hi) for lo, hi in bounds]
+            b = a.matvec(x)
+        else:
+            b = tuple(rng.randint(-10, 10) for _ in range(m))
+        cap = rng.choice((1 << 20, rng.randint(1, 60)))
+        inst = BilpInstance(a, tuple(b), bounds)
+        yield (bilp_feasibility_dp if inst.is_binary else bounded_ilp_feasibility), inst, cap
 
 
 def _key_widths(mp):
@@ -270,6 +318,12 @@ class TestEngineEquivalence:
     dict reference: same witnesses, same Nones, same cap failures."""
 
     def _compare(self, monkeypatch, solve, inst, cap):
+        """A target outside the row extremes is refused before any table is
+        built, so each solve runs the engine once or not at all."""
+        with monkeypatch.context() as mp:
+            ran = []
+            mp.setattr(ilp, "_array_engine", lambda *args: ran.append(1) or _dict_engine(*args))
+            want = _outcome(solve, inst, cap)
         got = {}
         for width in (np.int64, object):
             with monkeypatch.context() as mp:
@@ -277,48 +331,33 @@ class TestEngineEquivalence:
                     mp.setattr(ilp, "_int64_safe", lambda lo, hi: False)
                 widths = _key_widths(mp)
                 got[width] = _outcome(solve, inst, cap)
-            assert widths == [width]
-        with monkeypatch.context() as mp:
-            mp.setattr(ilp, "_array_engine", _dict_engine)
-            want = _outcome(solve, inst, cap)
+            assert widths == [width] * len(ran) and len(ran) <= 1
         assert got[np.int64] == want
         assert got[object] == want
         return want
 
     def test_random_programs(self, monkeypatch):
-        rng = random.Random(105)
         seen = set()
-        for _ in range(1500):
-            m, n = rng.randint(1, 3), rng.randint(1, 8)
-            a = _rand_matrix(rng, m, n)
-            if rng.random() < 0.3:
-                zero = rng.randrange(n)
-                rows = [[0 if j == zero else v for j, v in enumerate(r)] for r in a.rows]
-                if len(set(zip(*rows))) < n:
-                    continue
-                a = Matrix.from_rows(rows)
-            kind = rng.choice(("binary", "bounded", "mixed"))
-            if kind == "binary":
-                bounds = ((0, 1),) * n
-            else:
-                bounds = []
-                for _ in range(n):
-                    lo = rng.randint(-3, 1)
-                    top = 4 if kind == "mixed" else 3
-                    span = rng.randint(0 if kind == "mixed" else 1, top)
-                    bounds.append((lo, lo + span))
-                bounds = tuple(bounds)
-            if rng.random() < 0.5:
-                x = [rng.randint(lo, hi) for lo, hi in bounds]
-                b = a.matvec(x)
-            else:
-                b = tuple(rng.randint(-10, 10) for _ in range(m))
-            cap = rng.choice((1 << 20, rng.randint(1, 60)))
-            inst = BilpInstance(a, tuple(b), bounds)
-            solve = bilp_feasibility_dp if inst.is_binary else bounded_ilp_feasibility
+        for solve, inst, cap in _random_programs(random.Random(105), 1500):
             got = self._compare(monkeypatch, solve, inst, cap)
             seen.add("none" if got is None else got[0])
         assert seen == {"none", "cap", "binary-vector", "multiplicity-vector"}
+
+    def test_window_changes_no_witness(self, monkeypatch):
+        """Keeping only the keys that can still reach the target changes no
+        answer: every solve matches the reference that keeps every reachable
+        key, wherever that full table fits the cap."""
+        full = functools.partial(_dict_engine, window=False)
+        compared = 0
+        for solve, inst, cap in _random_programs(random.Random(105), 1500):
+            with monkeypatch.context() as mp:
+                mp.setattr(ilp, "_array_engine", full)
+                want = _outcome(solve, inst, cap)
+            if want is not None and want[0] == "cap":
+                continue
+            assert _outcome(solve, inst, cap) == want
+            compared += want is not None
+        assert compared > 500
 
     def test_random_hbilp(self, monkeypatch):
         rng = random.Random(106)
@@ -663,7 +702,7 @@ class TestSmallSupport:
                 want.add(tuple(j for j, v in enumerate(x) if v))
         got = binary_image_supports(a)
         assert got == tuple(sorted(want))
-        assert binary_image_supports(a) == got
+        assert len(got) == 26
 
     def test_box_cap(self):
         a = Matrix.from_rows([[100, 1, 1, 1, 1], [1, 1, 1, 1, 1]])

@@ -5,8 +5,10 @@ import time
 
 import pytest
 
+from gapsolve import subset_sum
 from gapsolve.core import EnumerationCapError, IntegerSet, TableCapError
 from gapsolve.ilp import _BoxReachability
+from gapsolve.instances import ap_set
 from gapsolve.oracles import brute_subset_sum, brute_unbounded_subset_sum
 from gapsolve.subset_sum import (
     SS_MODES,
@@ -48,8 +50,10 @@ class TestBinary:
 
     def test_table_cap_raises(self):
         z = IntegerSet((1, 2, 4, 8, 16, 32, 64, 128))
-        with pytest.raises(TableCapError):
-            subset_sum_doubling(z, 255, table_cap=20)
+        with pytest.raises(TableCapError, match=r"hit 32 entries at variable 4 \(cap 20\)"):
+            subset_sum_doubling(z, 127, table_cap=20)
+        # only the sum of every element reaches 255, so the kept table is one key
+        assert subset_sum_doubling(z, 255, table_cap=20).payload == tuple(range(8))
 
     def test_vs_brute(self):
         rng = random.Random(200)
@@ -105,6 +109,28 @@ class TestUnbounded:
             if got is not None:
                 assert sum(v * m for v, m in zip(z.elements, got.payload)) == t
                 assert all(m >= 0 for m in got.payload)
+
+    def test_support_gcd_skips_closures(self, monkeypatch):
+        # every element is even, so an odd target builds no coin closure, and
+        # a support whose gcd does not divide the remainder builds none either
+        z = ap_set(4, 6, 4)
+        built = []
+        real = subset_sum._BoxReachability
+        monkeypatch.setattr(
+            subset_sum, "_BoxReachability", lambda *args: built.append(args) or real(*args)
+        )
+        odd = 0
+        for t in range(1, 200):
+            before = len(built)
+            got = unbounded_subset_sum(z, t, random.Random(t))
+            if t % 2:
+                odd += len(built) - before
+            want = brute_unbounded_subset_sum(z.elements, t)
+            assert (got is None) == (want is None), t
+            if got is not None:
+                assert sum(v * m for v, m in zip(z.elements, got.payload)) == t
+        assert odd == 0
+        assert len(built) == 97  # 1,470 without the gcd test
 
     def test_coprime_large_targets(self):
         # past the Frobenius number of {3, 5} everything is reachable
