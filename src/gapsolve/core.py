@@ -18,8 +18,10 @@ inputs, so no pairwise sum or difference can wrap. The pairwise kernel
 returns its sorted distinct sums as one array: an int64 numpy outer sum,
 deduplicated by sort plus an adjacent-difference mask, when the guard admits
 both operands, and an object array of exact Python ints from a Python set
-otherwise. `sumset` turns that array into Python ints at its own boundary;
-the k-SUM folds keep it. Dense ranges take `_fft_sumset`, sorted arrays in
+otherwise. When at least 2,048 pairs have sums spanning less than 2^32,
+the outer sum, sort and mask run on uint32 offsets from the least sum,
+and the result is the same int64 array. `sumset` turns that array into
+Python ints at its own boundary; the k-SUM folds keep it. Dense ranges take `_fft_sumset`, sorted arrays in
 and a sorted int64 array out, by an FFT convolution of indicator vectors
 (exact: counts stay far inside float64's integer range); its cost is the
 transform length over the combined range. The k-SUM fft backend and the
@@ -169,14 +171,22 @@ def _check_extremes(lo: int, hi: int, bits: Optional[int]) -> None:
 _INT64_SAFE = 1 << 62
 
 
+# pairwise sums whose span is below this fit uint32 offsets from the least sum
+_OFFSET_SPAN = 1 << 32
+# below about this many pairs the offsets' extra casts cost more than the
+# narrower sort saves (crossover near 2,000 pairs on a 2-vCPU VM, numpy 2.4)
+_OFFSET_MIN_PAIRS = 2048
+
+
 def _int64_safe(lo: int, hi: int) -> bool:
     """The one int64 guard: may operands in [lo, hi] enter numpy?"""
     return -_INT64_SAFE < lo and hi < _INT64_SAFE
 
 
 def _sorted_distinct(arr: np.ndarray) -> np.ndarray:
-    """Sorted distinct entries of an array, by a sort and an adjacent-difference
-    mask, which on int64 is far cheaper than numpy's unique."""
+    """Sorted distinct entries of an array in its own dtype, by a sort and an
+    adjacent-difference mask, which on int64 and uint32 is far cheaper than
+    numpy's unique."""
     arr = np.sort(arr, axis=None)
     keep = np.ones(arr.size, dtype=bool)
     np.not_equal(arr[1:], arr[:-1], out=keep[1:])
@@ -186,11 +196,24 @@ def _sorted_distinct(arr: np.ndarray) -> np.ndarray:
 def _pair_sumset(a: Sequence[int], b: Sequence[int]) -> np.ndarray:
     """Sorted distinct {x + y} of two sorted nonempty sequences or arrays: an
     int64 array from a numpy outer sum when the guard admits both inputs, an
-    object array of exact Python ints otherwise."""
+    object array of exact Python ints otherwise.
+
+    On the int64 path, at least _OFFSET_MIN_PAIRS pairs whose sums span
+    less than 2^32 are summed, sorted and deduplicated as uint32 offsets from
+    a[0] + b[0], which sorts about twice as fast as int64, and the base is
+    added back in int64; the output is the same either way."""
     if _int64_safe(a[0], a[-1]) and _int64_safe(b[0], b[-1]):
-        return _sorted_distinct(
-            np.add.outer(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        )
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if len(a) * len(b) >= _OFFSET_MIN_PAIRS:
+            base = int(a[0]) + int(b[0])
+            if int(a[-1]) + int(b[-1]) - base < _OFFSET_SPAN:
+                offsets = np.add.outer(
+                    (a - a[0]).astype(np.uint32), (b - b[0]).astype(np.uint32)
+                )
+                out = _sorted_distinct(offsets).astype(np.int64)
+                out += base
+                return out
+        return _sorted_distinct(np.add.outer(a, b))
     # object arrays iterate as Python ints, so no sum can wrap
     a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
     return np.array(sorted({x + y for x in a for y in b}), dtype=object)

@@ -7,7 +7,9 @@ pairs per sum, and every query is settled from that table. Past it, a
 random splitter family isolates the unknown solution, one element per
 color block; each half of the blocks is folded into a sumset whose
 representation cost depends on the additive structure of the input, and
-the two halves meet in the middle. Fold work is accounted in units native
+the two halves meet in the middle: the left values whose complement can
+lie in the right level's range are searched in ascending slices of doubling
+width, up to the first hit. Fold work is accounted in units native
 to the backend that ran it (transform length for convolution, pair count
 for hashing), so structured and unstructured inputs separate honestly in
 benchmarks.
@@ -15,8 +17,10 @@ benchmarks.
 Every fold runs on the sumset kernel in `gapsolve.core`. Each fold level is
 one sorted numpy array from the fold through the meet to the witness walk:
 int64 while the kernel's one guard admits the operands (all strictly inside
-+-2^62), exact Python ints in an object array past it. Python ints appear
-only in the k witness values; the pair table keys exact Python ints.
++-2^62), exact Python ints in an object array past it. Pair folds of at
+least 2,048 pairs whose sums span less than 2^32 sort uint32 offsets inside
+the kernel and return the same int64 level. Python ints appear only in the
+k witness values; the pair table keys exact Python ints.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ from gapsolve.core import (
 DEFAULT_CUT_CAP = 50_000
 DEFAULT_PAIR_CAP = 50_000_000
 DEFAULT_RANGE_CAP = 1 << 22
+# left values in the meet's first search; later searches double it
+_MEET_SLICE = 64
 
 
 @dataclass(frozen=True)
@@ -83,16 +89,23 @@ def splitter_family(
     probability 1 - n^-(gamma+1); colorings that leave a block empty cannot
     isolate anything and are skipped.
 
+    Each color is drawn as `rng.randrange(k)` draws it in CPython, with
+    getrandbits(k.bit_length()) redrawn while it is at least k, so the rng
+    stream and every coloring are the same at about a third of the cost.
+
     Only plans that are not exhaustive have a family: exhaustive queries
     are settled from the pair table instead (see `ksum`).
     """
     plan = splitter_plan(n, k, gamma, cut_cap)
     if plan.exhaustive:
         raise ValueError("exhaustive plans are solved without a splitter family")
+    draw, bits = rng.getrandbits, k.bit_length()
     for _ in range(plan.planned):
-        colors = [rng.randrange(k) for _ in range(n)]
         blocks = [[] for _ in range(k)]
-        for i, c in enumerate(colors):
+        for i in range(n):
+            c = draw(bits)
+            while c >= k:
+                c = draw(bits)
             blocks[c].append(i)
         if any(not b for b in blocks):
             continue
@@ -325,11 +338,33 @@ def _unfold(levels: list[np.ndarray], block_values: list[np.ndarray], total: int
     return list(reversed(picks))
 
 
+def _rank(level: np.ndarray, x: int) -> int:
+    """Number of entries of a sorted level below x, for any Python int x."""
+    if x <= int(level[0]):
+        return 0
+    if x > int(level[-1]):
+        return len(level)
+    return int(np.searchsorted(level, x))
+
+
 def _meet(lvals: np.ndarray, rvals: np.ndarray, t: int) -> Optional[int]:
-    """First left value (ascending) whose complement t - v is on the right,
-    by one search of the complements in ascending order."""
-    hits = _first_in(_minus(t, lvals)[::-1], rvals)
-    return int(lvals[len(lvals) - 1 - hits[-1]]) if len(hits) else None
+    """First left value (ascending) whose complement t - v is on the right.
+
+    Only left values in [t - rvals[-1], t - rvals[0]] can meet the right
+    level. That window is searched in ascending slices of doubling width,
+    from _MEET_SLICE values, and the search stops at the first slice with a
+    hit, so a meet that hits early costs a few small searches; a meet with
+    no hit searches the whole window, in about log2 of its size calls."""
+    lo, hi = _rank(lvals, t - int(rvals[-1])), _rank(lvals, t - int(rvals[0]) + 1)
+    width = _MEET_SLICE
+    while lo < hi:
+        part = lvals[lo : min(lo + width, hi)]
+        hits = _first_in(_minus(t, part)[::-1], rvals)
+        if len(hits):
+            return int(part[len(part) - 1 - hits[-1]])
+        lo += width
+        width *= 2
+    return None
 
 
 def ksum(

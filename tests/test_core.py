@@ -1,13 +1,16 @@
 """Core types: sets, sumsets, progressions, matrices, witnesses."""
 
 import json
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapsolve
+import gapsolve.core as core
 from gapsolve.core import (
     BitWidthError,
     EnumerationCapError,
@@ -148,6 +151,68 @@ def test_check_width_boundary():
     with pytest.raises(BitWidthError):
         check_width(1 << 63)
     check_width(1 << 100, bits=None)
+
+
+class TestPairSumset:
+    """The pairwise kernel against a Python-set reference, on both sides of
+    the 2^32 result span and of the pair count where the int64 path sorts
+    uint32 offsets."""
+
+    @staticmethod
+    def _offsets(rng, span, na, nb):
+        """Sorted distinct offsets a, b from 0 whose sums span exactly `span`;
+        a one-element operand leaves the whole span to the other."""
+        sa = 0 if na == 1 else span if nb == 1 else rng.randrange(span + 1)
+        a = sorted({0, sa} | {rng.randrange(sa + 1) for _ in range(na - 2)})
+        b = sorted({0, span - sa} | {rng.randrange(span - sa + 1) for _ in range(nb - 2)})
+        return a, b
+
+    def test_offset_path_matches_int64_path(self, monkeypatch):
+        seen = []
+        sorted_distinct = core._sorted_distinct
+
+        def spy(arr):
+            seen.append(arr.dtype)
+            return sorted_distinct(arr)
+
+        monkeypatch.setattr(core, "_sorted_distinct", spy)
+        rng = random.Random(130)
+        top = 1 << 62
+        # where each operand goes, from its offsets: near 0; negative; least
+        # values within 10 of -2^62; greatest within 10 of 2^62; and from
+        # 2^62 up, past the guard
+        places = {
+            "zero": lambda off: 0,
+            "negative": lambda off: -(1 << 40) - rng.randrange(100),
+            "low guard": lambda off: -top + rng.randint(1, 10),
+            "high guard": lambda off: top - rng.randint(1, 10) - off[-1],
+            "past guard": lambda off: top + rng.randint(0, 10),
+        }
+        spans = (0, 1, 1000, (1 << 32) - 1, 1 << 32, (1 << 32) + 1)
+        paths = set()
+        for place in places.values():
+            for span in spans:
+                for na, nb in ((1, 1), (1, 9), (9, 1), (7, 11), (40, 40), (64, 64), (1, 2500)):
+                    a, b = self._offsets(rng, span, min(na, span + 1), min(nb, span + 1))
+                    sa, sb = place(a), place(b)
+                    a, b = [x + sa for x in a], [y + sb for y in b]
+                    assert a[-1] + b[-1] - a[0] - b[0] == span
+                    want = sorted({x + y for x in a for y in b})
+                    seen.clear()
+                    got = core._pair_sumset(a, b)
+                    assert got.tolist() == want
+                    if not (core._int64_safe(a[0], a[-1]) and core._int64_safe(b[0], b[-1])):
+                        assert got.dtype == object
+                        continue
+                    assert got.dtype == np.int64
+                    narrow = span < 1 << 32 and len(a) * len(b) >= core._OFFSET_MIN_PAIRS
+                    assert seen == [np.uint32 if narrow else np.int64]
+                    a64, b64 = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+                    wide = sorted_distinct(np.add.outer(a64, b64))
+                    assert got.tobytes() == wide.tobytes()
+                    assert core._pair_sumset(a64, b64).tobytes() == wide.tobytes()
+                    paths.add(seen[0])
+        assert paths == {np.dtype(np.uint32), np.dtype(np.int64)}
 
 
 class TestGap:

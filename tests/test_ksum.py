@@ -17,10 +17,29 @@ from gapsolve.ksum import (
     splitter_family,
     splitter_plan,
 )
+from gapsolve.instances import random_dense_set
 from gapsolve.oracles import brute_ksum
 
 # the package exports the function ksum under the module's name
 ksum_module = sys.modules[ksum.__module__]
+
+
+def _meet_one_search(lvals, rvals, t):
+    """Reference meet: every complement searched at once, the least hit kept."""
+    hits = ksum_module._first_in(ksum_module._minus(t, lvals)[::-1], rvals)
+    return int(lvals[len(lvals) - 1 - hits[-1]]) if len(hits) else None
+
+
+def _randrange_family(n, k, rng, gamma=1, cut_cap=2):
+    """Reference colorings: one rng.randrange(k) per element."""
+    for _ in range(splitter_plan(n, k, gamma, cut_cap).planned):
+        colors = [rng.randrange(k) for _ in range(n)]
+        blocks = [[] for _ in range(k)]
+        for i, c in enumerate(colors):
+            blocks[c].append(i)
+        if any(not b for b in blocks):
+            continue
+        yield ColorPartition(tuple(tuple(b) for b in blocks))
 
 
 class TestSplitters:
@@ -39,6 +58,18 @@ class TestSplitters:
     def test_exhaustive_plans_have_no_family(self):
         with pytest.raises(ValueError, match="without a splitter family"):
             next(splitter_family(10, 3, random.Random(0)))
+
+    def test_color_draw_matches_randrange(self):
+        # powers of two reject about half of the getrandbits draws
+        for k in range(2, 10):
+            for seed in (0, 1, 17, 2024):
+                ours, ref = random.Random(seed), random.Random(seed)
+                # whole families while they are short, their first 60 colorings after
+                take = None if k <= 5 else 60
+                got = list(itertools.islice(splitter_family(12, k, ours, cut_cap=2), take))
+                want = list(itertools.islice(_randrange_family(12, k, ref), take))
+                assert got == want, (k, seed)
+                assert ours.getstate() == ref.getstate(), (k, seed)
 
     def test_random_colorings_partition(self):
         rng = random.Random(5)
@@ -270,6 +301,98 @@ class TestRandomPathValueRegimes:
         assert ksum_module._meet(lvals, rvals, 5) == 0
         levels = [np.zeros(1, dtype=np.int64), rvals]
         assert ksum_module._unfold(levels, [rvals], 5) == [5]
+
+
+class TestEarlyExitMeet:
+    """The sliced meet against the one-search reference."""
+
+    W = ksum_module._MEET_SLICE
+
+    @staticmethod
+    def _level(rng, base, size, dtype):
+        vals = sorted({base + 3 * rng.randrange(1 << 30) for _ in range(size)})
+        return np.array(vals, dtype=dtype)
+
+    def test_matches_reference(self):
+        rng = random.Random(720)
+        w = self.W
+        # (left base, dtype, right base, dtype): int64 near 0, int64 whose
+        # sums straddle +-2^62, object arrays past 2^64, and one of each
+        regimes = (
+            (0, np.int64, 0, np.int64),
+            (1 << 61, np.int64, 1 << 61, np.int64),
+            (-(1 << 61), np.int64, -(1 << 61), np.int64),
+            (1 << 66, object, 1 << 66, object),
+            (0, np.int64, -(1 << 66), object),
+        )
+        for lbase, ldtype, rbase, rdtype in regimes:
+            for size in (1, w - 1, w, w + 1, 3 * w, 10 * w + 7):
+                lvals = self._level(rng, lbase, size, ldtype)
+                rvals = self._level(rng, rbase, 4 * w, rdtype)
+                n = len(lvals)
+                for pos in sorted({0, w - 1, w, 3 * w - 1, 3 * w, n - 1}):
+                    if pos >= n:
+                        continue
+                    # the complement of lvals[pos] is on the right: anywhere,
+                    # or at its ends, where lvals[pos] ends the window the
+                    # meet searches (every value is base mod 3, so t + 3 and
+                    # t - 3 may miss or hit elsewhere)
+                    for r in (rng.randrange(len(rvals)), 0, len(rvals) - 1):
+                        t = int(lvals[pos]) + int(rvals[r])
+                        got = ksum_module._meet(lvals, rvals, t)
+                        assert got == _meet_one_search(lvals, rvals, t)
+                        assert got is not None and got <= lvals[pos]
+                        for near in (t - 3, t + 3):
+                            want = _meet_one_search(lvals, rvals, near)
+                            assert ksum_module._meet(lvals, rvals, near) == want
+                no_hit = lbase + rbase + 1
+                assert ksum_module._meet(lvals, rvals, no_hit) is None
+                assert _meet_one_search(lvals, rvals, no_hit) is None
+
+    def test_hit_at_each_slice_edge(self):
+        w = self.W
+        n = 8 * w
+        lvals = np.arange(0, 2 * n, 2, dtype=np.int64)  # even values
+        # t - far < 0, so the searched window starts at lvals[0]
+        far = 4 * n + 1
+        rvals = np.array([1, far], dtype=np.int64)
+        for pos in (0, w - 1, w, 3 * w - 1, 3 * w, n - 1):
+            # t - v is 1 only at v = lvals[pos] and never far
+            t = int(lvals[pos]) + 1
+            assert ksum_module._meet(lvals, rvals, t) == pos * 2
+            assert _meet_one_search(lvals, rvals, t) == pos * 2
+        # even t: every value is in the window and none meets an odd right value
+        assert ksum_module._meet(lvals, rvals, 2 * n) is None
+
+    def test_planted_queries_search_few_left_values(self, monkeypatch):
+        searched, left = [], []
+        first_in, meet = ksum_module._first_in, ksum_module._meet
+        inside = []
+
+        def first_in_spy(keys, level):
+            if inside:
+                searched.append(len(keys))
+            return first_in(keys, level)
+
+        def meet_spy(lvals, rvals, t):
+            left.append(len(lvals))
+            inside.append(True)
+            try:
+                return meet(lvals, rvals, t)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(ksum_module, "_first_in", first_in_spy)
+        monkeypatch.setattr(ksum_module, "_meet", meet_spy)
+        for seed in range(721, 725):
+            searched.clear()
+            left.clear()
+            rng = random.Random(seed)
+            z = random_dense_set(rng, 2048, 1 << 20)
+            t = sum(rng.sample(z.elements, 4))
+            res = ksum(z, t, 4, random.Random(seed + 1))
+            assert res.witness is not None and not res.exhaustive
+            assert left and sum(searched) < 0.01 * sum(left)
 
 
 class TestFrozenRandomPath:
