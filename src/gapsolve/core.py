@@ -186,8 +186,10 @@ def _int64_safe(lo: int, hi: int) -> bool:
 def _sorted_distinct(arr: np.ndarray) -> np.ndarray:
     """Sorted distinct entries of an array in its own dtype, by a sort and an
     adjacent-difference mask, which on int64 and uint32 is far cheaper than
-    numpy's unique."""
-    arr = np.sort(arr, axis=None)
+    numpy's unique. The operand is consumed: a contiguous one is sorted in
+    place rather than copied, so callers pass an array of their own."""
+    arr = arr.ravel()
+    arr.sort()
     keep = np.ones(arr.size, dtype=bool)
     np.not_equal(arr[1:], arr[:-1], out=keep[1:])
     return arr[keep]

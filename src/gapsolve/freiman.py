@@ -14,7 +14,15 @@ vol >= (eps/d)^d * m is decided by a float log2 screen with a margin of one
 bit either way; only inside that margin is the exact integer comparison
 vol * (q*d)^d < p^d * m (for eps = p/q) evaluated, so the d-th powers, with d
 the spectrum size, are built only on near-ties. The Bohr membership check runs
-over elements x frequencies at once, in blocks of bounded size.
+over elements x frequencies at once, in blocks of bounded size, from the int64
+frequency array each BohrSpec builds once (object past the int64 guard).
+
+The spectrum |1_B^(r)|^2 / m^2 takes one of two paths. When |B| <= log2 m it
+is summed directly over B, |B| * m work against the FFT's m log2 m, from one
+table of m-th roots of unity read at r * x mod m; those products stay below
+m^2, which core._int64_safe must admit. Otherwise, or past the guard, it is
+numpy's FFT of length m (Bluestein for a prime m). The threshold comparison
+is the same on both paths.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from gapsolve.core import (
     InvariantError,
     PipelineFailureError,
     _fft_sumset,
+    _int64_safe,
     _pair_sumset,
     _sorted_distinct,
     _transform_size,
@@ -260,32 +269,88 @@ class BohrSpec:
     frequencies: tuple[int, ...]
     width: Fraction
 
+    # the frequencies as one array, int64 when the guard admits m and object
+    # (exact Python ints) past it
+    _freqs: np.ndarray = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("modulus must be >= 2")
         if not (0 < self.width < 1):
             raise ValueError("width must lie in (0, 1)")
         fs = self.frequencies
-        # strictly increasing from >= 1 to < m: sorted, distinct, in range
-        if fs and not (
-            1 <= fs[0] and fs[-1] < self.m and all(map(operator.lt, fs, fs[1:]))
-        ):
-            raise ValueError("frequencies must be sorted, distinct, in [1, m)")
+        # strictly increasing from >= 1 to < m: sorted, distinct, in range;
+        # below the guard an entry that does not fit int64 lies outside [1, m)
+        bad = ValueError("frequencies must be sorted, distinct, in [1, m)")
+        if fs and not (1 <= fs[0] and fs[-1] < self.m):
+            raise bad
+        if _int64_safe(0, self.m):
+            try:
+                freqs = np.fromiter(fs, dtype=np.int64, count=len(fs))
+            except OverflowError:
+                raise bad from None
+            if not np.all(freqs[1:] > freqs[:-1]):
+                raise bad
+        else:
+            if not all(map(operator.lt, fs, fs[1:])):
+                raise bad
+            freqs = np.array(fs, dtype=object)
+        object.__setattr__(self, "_freqs", freqs)
+
+
+def _roots_of_unity(m: int) -> np.ndarray:
+    """exp(-2 pi i k / m) for k in [0, m): the outer product of a coarse and a
+    fine table of about sqrt(m) entries each, so only about 2 sqrt(m) complex
+    exponentials are evaluated."""
+    s = math.isqrt(m - 1) + 1  # s * s >= m
+    steps = np.arange(s, dtype=np.int64)
+    fine = np.exp(steps * (-2j * np.pi / m))
+    coarse = np.exp((steps * s) * (-2j * np.pi / m))
+    return np.multiply.outer(coarse, fine).ravel()[:m]
+
+
+def _direct_spectrum(elems: np.ndarray, m: int) -> np.ndarray:
+    """|1_B^(r)|^2 / m^2 for every r in Z_m, summed over x in B from one table
+    of m-th roots of unity at the indices r * x mod m for r <= m/2. The
+    indicator is real, so the coefficient at m - r is the conjugate of the
+    one at r and the upper half is an exact mirror. Needs m^2 within int64."""
+    roots = _roots_of_unity(m)
+    rs = np.arange(m // 2 + 1, dtype=np.int64)
+    idx = np.empty_like(rs)
+    acc = np.zeros(len(rs), dtype=np.complex128)
+    for x in elems.tolist():
+        np.multiply(rs, x, out=idx)
+        idx %= m
+        acc += roots[idx]
+    half = np.abs(acc / m) ** 2
+    out = np.empty(m, dtype=np.float64)
+    out[: len(half)] = half
+    out[len(half) :] = half[1 : m - len(half) + 1][::-1]
+    return out
 
 
 def bogolyubov(b: IntegerSet, m: int) -> BohrSpec:
     """Frequencies whose Fourier coefficient exceeds alpha^(3/2), where
     alpha = |b|/m. The Bohr set they define sits inside 2B - 2B.
 
-    The threshold comparison is greedy-inclusive at float precision: extra
-    frequencies only shrink the Bohr set, so containment survives rounding.
-    The spectrum size bound |R| * |B|^2 < m^2 is asserted exactly.
+    The squared coefficients |1_B^(r)|^2 / m^2 come from one of two paths.
+    When |B| <= log2 m, and m^2 passes the int64 guard, they are summed
+    directly over B (|B| * m work, below the FFT's m log2 m); otherwise from
+    a length-m FFT of the indicator, which for a prime m is numpy's
+    Bluestein transform. The threshold comparison is greedy-inclusive at
+    float precision: extra frequencies only shrink the Bohr set, so
+    containment survives rounding. The spectrum size bound
+    |R| * |B|^2 < m^2 is asserted exactly.
     """
     if b.min() < 0 or b.max() >= m:
         raise ValueError("set must be reduced mod m")
-    ind = np.zeros(m, dtype=np.float64)
-    ind[np.fromiter(b, dtype=np.int64)] = 1.0
-    coeff_sq = np.abs(np.fft.fft(ind) / m) ** 2
+    elems = np.fromiter(b, dtype=np.int64, count=len(b))
+    if len(b) <= m.bit_length() - 1 and _int64_safe(0, m * m):
+        coeff_sq = _direct_spectrum(elems, m)
+    else:
+        ind = np.zeros(m, dtype=np.float64)
+        ind[elems] = 1.0
+        coeff_sq = np.abs(np.fft.fft(ind) / m) ** 2
     alpha = Fraction(len(b), m)
     thr = float(alpha) ** 3
     rs = np.nonzero(coeff_sq > thr * (1.0 - 1e-9) - 1e-18)[0]
@@ -381,7 +446,7 @@ def gap_in_bohr(spec: BohrSpec) -> BohrGapResult:
     cands: list[tuple[int, list[int], int]] = []
     if len(survivors):
         order = np.lexsort((survivors, maxc))
-        freqs = np.asarray(spec.frequencies, dtype=np.int64)
+        freqs = spec._freqs
         for i in order.tolist():
             gamma = int(survivors[i])
             w = (gamma * freqs) % m
@@ -431,7 +496,7 @@ def _assert_bohr_gap(gap: Gap, spec: BohrSpec) -> None:
     # a block escapes iff its largest Bohr distance min(w, m - w) exceeds
     # width * m; the comparison is made in Python ints
     pe, qe = spec.width.numerator, spec.width.denominator
-    freqs = np.asarray(spec.frequencies, dtype=np.int64)
+    freqs = spec._freqs
     step = max(1, _BOHR_BLOCK // len(elems))
     for lo in range(0, d, step):
         w = np.multiply.outer(elems, freqs[lo : lo + step])

@@ -214,6 +214,19 @@ class TestPairSumset:
                     paths.add(seen[0])
         assert paths == {np.dtype(np.uint32), np.dtype(np.int64)}
 
+    def test_sorted_distinct_matches_unique(self):
+        """The in-place sort gives numpy's unique in the operand's dtype, for
+        contiguous operands and for a strided view, which ravel copies."""
+        rng = np.random.default_rng(131)
+        for dtype in (np.int64, np.uint32):
+            for shape in ((1,), (7,), (40, 40), (3, 500)):
+                arr = rng.integers(0, 50, size=shape).astype(dtype)
+                for operand in (arr.copy(), arr.T, arr[..., ::2]):
+                    want = np.unique(operand)
+                    got = core._sorted_distinct(operand)
+                    assert got.dtype == dtype
+                    assert got.tobytes() == want.tobytes()
+
 
 class TestGap:
     def test_digits_proper(self):

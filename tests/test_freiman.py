@@ -205,6 +205,93 @@ class TestBogolyubov:
                 assert ok, (m, b.elements, bad)
 
 
+    def test_matches_fft_reference(self):
+        """Both spectrum paths against the FFT line, with |B| from 1 to past
+        floor(log2 m) so that each side of the switch is drawn; composite m
+        (even ones have r = m/2 as its own mirror) ride along."""
+        rng = random.Random(140)
+        ms = [2, 3, 5, 7, 11, 12, 64, 1000, 28151, 59999]
+        ms += [next_prime(rng.randint(2, 60000)) for _ in range(16)]
+        paths = set()
+        for m in ms:
+            top = m.bit_length() - 1  # floor(log2 m)
+            for size in sorted({1, 2, top, top + 1, min(m, top + 3), rng.randint(1, top)}):
+                if size > m:
+                    continue
+                for ends in (False, True):
+                    pool = set(rng.sample(range(m), size))
+                    if ends and m > 2 and size >= 2:
+                        pool = {0, m - 1} | set(rng.sample(range(1, m - 1), size - 2))
+                    b = IntegerSet.from_iterable(pool)
+                    assert bogolyubov(b, m).frequencies == _bogolyubov_fft_reference(b, m)
+                    paths.add(size <= top)
+                    if size <= top:
+                        elems = np.array(b.elements, dtype=np.int64)
+                        got = freiman._direct_spectrum(elems, m)
+                        assert np.max(np.abs(got - _fft_spectrum(b, m))) * m * m < 1e-9
+        for m in (2, 3, 7, 31):
+            whole = IntegerSet(tuple(range(m)))
+            assert bogolyubov(whole, m).frequencies == _bogolyubov_fft_reference(whole, m) == ()
+        assert paths == {True, False}
+
+    def test_path_switches_above_log2_m(self, monkeypatch):
+        calls = []
+        direct, fft = freiman._direct_spectrum, np.fft.fft
+
+        def spy_direct(elems, m):
+            calls.append("direct")
+            return direct(elems, m)
+
+        def spy_fft(x, *args, **kwargs):
+            calls.append("fft")
+            return fft(x, *args, **kwargs)
+
+        monkeypatch.setattr(freiman, "_direct_spectrum", spy_direct)
+        monkeypatch.setattr(np.fft, "fft", spy_fft)
+        rng = random.Random(141)
+        for m in (2, 3, 17, 31, 32, 1021, 28151):
+            top = m.bit_length() - 1
+            for size, want in ((top, "direct"), (top + 1, "fft")):
+                if size > m:
+                    continue
+                calls.clear()
+                b = IntegerSet.from_iterable(rng.sample(range(m), size))
+                bogolyubov(b, m)
+                assert calls == [want], (m, size)
+        # the int64 guard on r * x < m^2 sends even a singleton to the FFT
+        monkeypatch.setattr(freiman, "_int64_safe", lambda lo, hi: False)
+        calls.clear()
+        assert bogolyubov(IntegerSet((3,)), 1021).frequencies == tuple(range(1, 1021))
+        assert calls == ["fft"]
+
+    def test_direct_spectrum_is_mirror_symmetric(self):
+        rng = random.Random(142)
+        for m in (2, 3, 4, 12, 97, 1000, 4099, 28151):
+            top = m.bit_length() - 1
+            for _ in range(3):
+                elems = np.array(sorted(rng.sample(range(m), rng.randint(1, top))), dtype=np.int64)
+                got = freiman._direct_spectrum(elems, m)
+                assert got.shape == (m,)
+                assert np.array_equal(got[1:], got[1:][::-1])
+                fs = bogolyubov(IntegerSet(tuple(elems.tolist())), m).frequencies
+                assert set(fs) == {m - r for r in fs}
+
+
+def _fft_spectrum(b, m):
+    ind = np.zeros(m, dtype=np.float64)
+    ind[list(b.elements)] = 1.0
+    return np.abs(np.fft.fft(ind) / m) ** 2
+
+
+def _bogolyubov_fft_reference(b, m):
+    """The spectrum as bogolyubov computed it for every set before the direct
+    path: the length-m FFT of the indicator, the same threshold."""
+    coeff_sq = _fft_spectrum(b, m)
+    thr = float(Fraction(len(b), m)) ** 3
+    rs = np.nonzero(coeff_sq > thr * (1.0 - 1e-9) - 1e-18)[0]
+    return tuple(int(r) for r in rs if r != 0)
+
+
 def _two_b_minus_two_b(b, m):
     vals = set()
     bs = b.elements
@@ -384,6 +471,24 @@ class TestBohrSpec:
                     BohrSpec(m, fs, Fraction(1, 4))
             else:
                 assert BohrSpec(m, fs, Fraction(1, 4)).frequencies == fs
+
+
+    def test_frequency_array_matches_tuple(self):
+        """The array the Bohr fit and certificate read equals the public
+        tuple: int64 while the guard admits m, exact Python ints past it."""
+        rng = random.Random(62)
+        for m in (2, 11, 28151, (1 << 62) - 1, 1 << 62, 1 << 70):
+            for _ in range(20):
+                fs = {rng.randrange(1, m) for _ in range(rng.randint(0, 6))}
+                if rng.random() < 0.5:
+                    fs |= {1, m - 1}
+                fs = tuple(sorted(fs))
+                spec = BohrSpec(m, fs, Fraction(1, 4))
+                assert spec._freqs.dtype == (np.int64 if m < 1 << 62 else object)
+                assert spec._freqs.tolist() == list(fs)
+                assert all(type(r) is int for r in spec._freqs.tolist())
+        with pytest.raises(ValueError, match="sorted, distinct"):
+            BohrSpec(11, (1, 1 << 70, 5), Fraction(1, 4))
 
 
 class TestRuzsaCover:
