@@ -9,11 +9,13 @@ errors (bad input, caps, pipeline failure).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 
 from gapsolve.core import (
+    DEFAULT_BIT_WIDTH,
     DEFAULT_ENUM_CAP,
     DEFAULT_TABLE_CAP,
     Gap,
@@ -86,7 +88,7 @@ def _detect_ilp(d: dict):
 def _cmd_ilp_solve(args) -> int:
     d = _read_json(args.input)
     inst = _detect_ilp(d)
-    bits = None if args.no_width_check else 64
+    bits = None if args.no_width_check else DEFAULT_BIT_WIDTH
     if isinstance(inst, HbilpInstance):
         w = hbilp_feasibility(inst, table_cap=args.cap_table, bits=bits)
     elif inst.is_binary:
@@ -348,7 +350,10 @@ def _add_common(p, seed=True, gamma=True):
         p.add_argument("--gamma", type=int, default=1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. Parsing leaves it
+    unchanged, and each handler looks up the solvers it calls when it runs."""
     ap = argparse.ArgumentParser(prog="gapsolve")
     sub = ap.add_subparsers(dest="command", required=True)
 

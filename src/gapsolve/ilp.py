@@ -3,21 +3,21 @@ with few constraints.
 
 Solvers are exact dynamic programs over reachable constraint-vector values,
 encoded as integer keys. One engine fills the table variable by variable and
-keeps, as a sorted array with each key's insertion rank, only the reachable
-keys whose distance to the target lies in the range the later variables
-can add; each step merges in the candidates key + v * column that land in
-that window and are not yet present, and records per new key its value and
-the rank of its source. The keys are int64 while the key range stays within
-2^62 and exact Python ints in an object array past it. Cost and the table
-cap follow the number of distinct reachable vectors that can still hit the
-target, not the size of the values. Witnesses are deterministic: a new key
-is written by the candidate (source key, value) whose source ranks first,
-then whose value is smallest, and new keys rank after old ones in that
-order, so the walk back from the target gives the same assignment as
-scanning an insertion-ordered table of every reachable vector. Reductions
-carry enough metadata to decode a downstream witness back to the original
-variables, and every decode re-evaluates the witness against the original
-instance before returning it.
+keeps, as one sorted array, only the reachable keys whose distance to the
+target lies in the range the later variables can add. Variable j runs one
+sub-step per value v = 1..span: the keys key + v * column that land in that
+window and are not yet present are recorded and merged into the array. The
+keys are int64 while the key range stays within 2^62 and exact Python ints
+in an object array past it. Cost and the table cap follow the number of
+distinct reachable vectors that can still hit the target, not the size of
+the values. Witnesses are deterministic: a new key keeps the smallest value
+that reaches it, and the walk back from the target subtracts, variable by
+variable, the value of the sub-step that wrote the current key. A 0/1
+variable gives each new key one source, so a binary witness is the one that
+scanning an insertion-ordered table of every reachable vector gives.
+Reductions carry enough metadata to decode a downstream witness back to the
+original variables, and every decode re-evaluates the witness against the
+original instance before returning it.
 
 Unbounded reachability has one engine: big-int bitset closures of
 nonnegative column combinations in a box [0, B]^m by doubling passes, for
@@ -153,91 +153,61 @@ def _array_engine(
     """Reachable-sum DP on sorted arrays from `keys`, the one-element array
     of the root key, towards the key `target`; returns the x~ that reaches
     it, or None. Keys are int64 when every key fits, else an object array of
-    exact Python ints; ranks, priorities and values are int64 either way.
+    exact Python ints.
 
     After variable j the table keeps only the keys K that the later
     variables can still carry to the target as far as their range tells:
     target - K must lie in [low_j, high_j], the sums of min(0, delta * span)
-    and max(0, delta * span) over the later variables. `keys` holds the
-    kept keys sorted and `rank`, parallel to it, each key's position in
-    insertion order. A candidate key + v * delta has priority (rank of key,
-    v): the smallest priority writes each new key, and new keys rank after
-    all earlier ones in priority order. The windows are nested, so every
-    source of a kept key was kept one step earlier, and a kept key is in
-    the old table exactly when it is in the unpruned one: pruning changes
-    no priority order and so no witness. Per variable, `value` and `parent`
-    give the value and the source rank of each key it wrote, and the walk
-    back from the target follows the parent ranks. Each step costs about
-    |table| * span, whatever the size of the keys, and the table cap
-    applies to the kept table.
+    and max(0, delta * span) over the later variables. Variable j runs one
+    sub-step per value v = 1..span: the keys of the table before j that
+    land in the window after adding v * delta, shifted by it, minus those
+    already in the table, are the keys (j, v) writes, and they are merged
+    into the sorted table by a stable sort of the two sorted runs. A new key
+    thus keeps the smallest value that reaches it. The windows are nested,
+    so a key that leaves the table never returns and every key is written
+    at most once; the walk back from the target takes x_j = v at the one
+    sub-step (j, v) that wrote the current key and subtracts v * delta.
+    Each variable costs about |table| * span, whatever the size of the
+    keys, and the table cap applies to the kept table after it.
     """
     low, high = [0] * len(spans), [0] * len(spans)
     for j in range(len(spans) - 1, 0, -1):
         step = deltas[j] * spans[j]
         low[j - 1], high[j - 1] = low[j] + min(0, step), high[j] + max(0, step)
-    rank = np.zeros(1, dtype=np.int64)
-    total = 1  # keys inserted so far, the root included
-    written = []  # (variable, first rank, value, parent) per variable
+    written = []  # (variable, value, sorted keys it wrote) per sub-step
     for j, (delta, span) in enumerate(zip(deltas, spans)):
         if span == 0 or delta == 0:
             continue
         lo, hi = target - high[j], target - low[j]
-        cand, prio = [], []
+        # old[ends[2v] : ends[2v + 1]] are the keys that v * delta carries into [lo, hi]
+        ends = keys.searchsorted([b - v * delta for v in range(span + 1) for b in (lo, hi + 1)])
+        old, keys = keys, keys[ends[0] : ends[1]]
         for v in range(1, span + 1):
-            first = np.searchsorted(keys, lo - v * delta)
-            last = np.searchsorted(keys, hi - v * delta, side="right")
-            cand.append(keys[first:last] + v * delta)
-            prio.append(rank[first:last] * span + (v - 1))
-        cand, prio = np.concatenate(cand), np.concatenate(prio)
-        first, last = np.searchsorted(keys, lo), np.searchsorted(keys, hi, side="right")
-        keys, rank = keys[first:last], rank[first:last]
-        size = len(keys)
-        at = np.searchsorted(keys, cand)
-        if size:
-            fresh = keys[np.minimum(at, size - 1)] != cand
-            cand, prio, at = cand[fresh], prio[fresh], at[fresh]
-        if span > 1 and len(cand):
-            # with one step per key, keys + delta is already sorted and distinct
-            order = np.argsort(cand, kind="stable")
-            cand, prio, at = cand[order], prio[order], at[order]
-            first = np.flatnonzero(np.r_[True, cand[1:] != cand[:-1]])
-            cand, prio, at = cand[first], np.minimum.reduceat(prio, first), at[first]
-        count = size + len(cand)
-        if count > table_cap:
+            new = old[ends[2 * v] : ends[2 * v + 1]] + v * delta
+            if len(keys) and len(new):
+                at = np.minimum(keys.searchsorted(new), len(keys) - 1)
+                new = new[keys[at] != new]
+            if len(new):
+                written.append((j, v, new))
+                keys = np.concatenate((keys, new))
+                keys.sort(kind="stable")  # a linear merge of the two sorted runs
+        if len(keys) > table_cap:
             raise TableCapError(
-                f"reachable table hit {count} entries at variable {j} (cap {table_cap})"
+                f"reachable table hit {len(keys)} entries at variable {j} (cap {table_cap})"
             )
-        if not count:
+        if not len(keys):
             return None
-        by_prio = np.argsort(prio)
-        new_rank = np.empty(len(cand), dtype=np.int64)
-        new_rank[by_prio] = np.arange(total, total + len(cand), dtype=np.int64)
-        prio = prio[by_prio]
-        written.append((j, total, prio % span + 1, prio // span))
-        total += len(cand)
-        slots = at + np.arange(len(cand))
-        kept = np.ones(count, dtype=bool)
-        kept[slots] = False
-        keys = _merge(keys, cand, slots, kept)
-        rank = _merge(rank, new_rank, slots, kept)
     # the window after the last variable that moves a key is {target}
     if keys[0] != target:
         return None
     x = [0] * len(spans)
-    r = int(rank[0])
-    for j, start, value, parent in reversed(written):
-        if r >= start:  # a source always ranks before the keys its variable wrote
-            x[j] = int(value[r - start])
-            r = int(parent[r - start])
+    key = target
+    for j, v, new in reversed(written):
+        at = new.searchsorted(key)
+        if at < len(new) and new[at] == key:
+            x[j] = v
+            key -= v * deltas[j]
     return x
-
-
-def _merge(old: np.ndarray, new: np.ndarray, slots: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Interleave `new` at positions `slots` and `old` at the `kept` ones."""
-    out = np.empty(len(kept), dtype=old.dtype)
-    out[slots] = new
-    out[kept] = old
-    return out
 
 
 def _solve_bounded(

@@ -347,6 +347,35 @@ class TestBench:
         assert len(lines) > 2
 
 
+class TestInProcess:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        """main builds its parser once per process; a flag given to one call
+        does not carry over to the next, and each call prints what a
+        separate process prints."""
+        from gapsolve import cli
+
+        assert cli.build_parser() is cli.build_parser()
+        ss = write_json(tmp_path / "ss.json", {"elements": [2, 5, 9, 14], "target": 16})
+        wide = write_json(tmp_path / "wide.json", {"A": [[1 << 62, (1 << 62) + 1]], "b": [0]})
+        calls = [
+            ("generate", "--kind", "random", "--n", "12", "--seed", "3"),
+            ("subset-sum", "solve", "--input", ss),
+            ("ilp", "solve", "--input", wide, "--no-width-check"),
+            ("ilp", "solve", "--input", wide),
+            ("generate", "--kind", "random", "--n", "12", "--seed", "3"),
+        ]
+        want = []
+        for argv in calls:
+            proc = run_cli(*argv)
+            want.append((proc.returncode, proc.stdout))
+        got = []
+        for argv in calls:
+            code = cli.main(list(argv))
+            got.append((code, capsys.readouterr().out))
+        assert got == want
+        assert [code for code, _ in got] == [0, 0, 0, 2, 0]
+
+
 class TestErrors:
     def test_missing_file_exit_2(self):
         proc = run_cli("subset-sum", "solve", "--input", "/nonexistent.json")

@@ -35,6 +35,7 @@ from gapsolve.oracles import (
     brute_bounded_feasibility,
     brute_hbilp_feasibility,
 )
+from gapsolve.subset_sum import subset_sum_doubling
 
 
 def _rand_matrix(rng, m, n, lo=-4, hi=4):
@@ -226,10 +227,12 @@ def _dict_engine(keys, deltas, spans, target, table_cap, window=True):
 
     `table` lists the live keys in insertion order, and `back` maps every
     key ever written to a back-pointer (prev_key, var, value) chain ending
-    at _ROOT. Keys are scanned in insertion order and values in ascending
-    order, and the first writer of a key keeps it. After variable j only the
-    keys K with target - K in the range of what the later variables can add
-    stay live; window=False keeps every reachable key instead.
+    at _ROOT. Values are scanned in ascending order and, for each value,
+    the keys of the table before the variable in insertion order; the first
+    writer of a key keeps it, so a new key keeps the smallest value that
+    reaches it. After variable j only the keys K with target - K in the
+    range of what the later variables can add stay live; window=False
+    keeps every reachable key instead.
     """
     table = [int(keys[0])]
     back = {table[0]: _ROOT}
@@ -243,10 +246,9 @@ def _dict_engine(keys, deltas, spans, target, table_cap, window=True):
             return not window or low <= target - key <= high
 
         additions = []
-        for key in table:
-            nk = key
-            for v in range(1, span + 1):
-                nk += delta
+        for v in range(1, span + 1):
+            for key in table:
+                nk = key + v * delta
                 if live(nk) and nk not in back:
                     back[nk] = (key, j, v)
                     additions.append(nk)
@@ -416,6 +418,46 @@ class TestEngineEquivalence:
         assert bilp_feasibility_dp(above, bits=None).payload == (1, 1)
         assert bilp_feasibility_dp(at, bits=None).payload == (1, 0)
         assert widths == [object, np.int64]
+
+
+class TestWitnessRule:
+    """A new key keeps the smallest value that reaches it; binary programs
+    have one source per new key, so their witnesses follow from the step
+    at which each key first appears."""
+
+    def test_bounded_keeps_smallest_value(self):
+        # 4 = 0 + 2 * 2 = 2 + 1 * 2: the second writes 4 with the smaller
+        # value of x_1, though its source 2 entered the table after 0
+        inst = BilpInstance(Matrix.from_rows([[1, 2]]), (4,), ((0, 2), (0, 2)))
+        assert bounded_ilp_feasibility(inst).payload == (2, 1)
+        shifted = BilpInstance(Matrix.from_rows([[1, 2]]), (1,), ((-1, 1), (-1, 1)))
+        assert bounded_ilp_feasibility(shifted).payload == (1, 0)
+
+    def test_subset_sum_scaled_ap(self):
+        z = IntegerSet(tuple(37 * (i + 1) for i in range(96)))
+        t = sum(random.Random(96).sample(z.elements, 32))
+        assert t == 54945
+        assert subset_sum_doubling(z, t).payload == tuple(range(54))
+
+    def test_bilp_to_ss_chain(self):
+        a = Matrix.from_rows([[2, -1, 0], [-2, 1, 1], [1, 2, -2]])
+        b = a.matvec((1, 0, 1))
+        nn = bilp_nonnegative(a, b)
+        agg = bilp_to_hbilp(nn.matrix, nn.rhs)
+        ss = hbilp_to_ss(agg.instance)
+        assert len(ss.elements) == 24
+        w = subset_sum_doubling(ss.elements, ss.target)
+        assert w.payload == (0, 3, 4, 5, 6, 7, 8, 10, 12, 14, 15, 16, 17, 18)
+        assert nn.decode(agg.decode(ss.decode(w.payload).payload)) == (1, 0, 1)
+
+    def test_hbilp(self):
+        g = random.Random(16)
+        rows = [[g.randrange(0, 4) for _ in range(16)] for _ in range(4)]
+        dots = HbilpInstance(Matrix.from_rows(rows), (3, 7, 2, 5), 0).dots()
+        t = sum(d for d in dots if g.randrange(2))
+        assert t == 141
+        w = hbilp_feasibility(HbilpInstance(Matrix.from_rows(rows), (3, 7, 2, 5), t))
+        assert w.payload == (1, 1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
 class TestBilpNonnegative:
