@@ -33,14 +33,21 @@ GAP convention: coefficient boxes are zero-based and half-open, so a
 generalized arithmetic progression is {base + sum(l_i * y_i) : 0 <= l_i < L_i}.
 Presentations with one-based coefficient boxes are absorbed by shifting
 `base`. A GAP is proper when the box-to-value map is injective (its element
-count equals its volume).
+count equals its volume). One kernel, `_gap_values`, enumerates a box: each
+point's value in one flat array, in the lex order of itertools.product, by a
+numpy outer sum per axis (reduced mod m after each axis for a modular GAP);
+int64 when the guard admits base +- sum((L_i - 1) * |y_i|), or [0, 2m) for a
+modular GAP, and an object array of Python ints otherwise. Elements,
+properness, membership and the Bohr-fit check all read it; membership gives
+the lexicographically least coefficient vector of a value.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -111,6 +118,13 @@ def ceil_root(x: int, k: int) -> int:
     return r if r ** k == x else r + 1
 
 
+def _exact_int(v) -> int:
+    """v as a Python int; JSON readers refuse a bool, float or string here."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    raise ValueError(f"expected an integer, got {v!r}")
+
+
 # ---------------------------------------------------------------------------
 # integer sets
 
@@ -124,12 +138,12 @@ class IntegerSet:
     def __post_init__(self):
         if not self.elements:
             raise ValueError("IntegerSet must be nonempty")
-        if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
+        if not all(map(operator.lt, self.elements, self.elements[1:])):
             raise ValueError("elements must be strictly increasing")
 
     @classmethod
     def from_iterable(cls, xs: Iterable[int]) -> "IntegerSet":
-        return cls(tuple(sorted(set(int(x) for x in xs))))
+        return cls(tuple(sorted(set(map(_exact_int, xs)))))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -349,66 +363,71 @@ class Gap:
         return len(self.generators)
 
     def volume(self) -> int:
-        v = 1
-        for l in self.lengths:
-            v *= l
-        return v
+        return math.prod(self.lengths)
 
     def element_at(self, coords: Sequence[int]) -> int:
         x = self.base + sum(c * y for c, y in zip(coords, self.generators))
-        if self.modulus is not None:
-            x = x % self.modulus
-        return x
-
-    def coordinate_boxes(self) -> Iterator[tuple[int, ...]]:
-        """All coefficient vectors in lexicographic order."""
-        return itertools.product(*(range(l) for l in self.lengths))
+        return x if self.modulus is None else x % self.modulus
 
     def enumerate_elements(self, cap: Optional[int] = DEFAULT_ENUM_CAP) -> tuple:
         if cap is not None and self.volume() > cap:
-            raise EnumerationCapError(
-                f"gap volume {self.volume()} exceeds enumeration cap {cap}"
-            )
-        return tuple(sorted({self.element_at(c) for c in self.coordinate_boxes()}))
+            raise EnumerationCapError(f"gap volume {self.volume()} exceeds enumeration cap {cap}")
+        return tuple(_sorted_distinct(_gap_values(self)).tolist())
 
     def is_proper(self, cap: Optional[int] = DEFAULT_ENUM_CAP) -> bool:
         return len(self.enumerate_elements(cap)) == self.volume()
 
     def to_json_dict(self) -> dict:
-        d = {
-            "base": self.base,
-            "generators": list(self.generators),
-            "lengths": list(self.lengths),
-        }
+        d = {"base": self.base, "generators": list(self.generators), "lengths": list(self.lengths)}
         if self.modulus is not None:
             d["modulus"] = self.modulus
         return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Gap":
-        return cls(
-            int(d["base"]),
-            tuple(int(g) for g in d["generators"]),
-            tuple(int(l) for l in d["lengths"]),
-            d.get("modulus"),
-        )
+        m = d.get("modulus")
+        gens, lengths = (tuple(map(_exact_int, d[k])) for k in ("generators", "lengths"))
+        return cls(_exact_int(d["base"]), gens, lengths, None if m is None else _exact_int(m))
+
+
+def _gap_values(gap: Gap) -> np.ndarray:
+    """The value of every point of the coefficient box as one flat array, in
+    the lexicographic order of itertools.product: one outer sum per axis,
+    reduced mod m after each axis for a modular GAP. int64 when the guard
+    admits the value range, object (exact Python ints) otherwise."""
+    m = gap.modulus
+    # a length-1 axis adds only 0, however large its generator; a modular
+    # GAP reduces its generators into [0, m) first
+    axes = [(y if m is None else y % m, l) for y, l in zip(gap.generators, gap.lengths) if l > 1]
+    if m is None:
+        reach = sum((l - 1) * abs(y) for y, l in axes)
+        safe = _int64_safe(gap.base - reach, gap.base + reach)
+    else:
+        safe = _int64_safe(0, 2 * m)
+    dtype = np.int64 if safe else object
+    vals = np.array([gap.base if m is None else gap.base % m], dtype=dtype)
+    for y, l in axes:
+        # multiples past the guard (on a modular axis only) are reduced exactly
+        step = np.arange(l, dtype=dtype if _int64_safe(0, (l - 1) * abs(y)) else object) * y
+        if m is None:
+            vals = np.add.outer(vals, step).ravel()
+        else:
+            vals = np.add.outer(vals, (step % m).astype(dtype)).ravel() % m
+    return vals
 
 
 @functools.lru_cache(maxsize=32)
 def _gap_value_table(gap: Gap) -> dict:
-    """value -> lexicographically least coefficient vector. Built once per
-    Gap; first write wins while walking coefficient boxes in lex order."""
-    table: dict = {}
-    for coords in gap.coordinate_boxes():
-        v = gap.element_at(coords)
-        if v not in table:
-            table[v] = coords
-    return table
+    """value -> lexicographically least coefficient vector, built once per
+    Gap: np.unique's return_index is the first point reaching each value
+    (it sorts stably), and box points come in lex order."""
+    vals, first = np.unique(_gap_values(gap), return_index=True)
+    cols = np.unravel_index(first, gap.lengths) if gap.lengths else ()
+    vectors = zip(*(c.tolist() for c in cols)) if cols else [()]
+    return dict(zip(vals.tolist(), vectors))
 
 
-def gap_enumerate(
-    gap: Gap, cap: Optional[int] = DEFAULT_ENUM_CAP
-) -> tuple[IntegerSet, bool]:
+def gap_enumerate(gap: Gap, cap: Optional[int] = DEFAULT_ENUM_CAP) -> tuple[IntegerSet, bool]:
     """All elements of a GAP plus a properness flag."""
     elems = gap.enumerate_elements(cap)
     return IntegerSet(elems), len(elems) == gap.volume()
@@ -419,9 +438,7 @@ def gap_membership(
 ) -> Optional[tuple[int, ...]]:
     """Lexicographically least coefficient vector representing x, or None."""
     if cap is not None and gap.volume() > cap:
-        raise EnumerationCapError(
-            f"gap volume {gap.volume()} exceeds membership cap {cap}"
-        )
+        raise EnumerationCapError(f"gap volume {gap.volume()} exceeds membership cap {cap}")
     if gap.modulus is not None:
         x = x % gap.modulus
     return _gap_value_table(gap).get(x)
@@ -446,7 +463,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "Matrix":
-        return cls(tuple(tuple(int(x) for x in r) for r in rows))
+        return cls(tuple(tuple(map(_exact_int, r)) for r in rows))
 
     @property
     def num_rows(self) -> int:
@@ -456,11 +473,8 @@ class Matrix:
     def num_cols(self) -> int:
         return len(self.rows[0])
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
-
     def columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.column(j) for j in range(self.num_cols))
+        return tuple(zip(*self.rows))
 
     def infinity_norm(self) -> int:
         return max((abs(x) for r in self.rows for x in r), default=0)
@@ -504,4 +518,4 @@ class SolveWitness:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SolveWitness":
-        return cls(d["kind"], tuple(int(v) for v in d["values"]))
+        return cls(d["kind"], tuple(map(_exact_int, d["values"])))

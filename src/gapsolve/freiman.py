@@ -28,6 +28,7 @@ is the same on both paths.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -44,6 +45,8 @@ from gapsolve.core import (
     InvariantError,
     PipelineFailureError,
     _fft_sumset,
+    _gap_value_table,
+    _gap_values,
     _int64_safe,
     _pair_sumset,
     _sorted_distinct,
@@ -488,9 +491,7 @@ def _assert_bohr_gap(gap: Gap, spec: BohrSpec) -> None:
     d = len(spec.frequencies)
     if _below_volume_bound(vol, spec.width, d, m):
         raise InvariantError(f"volume {vol} below guarantee {(spec.width / d) ** d * m}")
-    elems = np.zeros(1, dtype=np.int64)
-    for g, l in zip(gap.generators, gap.lengths):
-        elems = (elems[:, None] + (np.arange(l, dtype=np.int64) * g) % m).ravel() % m
+    elems = _gap_values(gap)
     if len(_sorted_distinct(elems)) != vol:
         raise InvariantError("progression is not proper in Z_m")
     # a block escapes iff its largest Bohr distance min(w, m - w) exceeds
@@ -657,38 +658,24 @@ def freiman_gap(
 
     x_set = ruzsa_cover(q_elems, a)
 
-    # Q - Q with the coordinates of each difference d = qv - qw, shifted into
-    # the box [0, 2L - 1); the smallest qv reaching d wins
-    q_coord = {q_gap.element_at(coord): coord for coord in q_gap.coordinate_boxes()}
-    qq_coord: dict[int, tuple[int, ...]] = {}
-    for qv in q_elems:
-        for qw in q_elems:
-            if qv - qw not in qq_coord:
-                qq_coord[qv - qw] = tuple(
-                    a1 - a2 + (l - 1) for a1, a2, l in zip(q_coord[qv], q_coord[qw], q_lengths)
-                )
+    # Q - Q is the progression of Q's generators over the box [0, 2L - 1)
+    # based at -sum((L - 1) * y); each difference takes its lex-least vector
+    qq_lengths = tuple(2 * l - 1 for l in q_lengths)
+    qq_gap = Gap(-sum((l - 1) * y for l, y in zip(q_lengths, y_gens)), y_gens, qq_lengths)
+    qq_coord = _gap_value_table(qq_gap)
     singleton_x = len(x_set) == 1
-    base = sum((l - 1) * g * -1 for l, g in zip(q_lengths, y_gens))
     if singleton_x:
-        base += x_set.min()
-        gens = y_gens
-        lengths = tuple(2 * l - 1 for l in q_lengths)
+        cover = Gap(qq_gap.base + x_set.min(), y_gens, qq_lengths)
     else:
-        gens = y_gens + x_set.elements
-        lengths = tuple(2 * l - 1 for l in q_lengths) + (2,) * len(x_set)
-    cover = Gap(base, gens, lengths)
+        cover = Gap(qq_gap.base, y_gens + x_set.elements, qq_lengths + (2,) * len(x_set))
 
     coords: dict[int, tuple[int, ...]] = {}
     for elem in a:
         hit = next((xx for xx in x_set if elem - xx in qq_coord), None)
         if hit is None:
             raise InvariantError(f"{elem} not covered")
-        dcoord = qq_coord[elem - hit]
-        if singleton_x:
-            coords[elem] = dcoord
-        else:
-            bits = tuple(1 if xx == hit else 0 for xx in x_set)
-            coords[elem] = dcoord + bits
+        bits = () if singleton_x else tuple(1 if xx == hit else 0 for xx in x_set)
+        coords[elem] = qq_coord[elem - hit] + bits
         if cover.element_at(coords[elem]) != elem:
             raise InvariantError(f"coordinate certificate failed for {elem}")
 
@@ -747,17 +734,10 @@ def split_dimensions(p: Gap, n: int) -> SplitResult:
             gens.append(y)
             lengths.append(l)
             continue
-        k = 2
-        while True:
-            b = ceil_root(l, k)
-            if b <= threshold:
-                break
-            k += 1
-        dims = []
-        for j in range(k - 1):
-            dims.append((y * b**j, b))
+        k = next(k for k in itertools.count(2) if ceil_root(l, k) <= threshold)
+        b = ceil_root(l, k)
         top = -(-l // b ** (k - 1))
-        dims.append((y * b ** (k - 1), top))
+        dims = [(y * b**j, b) for j in range(k - 1)] + [(y * b ** (k - 1), top)]
         plan.append(tuple(dims))
         gens.extend(g for g, _ in dims)
         lengths.extend(ln for _, ln in dims)

@@ -50,6 +50,7 @@ from gapsolve.core import (
     Matrix,
     SolveWitness,
     TableCapError,
+    _exact_int,
     _int64_safe,
     check_width,
 )
@@ -81,7 +82,7 @@ class BilpInstance:
 
     @classmethod
     def binary(cls, a: Matrix, b: Sequence[int]) -> "BilpInstance":
-        return cls(a, tuple(int(v) for v in b), ((0, 1),) * a.num_cols)
+        return cls(a, tuple(map(_exact_int, b)), ((0, 1),) * a.num_cols)
 
     @property
     def is_binary(self) -> bool:
@@ -101,8 +102,8 @@ class BilpInstance:
     def from_json_dict(cls, d: dict) -> "BilpInstance":
         a = Matrix.from_rows(d["A"])
         if "bounds" in d:
-            bounds = tuple((int(lo), int(hi)) for lo, hi in d["bounds"])
-            return cls(a, tuple(int(v) for v in d["b"]), bounds)
+            bounds = tuple((_exact_int(lo), _exact_int(hi)) for lo, hi in d["bounds"])
+            return cls(a, tuple(map(_exact_int, d["b"])), bounds)
         return cls.binary(a, d["b"])
 
 
@@ -140,7 +141,7 @@ class HbilpInstance:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "HbilpInstance":
-        return cls(Matrix.from_rows(d["A"]), tuple(int(v) for v in d["s"]), int(d["t"]))
+        return cls(Matrix.from_rows(d["A"]), tuple(map(_exact_int, d["s"])), _exact_int(d["t"]))
 
 
 # ---------------------------------------------------------------------------

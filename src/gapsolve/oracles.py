@@ -382,7 +382,11 @@ def bohr_subset_check(spec, container: Iterable[int], cap: int = 1_000_000):
 def gap_containment(p: Gap, a: IntegerSet, cap: int = 4_000_000):
     """(True, None) if a is a subset of the gap's elements, else
     (False, first missing element)."""
-    elems = set(p.enumerate_elements(cap))
+    if cap is not None and p.volume() > cap:
+        raise EnumerationCapError(f"gap volume {p.volume()} exceeds enumeration cap {cap}")
+    boxes = itertools.product(*(range(l) for l in p.lengths))
+    values = (p.base + sum(c * y for c, y in zip(cs, p.generators)) for cs in boxes)
+    elems = {x if p.modulus is None else x % p.modulus for x in values}
     for x in a:
         if x not in elems:
             return False, x

@@ -26,6 +26,7 @@ from gapsolve.core import (
     InvariantError,
     Matrix,
     SolveWitness,
+    _exact_int,
 )
 from gapsolve.ilp import (
     BilpInstance,
@@ -59,7 +60,7 @@ class SubsetSumInstance:
     def from_json_dict(cls, d: dict) -> "SubsetSumInstance":
         return cls(
             IntegerSet.from_iterable(d["elements"]),
-            int(d["target"]),
+            _exact_int(d["target"]),
             d.get("mode", "binary"),
         )
 

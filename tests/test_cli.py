@@ -274,6 +274,27 @@ class TestFreimanAndVerify:
         proc = run_cli("verify", "gap-contains", "--gap", gp, "--set", zp, check=1)
         assert last_json(proc)["missing"] == [1]
 
+    @pytest.mark.parametrize(
+        "gap,elements",
+        [
+            ({"base": 0, "generators": [1], "lengths": [5]}, [1.5, 4]),
+            ({"base": 0, "generators": [1], "lengths": [5], "modulus": 7.0}, [1, 4]),
+            ({"base": 0, "generators": [1], "lengths": [True]}, [0]),
+        ],
+    )
+    def test_non_integer_json_refused(self, tmp_path, gap, elements):
+        gp = write_json(tmp_path / "gap.json", gap)
+        zp = write_json(tmp_path / "z.json", {"elements": elements})
+        proc = run_cli("verify", "cover", "--gap", gp, "--set", zp, check=2)
+        assert proc.stdout == "" and "expected an integer" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "inst", [{"A": [[1, 2.0]], "b": [1]}, {"A": [[1, 2]], "s": [1], "t": True}]
+    )
+    def test_non_integer_program_refused(self, tmp_path, inst):
+        proc = run_cli("ilp", "solve", "--input", write_json(tmp_path / "p.json", inst), check=2)
+        assert "expected an integer" in proc.stderr
+
     def test_witness_check(self, tmp_path):
         inst = write_json(
             tmp_path / "ss.json", {"elements": [2, 5, 9], "target": 11}

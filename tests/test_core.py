@@ -1,5 +1,6 @@
 """Core types: sets, sumsets, progressions, matrices, witnesses."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -282,26 +283,39 @@ class TestGap:
 
     @given(
         st.integers(-20, 20),
-        st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        st.lists(st.integers(-9, 9), max_size=3),
+        st.sampled_from([None, 2, 7, 30, (1 << 61) - 1, (1 << 62) + 3]),
+        st.sampled_from([0, 1 << 66, -(1 << 66)]),
         st.data(),
     )
-    @settings(max_examples=50, deadline=None)
-    def test_enumerate_is_exactly_the_formula(self, base, gens, data):
-        lengths = tuple(data.draw(st.integers(1, 4)) for _ in gens)
-        g = Gap(base, tuple(gens), lengths)
-        want = set()
-        for coords in g.coordinate_boxes():
-            want.add(base + sum(c * y for c, y in zip(coords, gens)))
+    @settings(max_examples=200, deadline=None)
+    def test_enumerate_is_exactly_the_formula(self, base, gens, modulus, far, data):
+        lengths = [data.draw(st.integers(1, 4)) for _ in gens]
+        # length-1 axes add no value, however far past 2^63 their generators are
+        for _ in range(data.draw(st.integers(0, 2))):
+            at = data.draw(st.integers(0, len(gens)))
+            gens.insert(at, data.draw(st.sampled_from([1 << 63, -(1 << 64) - 5, 3 << 70])))
+            lengths.insert(at, 1)
+        g = Gap(base + far, tuple(gens), tuple(lengths), modulus)
+
+        # the reference: walk the box in lex order, first vector per value wins
+        lex_least = {}
+        for coords in itertools.product(*(range(l) for l in lengths)):
+            v = base + far + sum(c * y for c, y in zip(coords, gens))
+            lex_least.setdefault(v if modulus is None else v % modulus, coords)
         vals, proper = gap_enumerate(g)
-        assert set(vals.elements) == want
-        assert proper == (len(want) == g.volume())
+        assert vals.elements == tuple(sorted(lex_least))
+        assert all(type(v) is int for v in vals)
+        assert proper == (len(lex_least) == g.volume())
+        for v, coords in lex_least.items():
+            assert gap_membership(g, v) == coords
 
 
 class TestMatrix:
     def test_shape_and_columns(self):
         m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert m.num_rows == 2 and m.num_cols == 3
-        assert m.column(1) == (2, 5)
+        assert m.columns() == ((1, 4), (2, 5), (3, 6))
         assert m.infinity_norm() == 6
 
     def test_matvec(self):

@@ -650,6 +650,21 @@ class TestFreimanGap:
         }
         assert res.metrics["kept_dims"] == 2
 
+    def test_forced_q_with_improper_q_minus_q(self, monkeypatch):
+        # the inverter is the identity, so Q = {0, 1, 2, 3} from generators
+        # (1, 2); Q - Q over the box [0, 3)^2 based at -3 reaches 1 from
+        # both (0, 2) and (2, 1), and every coordinate is the lex-least one
+        a = IntegerSet(tuple(range(40)))
+        self._forced_q(monkeypatch, (1, 2), (2, 2), {1: 1, 2: 2})
+        res = freiman_gap(a, random.Random(0))
+        assert res.q_gap == Gap(0, (1, 2), (2, 2))
+        assert res.x_set.elements == tuple(range(0, 40, 4))
+        box = list(itertools.product(range(3), range(3)))
+        for e, coords in res.coords.items():
+            assert res.cover.element_at(coords) == e
+            x = res.x_set.elements[coords[2:].index(1)]
+            assert coords[:2] == next(c for c in box if c[0] + 2 * c[1] - 3 == e - x)
+
     def test_forced_q_outside_2a_minus_2a(self, monkeypatch):
         a = IntegerSet(tuple(range(5, 5 + 12 * 7, 7)))
         self._forced_q(monkeypatch, (1,), (4,), {1: 3})

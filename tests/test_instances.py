@@ -52,6 +52,23 @@ class TestFamilies:
         u = union_of_aps(rng, 24, parts=3)
         assert 8 <= len(u) <= 24  # duplicates across the parts collapse
 
+    # (seed, dimension) -> (elements, the rng's next random()), from the
+    # commit before gap_sample_set enumerated through the numpy kernel
+    GAP_SAMPLES = {
+        (3, 1): ((-20, -17, -14, -11, -8, -2), 0.6055995301393269),
+        (3, 2): ((28, 31, 37, 79, 82, 127), 0.06552885923981311),
+        (3, 3): ((-14, 130, 196, 268, 271, 274), 0.6055995301393269),
+        (17, 1): ((16, 18, 20, 24, 26, 28), 0.11016204891721182),
+        (17, 2): ((20, 48, 80, 86, 112, 118), 0.6613830572238304),
+        (17, 3): ((44, 304, 356, 618, 620, 640), 0.6613830572238304),
+    }
+
+    @pytest.mark.parametrize("seed,dimension", sorted(GAP_SAMPLES))
+    def test_gap_samples_pinned(self, seed, dimension):
+        rng = random.Random(seed)
+        z = gap_sample_set(rng, 6, dimension)
+        assert (z.elements, rng.random()) == self.GAP_SAMPLES[seed, dimension]
+
     def test_family_set_dispatch(self):
         assert family_set("ap", 8) == ap_set(8)
         assert family_set("sidon", 8) == sidon_set(8)
