@@ -209,14 +209,7 @@ def _cmd_subset_sum(args) -> int:
 
 def _cmd_ksum(args) -> int:
     z = IntegerSet.from_json_dict(_read_json(args.input))
-    res = ksum(
-        z,
-        args.target,
-        args.k,
-        _rng(args.seed),
-        gamma=args.gamma,
-        backend=args.backend,
-    )
+    res = ksum(z, args.target, args.k, _rng(args.seed), gamma=args.gamma)
     out = {
         "feasible": res.witness is not None,
         "work": res.work,
@@ -397,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--backend", choices=["fft", "hash"], default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_ksum)
 

@@ -127,6 +127,7 @@ def iterated_support(a: IntegerSet, plus_count: int, minus_count: int) -> tuple[
 
     def add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # both operands start at offset 0, so x[-1] + y[-1] + 1 is the range
+        # not sparse_sumset's span rule: that one convolves more here and slows the cover path
         if len(x) * len(y) <= _transform_size(int(x[-1] + y[-1]) + 1):
             return _pair_sumset(x, y)
         return _fft_sumset(x, y)

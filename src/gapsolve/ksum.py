@@ -53,17 +53,6 @@ _MEET_SLICE = 64
 
 
 @dataclass(frozen=True)
-class ColorPartition:
-    """Ordered partition of index positions into nonempty blocks."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if any(not b for b in self.blocks):
-            raise ValueError("blocks must be nonempty")
-
-
-@dataclass(frozen=True)
 class SplitterPlan:
     """How the partitions will be produced: exhaustively (a miss proves
     infeasibility) or by random coloring (a miss is probabilistic)."""
@@ -83,11 +72,12 @@ def splitter_plan(n: int, k: int, gamma: int = 1, cut_cap: int = DEFAULT_CUT_CAP
 
 def splitter_family(
     n: int, k: int, rng, gamma: int = 1, cut_cap: int = DEFAULT_CUT_CAP
-) -> Iterator[ColorPartition]:
-    """Uniform random colorings of range(n) into k blocks, enough of them
-    that a fixed k-subset is isolated (one member per block) with
-    probability 1 - n^-(gamma+1); colorings that leave a block empty cannot
-    isolate anything and are skipped.
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Uniform random colorings of range(n) into k blocks, each yielded as
+    its k blocks of ascending indices, enough of them that a fixed k-subset
+    is isolated (one member per block) with probability 1 - n^-(gamma+1);
+    colorings that leave a block empty cannot isolate anything and are
+    skipped, so every yielded block is nonempty.
 
     Each color is drawn as `rng.randrange(k)` draws it in CPython, with
     getrandbits(k.bit_length()) redrawn while it is at least k, so the rng
@@ -109,7 +99,7 @@ def splitter_family(
             blocks[c].append(i)
         if any(not b for b in blocks):
             continue
-        yield ColorPartition(tuple(tuple(b) for b in blocks))
+        yield tuple(tuple(b) for b in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -131,57 +121,31 @@ class SumsetFold:
         return tuple(self.sums.tolist())
 
 
-def sparse_sumset(
-    a: Sequence[int],
-    b: Sequence[int],
-    backend: Optional[str] = None,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-    range_cap: int = DEFAULT_RANGE_CAP,
-) -> SumsetFold:
-    """Pairwise sumset with backend choice by shape.
+def sparse_sumset(a: Sequence[int], b: Sequence[int]) -> SumsetFold:
+    """Pairwise sumset with the backend chosen by shape alone.
 
-    "hash" enumerates all pairs (cost |a|*|b|); "fft" convolves indicator
-    vectors over the combined value range (cost: the transform length).
-    Auto selection takes fft exactly when the range is within cap and
-    smaller than the pair count, which is what separates structured from
-    unstructured inputs. Values outside the int64 guard fall back to exact
-    Python hashing regardless, still under the pair cap. Arrays keep their
-    dtype; other sequences enter as exact Python ints.
+    "hash" enumerates all pairs (work |a|*|b|); "fft" convolves indicator
+    vectors over the combined value range (work: the transform length). The
+    one rule: fft exactly when the operands pass the int64 guard, the span
+    of the sums is within DEFAULT_RANGE_CAP and the pair count exceeds that
+    span, which is what separates structured from unstructured inputs; hash
+    otherwise, refused past DEFAULT_PAIR_CAP pairs. Both caps are read at
+    call time. Arrays keep their dtype; other sequences enter as exact
+    Python ints.
     """
     if not len(a) or not len(b):
         raise ValueError("sumset factors must be nonempty")
-    if backend not in (None, "hash", "fft"):
-        raise ValueError("backend must be 'hash' or 'fft'")
     a, b = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (a, b))
     # a stable sort is linear on the already sorted fold levels
     a, b = np.sort(a, kind="stable"), np.sort(b, kind="stable")
     pairs = len(a) * len(b)
-    if not (_int64_safe(a[0], a[-1]) and _int64_safe(b[0], b[-1])):
-        if backend == "fft":
-            raise EnumerationCapError("values exceed the convolution-safe range")
-        if pairs > pair_cap:
-            raise EnumerationCapError(f"{pairs} pairs above cap {pair_cap}")
-        return SumsetFold(_pair_sumset(a, b), "hash", pairs)
-    lo = int(a[0]) + int(b[0])
-    span = int(a[-1]) + int(b[-1]) - lo + 1
-    if backend is None:
-        if span <= range_cap and pairs > span:
-            backend = "fft"
-        elif pairs <= pair_cap:
-            backend = "hash"
-        elif span <= range_cap:
-            backend = "fft"
-        else:
-            raise EnumerationCapError(
-                f"sumset needs {pairs} pairs or range {span}; both above caps"
-            )
-    if backend == "hash":
-        if pairs > pair_cap:
-            raise EnumerationCapError(f"{pairs} pairs above cap {pair_cap}")
-        return SumsetFold(_pair_sumset(a, b), "hash", pairs)
-    if span > range_cap:
-        raise EnumerationCapError(f"range {span} above cap {range_cap}")
-    return SumsetFold(_fft_sumset(a, b), "fft", _transform_size(span))
+    if _int64_safe(a[0], a[-1]) and _int64_safe(b[0], b[-1]):
+        span = int(a[-1]) + int(b[-1]) - int(a[0]) - int(b[0]) + 1
+        if span <= DEFAULT_RANGE_CAP and pairs > span:
+            return SumsetFold(_fft_sumset(a, b), "fft", _transform_size(span))
+    if pairs > DEFAULT_PAIR_CAP:
+        raise EnumerationCapError(f"{pairs} pairs above cap {DEFAULT_PAIR_CAP}")
+    return SumsetFold(_pair_sumset(a, b), "hash", pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +256,14 @@ def _checked(values: Sequence[int], indices: tuple[int, ...], t: int, k: int) ->
     return SolveWitness("subset-of-indices", indices)
 
 
-def _fold_blocks(
-    block_values: list[np.ndarray], used: dict, backend
-) -> tuple[list[np.ndarray], int]:
+def _fold_blocks(block_values: list[np.ndarray], used: dict) -> tuple[list[np.ndarray], int]:
     """Left-fold the blocks, keeping every intermediate level's support so
     witnesses can be walked back later without storing pair maps; counts
     each backend's folds into `used`."""
     levels = [np.zeros(1, dtype=np.int64)]
     work = 0
     for bv in block_values:
-        fold = sparse_sumset(levels[-1], bv, backend=backend)
+        fold = sparse_sumset(levels[-1], bv)
         levels.append(fold.sums)
         work += fold.work
         used[fold.backend] = used.get(fold.backend, 0) + 1
@@ -373,7 +335,6 @@ def ksum(
     k: int,
     rng,
     gamma: int = 1,
-    backend: Optional[str] = None,
     cut_cap: int = DEFAULT_CUT_CAP,
 ) -> KsumResult:
     """Find k distinct indices of z summing to t.
@@ -390,8 +351,6 @@ def ksum(
         raise ValueError("k must be at least 1")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    if backend not in (None, "hash", "fft"):
-        raise ValueError("backend must be 'hash' or 'fft'")
     n = len(z)
     plan = splitter_plan(n, k, gamma, cut_cap)
     if k > n:
@@ -407,12 +366,12 @@ def ksum(
     tried = 0
     backends: dict = {}
     split_at = k // 2
-    for part in splitter_family(n, k, rng, gamma, cut_cap):
+    for blocks in splitter_family(n, k, rng, gamma, cut_cap):
         tried += 1
-        lblocks = [arr[list(b)] for b in part.blocks[:split_at]]
-        rblocks = [arr[list(b)] for b in part.blocks[split_at:]]
-        llevels, lwork = _fold_blocks(lblocks, backends, backend)
-        rlevels, rwork = _fold_blocks(rblocks, backends, backend)
+        lblocks = [arr[list(b)] for b in blocks[:split_at]]
+        rblocks = [arr[list(b)] for b in blocks[split_at:]]
+        llevels, lwork = _fold_blocks(lblocks, backends)
+        rlevels, rwork = _fold_blocks(rblocks, backends)
         work += lwork + rwork + len(llevels[-1]) + len(rlevels[-1])
         hit = _meet(llevels[-1], rlevels[-1], t)
         if hit is None:

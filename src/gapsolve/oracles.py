@@ -366,7 +366,7 @@ def bohr_enumerate(spec, cap: int = 1_000_000) -> IntegerSet:
         w = (xs * int(r)) % m
         dist = np.minimum(w, m - w)
         ok &= dist * q <= p * m
-    return IntegerSet(tuple(int(x) for x in np.nonzero(ok)[0]))
+    return IntegerSet(tuple(np.flatnonzero(ok).tolist()))
 
 
 def bohr_subset_check(spec, container: Iterable[int], cap: int = 1_000_000):

@@ -235,6 +235,17 @@ class TestKsum:
         )
         assert last_json(proc)["feasible"] is False
 
+    def test_colouring_path_pinned(self, tmp_path):
+        # n = 96, k = 4: C(95, 3) is past the cut cap, so random colourings are folded
+        inst = write_json(tmp_path / "z.json", {"elements": list(range(0, 288, 3))})
+        proc = run_cli(
+            "ksum", "--input", inst, "--k", "4", "--target", "300", "--seed", "6", check=0
+        )
+        assert proc.stdout == (
+            '{"exhaustive":false,"feasible":true,"partitions":1,'
+            '"witness":{"kind":"subset-of-indices","values":[0,1,5,94]},"work":1880}\n'
+        )
+
     def test_negative_gamma_refused(self, tmp_path):
         # an exhaustive plan, which never reads gamma: still refused, exit 2
         inst = write_json(tmp_path / "z.json", {"elements": [1, 2, 3, 4, 5]})
