@@ -69,7 +69,7 @@ def _rng(seed: int) -> random.Random:
 
 def _cmd_freiman(args) -> int:
     z = IntegerSet.from_json_dict(_read_json(args.input))
-    res = freiman_gap(z, _rng(args.seed), gamma=args.gamma, enum_cap=args.cap_enum)
+    res = freiman_gap(z, _rng(args.seed), enum_cap=args.cap_enum)
     out = {"gap": res.cover.to_json_dict(), "metrics": res.metrics}
     if args.split:
         split = split_dimensions(res.cover, len(z))
@@ -112,7 +112,7 @@ def _binary_subset_sum(d: dict) -> SubsetSumInstance:
     return inst
 
 
-def _run_reduction(src: str, dst: str, d: dict, seed: int, gamma: int):
+def _run_reduction(src: str, dst: str, d: dict, seed: int):
     """Build the reduction chain and return (instance_json, meta, stages).
 
     stages keeps the intermediate objects of the ILP routes so decode can
@@ -121,7 +121,7 @@ def _run_reduction(src: str, dst: str, d: dict, seed: int, gamma: int):
     meta: dict = {"from": src, "to": dst}
     if src == "ss":
         inst = _binary_subset_sum(d)
-        enc = ss_to_hbilp(inst.elements, inst.target, _rng(seed), gamma=gamma)
+        enc = ss_to_hbilp(inst.elements, inst.target, _rng(seed))
         meta.update(enc.meta)
         return enc.instance.to_json_dict(), meta, {}
     stages: dict = {}
@@ -157,7 +157,7 @@ def _cmd_ilp_reduce(args) -> int:
     if (args.src, args.dst) not in _REDUCTIONS:
         raise ValueError(f"no reduction from {args.src} to {args.dst}")
     d = _read_json(args.input)
-    inst_json, meta, _ = _run_reduction(args.src, args.dst, d, args.seed, args.gamma)
+    inst_json, meta, _ = _run_reduction(args.src, args.dst, d, args.seed)
     _emit({"instance": inst_json, "meta": meta})
     return 0
 
@@ -177,7 +177,7 @@ def _cmd_ilp_decode(args) -> int:
         inst = _binary_subset_sum(d)
         _emit({"witness": _decode_subset(inst.elements, inst.target, w.payload).to_json_dict()})
         return 0
-    _, _, stages = _run_reduction(args.src, args.dst, d, args.seed, args.gamma)
+    _, _, stages = _run_reduction(args.src, args.dst, d, args.seed)
     if args.dst == "ss":
         decoded = stages["ss"].decode(w.payload)
         y = decoded.payload
@@ -194,12 +194,7 @@ def _cmd_ilp_decode(args) -> int:
 
 def _cmd_subset_sum(args) -> int:
     inst = SubsetSumInstance.from_json_dict(_read_json(args.input))
-    w = solve_subset_sum(
-        inst,
-        _rng(args.seed),
-        table_cap=args.cap_table,
-        gamma=args.gamma,
-    )
+    w = solve_subset_sum(inst, _rng(args.seed), table_cap=args.cap_table)
     if w is None:
         _emit({"feasible": False})
         return 1
@@ -209,7 +204,7 @@ def _cmd_subset_sum(args) -> int:
 
 def _cmd_ksum(args) -> int:
     z = IntegerSet.from_json_dict(_read_json(args.input))
-    res = ksum(z, args.target, args.k, _rng(args.seed), gamma=args.gamma)
+    res = ksum(z, args.target, args.k, _rng(args.seed))
     out = {
         "feasible": res.witness is not None,
         "work": res.work,
@@ -320,7 +315,6 @@ def _cmd_bench(args) -> int:
             min_exp=args.min_exp,
             max_exp=args.max_exp,
             timing=args.timing,
-            gamma=args.gamma,
         )
     if args.format == "csv":
         _csv_lines(args.out)
@@ -333,11 +327,8 @@ def _cmd_bench(args) -> int:
 # parser
 
 
-def _add_common(p, seed=True, gamma=True):
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
-    if gamma:
-        p.add_argument("--gamma", type=int, default=1)
+def _add_common(p):
+    p.add_argument("--seed", type=int, default=0)
 
 
 @functools.cache
@@ -410,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--span", type=int, default=1 << 16)
     p.add_argument("--dimension", type=int, default=2)
     p.add_argument("--parts", type=int, default=2)
-    _add_common(p, gamma=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("bench", help="scaling benchmarks")

@@ -276,28 +276,16 @@ def _fft_sumset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sumset(
-    a: IntegerSet,
-    b: IntegerSet,
-    *,
-    bits: Optional[int] = DEFAULT_BIT_WIDTH,
-    cap: Optional[int] = None,
+    a: IntegerSet, b: IntegerSet, *, bits: Optional[int] = DEFAULT_BIT_WIDTH
 ) -> IntegerSet:
     """A + B = {x + y : x in A, y in B}.
 
     Sum extremes are width-checked; checking only the extremes suffices
-    because addition is monotone. A cap refuses before any sum is built when
-    the lower bound |A + B| >= |A| + |B| - 1 already exceeds it.
+    because addition is monotone.
     """
     ea, eb = a.elements, b.elements
     _check_extremes(ea[0] + eb[0], ea[-1] + eb[-1], bits)
-    if cap is not None and len(ea) + len(eb) - 1 > cap:
-        raise EnumerationCapError(
-            f"sumset size at least {len(ea) + len(eb) - 1} exceeds cap {cap}"
-        )
-    out = _pair_sumset(ea, eb)
-    if cap is not None and len(out) > cap:
-        raise EnumerationCapError(f"sumset size {len(out)} exceeds cap {cap}")
-    return IntegerSet(tuple(out.tolist()))
+    return IntegerSet(tuple(_pair_sumset(ea, eb).tolist()))
 
 
 def negate(a: IntegerSet, *, bits: Optional[int] = DEFAULT_BIT_WIDTH) -> IntegerSet:
@@ -311,7 +299,6 @@ def iterated_sumset(
     minus_count: int = 0,
     *,
     bits: Optional[int] = DEFAULT_BIT_WIDTH,
-    cap: Optional[int] = None,
 ) -> IntegerSet:
     """The signed iterated sumset sA - tA with s = plus_count >= 1 and
     t = minus_count >= 0: all sums of s elements minus t elements, with
@@ -320,11 +307,11 @@ def iterated_sumset(
         raise ValueError("iterated_sumset needs plus_count >= 1, minus_count >= 0")
     acc = a
     for _ in range(plus_count - 1):
-        acc = sumset(acc, a, bits=bits, cap=cap)
+        acc = sumset(acc, a, bits=bits)
     if minus_count:
         neg = negate(a, bits=bits)
         for _ in range(minus_count):
-            acc = sumset(acc, neg, bits=bits, cap=cap)
+            acc = sumset(acc, neg, bits=bits)
     return acc
 
 

@@ -526,7 +526,7 @@ def ruzsa_cover(y: IntegerSet, z: IntegerSet) -> IntegerSet:
             chosen.append(zz)
             used |= translate
     x = IntegerSet(tuple(chosen))
-    if len(x) * len(y) > len(sumset(y, z, bits=None, cap=None)):
+    if len(x) * len(y) > len(sumset(y, z, bits=None)):
         raise InvariantError("translate count exceeds sumset bound")
     diffs = {u - v for u in y for v in y}
     for zz in z:
@@ -589,10 +589,7 @@ def _psi2_inverter(model: FreimanModel):
 
 
 def freiman_gap(
-    a: IntegerSet,
-    rng,
-    gamma: int = 1,
-    enum_cap: int = DEFAULT_ENUM_CAP,
+    a: IntegerSet, rng, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> FreimanGapResult:
     """Cover `a` by a progression shaped (Q - Q) + X.
 
@@ -600,7 +597,7 @@ def freiman_gap(
     from the measured difference set rather than a doubling-constant power:
     the modeling stage needs exactly that margin, and the measured value
     keeps the group tractable. Modeling is retried up to
-    gamma * ceil(log2 n) + 1 times; every input element's coefficient vector
+    ceil(log2 n) + 1 times; every input element's coefficient vector
     in the final cover is recorded and re-evaluated.
     """
     n = len(a)
@@ -617,7 +614,7 @@ def freiman_gap(
     if m >= 16 * d_size:
         raise InvariantError("no prime in the modulus window")
 
-    budget = gamma * max(1, math.ceil(math.log2(n))) + 1
+    budget = max(1, math.ceil(math.log2(n))) + 1
     model = None
     attempts = 0
     failures: list[str] = []
@@ -670,12 +667,24 @@ def freiman_gap(
     else:
         cover = Gap(qq_gap.base, y_gens + x_set.elements, qq_lengths + (2,) * len(x_set))
 
+    # each element takes the least x in X with elem - x in Q - Q, found by
+    # scanning the smaller of the two; its indicator marks x's position
+    x_elems = x_set.elements
+    x_pos = {xx: i for i, xx in enumerate(x_elems)}
+    scan_x = len(x_elems) <= len(qq_coord)
     coords: dict[int, tuple[int, ...]] = {}
     for elem in a:
-        hit = next((xx for xx in x_set if elem - xx in qq_coord), None)
+        if scan_x:
+            hit = next((xx for xx in x_elems if elem - xx in qq_coord), None)
+        else:
+            hit = min((elem - d for d in qq_coord if elem - d in x_pos), default=None)
         if hit is None:
             raise InvariantError(f"{elem} not covered")
-        bits = () if singleton_x else tuple(1 if xx == hit else 0 for xx in x_set)
+        if singleton_x:
+            bits = ()
+        else:
+            i = x_pos[hit]
+            bits = (0,) * i + (1,) + (0,) * (len(x_elems) - 1 - i)
         coords[elem] = qq_coord[elem - hit] + bits
         if cover.element_at(coords[elem]) != elem:
             raise InvariantError(f"coordinate certificate failed for {elem}")

@@ -494,7 +494,7 @@ def _digit_columns(count: int, radix: int, k: int) -> list[list[int]]:
     return cols
 
 
-def hbilp_to_ss(inst: HbilpInstance, bits: Optional[int] = None) -> SubsetSumFromHbilp:
+def hbilp_to_ss(inst: HbilpInstance) -> SubsetSumFromHbilp:
     """Encode aggregated-ILP feasibility as subset sum over distinct
     positive elements.
 
@@ -559,9 +559,6 @@ def hbilp_to_ss(inst: HbilpInstance, bits: Optional[int] = None) -> SubsetSumFro
         raise InvariantError("column elements collide")
     if any(d <= 0 for d in dots):
         raise InvariantError("column element not positive")
-    if bits is not None:
-        for d in dots:
-            check_width(d, bits)
 
     support = len(kept)
     target = t2 + support * delta2 * sum(v_steps)
@@ -612,7 +609,7 @@ def _decode_subset(z: IntegerSet, t: int, y: Sequence[int]) -> SolveWitness:
     return SolveWitness("subset-of-indices", indices)
 
 
-def ss_to_hbilp(z: IntegerSet, t: int, rng, gamma: int = 1) -> HbilpFromSubsetSum:
+def ss_to_hbilp(z: IntegerSet, t: int, rng) -> HbilpFromSubsetSum:
     """Columns are progression coordinates of the elements; steps are the
     progression generators, so <Ax, s> recovers the subset sum exactly.
 
@@ -620,7 +617,7 @@ def ss_to_hbilp(z: IntegerSet, t: int, rng, gamma: int = 1) -> HbilpFromSubsetSu
     the base as its step; without it the coordinate identity would be off
     by base * |subset|.
     """
-    res = freiman_gap(z, rng, gamma=gamma)
+    res = freiman_gap(z, rng)
     split = split_dimensions(res.cover, len(z))
     coords = {e: split_coords(split, res.coords[e]) for e in z}
     base = split.gap.base

@@ -163,7 +163,6 @@ def bench_foursum_scaling(
     min_exp: int = 8,
     max_exp: int = 14,
     timing: bool = False,
-    gamma: int = 1,
 ) -> dict:
     """Run foursum over geometric sizes on the ap and sidon families and fit
     work ~ n^e per family.
@@ -182,14 +181,14 @@ def bench_foursum_scaling(
             n = 1 << exp
             z = family_set(family, n)
             vals = z.elements
+            c, c_source = family_doubling(family, n)
             for trial in range(trials):
                 rng = random.Random(f"{seed}:{family}:{n}:{trial}")
                 picks = rng.sample(range(n), 4)
                 t = sum(vals[i] for i in picks)
                 t0 = time.perf_counter()
-                res = foursum(z, t, rng, gamma=gamma)
+                res = foursum(z, t, rng)
                 wall = (time.perf_counter() - t0) * 1000.0
-                c, c_source = family_doubling(family, n)
                 rec = BenchRecord(
                     family,
                     n,

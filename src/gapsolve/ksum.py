@@ -61,21 +61,21 @@ class SplitterPlan:
     planned: int
 
 
-def splitter_plan(n: int, k: int, gamma: int = 1, cut_cap: int = DEFAULT_CUT_CAP) -> SplitterPlan:
+def splitter_plan(n: int, k: int) -> SplitterPlan:
+    """Exhaustive while C(n-1, k-1) is within DEFAULT_CUT_CAP, read at call
+    time; otherwise e^k * k * 2 * ln n random colorings."""
     if k == 1:
         return SplitterPlan(True, 1)
-    if math.comb(n - 1, k - 1) <= cut_cap:
+    if math.comb(n - 1, k - 1) <= DEFAULT_CUT_CAP:
         return SplitterPlan(True, math.comb(n - 1, k - 1))
-    t = math.ceil(math.e**k * k * (gamma + 1) * math.log(n))
-    return SplitterPlan(False, t)
+    return SplitterPlan(False, math.ceil(math.e**k * k * 2 * math.log(n)))
 
 
-def splitter_family(
-    n: int, k: int, rng, gamma: int = 1, cut_cap: int = DEFAULT_CUT_CAP
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+def splitter_family(n: int, k: int, rng) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Uniform random colorings of range(n) into k blocks, each yielded as
     its k blocks of ascending indices, enough of them that a fixed k-subset
-    is isolated (one member per block) with probability 1 - n^-(gamma+1);
+    is isolated (one member per block) with probability 1 - n^-2 (the
+    colour-coding bound of Alon, Yuster & Zwick with confidence exponent 1);
     colorings that leave a block empty cannot isolate anything and are
     skipped, so every yielded block is nonempty.
 
@@ -86,7 +86,7 @@ def splitter_family(
     Only plans that are not exhaustive have a family: exhaustive queries
     are settled from the pair table instead (see `ksum`).
     """
-    plan = splitter_plan(n, k, gamma, cut_cap)
+    plan = splitter_plan(n, k)
     if plan.exhaustive:
         raise ValueError("exhaustive plans are solved without a splitter family")
     draw, bits = rng.getrandbits, k.bit_length()
@@ -329,14 +329,7 @@ def _meet(lvals: np.ndarray, rvals: np.ndarray, t: int) -> Optional[int]:
     return None
 
 
-def ksum(
-    z: IntegerSet,
-    t: int,
-    k: int,
-    rng,
-    gamma: int = 1,
-    cut_cap: int = DEFAULT_CUT_CAP,
-) -> KsumResult:
+def ksum(z: IntegerSet, t: int, k: int, rng) -> KsumResult:
     """Find k distinct indices of z summing to t.
 
     Exhaustive plans (see `splitter_plan`) are settled from capped pair
@@ -349,14 +342,11 @@ def ksum(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
     n = len(z)
-    plan = splitter_plan(n, k, gamma, cut_cap)
     if k > n:
-        return KsumResult(None, 0, 0, True)
+        return KsumResult(None, 0, 0, True, {"backends": {}})
     values = z.elements
-    if plan.exhaustive:
+    if splitter_plan(n, k).exhaustive:
         indices, work, tried = _pair_ksum(values, t, k)
         witness = None if indices is None else _checked(values, indices, t, k)
         return KsumResult(witness, work, tried, True, {"backends": {}})
@@ -366,7 +356,7 @@ def ksum(
     tried = 0
     backends: dict = {}
     split_at = k // 2
-    for blocks in splitter_family(n, k, rng, gamma, cut_cap):
+    for blocks in splitter_family(n, k, rng):
         tried += 1
         lblocks = [arr[list(b)] for b in blocks[:split_at]]
         rblocks = [arr[list(b)] for b in blocks[split_at:]]
@@ -383,5 +373,5 @@ def ksum(
     return KsumResult(None, work, tried, False, {"backends": backends})
 
 
-def foursum(z: IntegerSet, t: int, rng, **kwargs) -> KsumResult:
-    return ksum(z, t, 4, rng, **kwargs)
+def foursum(z: IntegerSet, t: int, rng) -> KsumResult:
+    return ksum(z, t, 4, rng)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from gapsolve.core import (
-    DEFAULT_BIT_WIDTH,
     DEFAULT_TABLE_CAP,
     EnumerationCapError,
     IntegerSet,
@@ -37,6 +36,8 @@ from gapsolve.ilp import (
 )
 
 SS_MODES = ("binary", "unbounded")
+# the unbounded solver's coin reachability keeps one state per value 0..target
+UNBOUNDED_TARGET_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,7 @@ class SubsetSumInstance:
 
 
 def subset_sum_doubling(
-    z: IntegerSet,
-    t: int,
-    table_cap: int = DEFAULT_TABLE_CAP,
-    bits: Optional[int] = DEFAULT_BIT_WIDTH,
+    z: IntegerSet, t: int, table_cap: int = DEFAULT_TABLE_CAP
 ) -> Optional[SolveWitness]:
     """Binary subset sum through the reachable-sum table.
 
@@ -82,7 +80,7 @@ def subset_sum_doubling(
     deterministic.
     """
     inst = BilpInstance.binary(Matrix.from_rows([list(z.elements)]), [t])
-    w = bilp_feasibility_dp(inst, table_cap=table_cap, bits=bits)
+    w = bilp_feasibility_dp(inst, table_cap=table_cap)
     if w is None:
         return None
     indices = tuple(j for j, v in enumerate(w.payload) if v)
@@ -91,13 +89,7 @@ def subset_sum_doubling(
     return SolveWitness("subset-of-indices", indices)
 
 
-def unbounded_subset_sum(
-    z: IntegerSet,
-    t: int,
-    rng,
-    gamma: int = 1,
-    target_cap: int = 2_000_000,
-) -> Optional[SolveWitness]:
+def unbounded_subset_sum(z: IntegerSet, t: int, rng) -> Optional[SolveWitness]:
     """Unbounded subset sum via progression structure of the element set.
 
     Elements become columns of coordinates in a covering progression, and
@@ -106,8 +98,8 @@ def unbounded_subset_sum(
     column-sum target. Those supports are enumerable, and within a fixed
     support the problem is ordinary coin reachability. The coordinate box
     grows quickly with set size; this is a small-n solver by design, and
-    the box cap of `ilp` and target_cap say so rather than letting it
-    thrash.
+    the box cap of `ilp` and UNBOUNDED_TARGET_CAP, read at call time, say
+    so rather than letting it thrash.
     """
     if z.min() < 1:
         raise ValueError("elements must be positive")
@@ -116,9 +108,12 @@ def unbounded_subset_sum(
         return None
     if t == 0:
         return SolveWitness("multiplicity-vector", (0,) * n)
-    if t > target_cap:
-        raise EnumerationCapError(f"target {t} above cap {target_cap}")
-    enc = ss_to_hbilp(z, t, rng, gamma=gamma)
+    if t > UNBOUNDED_TARGET_CAP:
+        raise EnumerationCapError(
+            f"target {t} above cap {UNBOUNDED_TARGET_CAP}: "
+            f"coin reachability keeps target + 1 = {t + 1} states"
+        )
+    enc = ss_to_hbilp(z, t, rng)
     supports = binary_image_supports(enc.instance.a)
     values = z.elements
     for sigma in supports:
@@ -128,7 +123,7 @@ def unbounded_subset_sum(
         if rem < 0 or rem % math.gcd(*(values[j] for j in sigma)):
             continue  # every coin sum over sigma is a multiple of that gcd
         # a one-row box [0, rem]; the target cap already bounds its states
-        coins = _BoxReachability([(values[j],) for j in sigma], rem, target_cap + 1)
+        coins = _BoxReachability([(values[j],) for j in sigma], rem, UNBOUNDED_TARGET_CAP + 1)
         extras = coins.lexmin((rem,))
         if extras is None:
             continue
@@ -142,11 +137,8 @@ def unbounded_subset_sum(
 
 
 def solve_subset_sum(
-    inst: SubsetSumInstance,
-    rng,
-    table_cap: int = DEFAULT_TABLE_CAP,
-    gamma: int = 1,
+    inst: SubsetSumInstance, rng, table_cap: int = DEFAULT_TABLE_CAP
 ) -> Optional[SolveWitness]:
     if inst.mode == "binary":
         return subset_sum_doubling(inst.elements, inst.target, table_cap=table_cap)
-    return unbounded_subset_sum(inst.elements, inst.target, rng, gamma=gamma)
+    return unbounded_subset_sum(inst.elements, inst.target, rng)

@@ -153,7 +153,7 @@ class TestIlp:
         monkeypatch.setattr(cli, "ss_to_hbilp", no_reduction)
         inst = write_json(tmp_path / "ss.json", {"elements": [3, 5, 9, 14], "target": 17})
         route = ["ilp", "decode", "--from", "ss", "--to", "hbilp", "--input", inst]
-        seeded = ["--seed", "4", "--gamma", "2"]
+        seeded = ["--seed", "4"]
         hit = write_json(tmp_path / "hit.json", {"kind": "binary-vector", "values": [1, 1, 1, 0]})
         assert cli.main([*route, "--witness", hit, *seeded]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -246,14 +246,13 @@ class TestKsum:
             '"witness":{"kind":"subset-of-indices","values":[0,1,5,94]},"work":1880}\n'
         )
 
-    def test_negative_gamma_refused(self, tmp_path):
-        # an exhaustive plan, which never reads gamma: still refused, exit 2
+    def test_gamma_flag_is_gone(self, tmp_path):
         inst = write_json(tmp_path / "z.json", {"elements": [1, 2, 3, 4, 5]})
         proc = run_cli(
-            "ksum", "--input", inst, "--k", "3", "--target", "12", "--gamma", "-1", check=2
+            "ksum", "--input", inst, "--k", "3", "--target", "12", "--gamma", "1", check=2
         )
         assert proc.stdout == ""
-        assert "gamma must be nonnegative" in proc.stderr
+        assert "unrecognized arguments: --gamma 1" in proc.stderr
 
 
 class TestFreimanAndVerify:

@@ -14,7 +14,6 @@ import gapsolve
 import gapsolve.core as core
 from gapsolve.core import (
     BitWidthError,
-    EnumerationCapError,
     Gap,
     IntegerSet,
     Matrix,
@@ -98,26 +97,6 @@ class TestSumset:
                     for x, y in ((a, b), (a, IntegerSet(tuple(range(nb))))):
                         want = tuple(sorted({u + v for u in x for v in y}))
                         assert sumset(x, y, bits=None).elements == want
-
-    def test_cap_refuses_before_building(self, monkeypatch):
-        import gapsolve.core as core
-
-        a = IntegerSet(tuple(range(0, 3000 * 7919, 7919)))
-        b = IntegerSet((0, 1))
-
-        def unreachable(*args):
-            raise AssertionError("sumset built despite the cap")
-
-        monkeypatch.setattr(core, "_pair_sumset", unreachable)
-        with pytest.raises(EnumerationCapError, match="at least 5999 exceeds cap 10"):
-            sumset(a, a, cap=10)
-        with pytest.raises(EnumerationCapError, match="at least 3001 exceeds cap 3000"):
-            sumset(a, b, cap=3000)
-        monkeypatch.undo()
-        # at the lower bound the sumset is built, then checked as before
-        assert len(sumset(a, b, cap=6000).elements) == 6000
-        with pytest.raises(EnumerationCapError, match="sumset size 6000 exceeds cap 5999"):
-            sumset(a, b, cap=5999)
 
     @given(small_sets, small_sets)
     @settings(max_examples=60, deadline=None)

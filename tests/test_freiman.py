@@ -660,9 +660,13 @@ class TestFreimanGap:
         assert res.q_gap == Gap(0, (1, 2), (2, 2))
         assert res.x_set.elements == tuple(range(0, 40, 4))
         box = list(itertools.product(range(3), range(3)))
+        # |Q - Q| = 9 < |X| = 10: the certificate scans Q - Q, and where two
+        # translates cover an element it keeps the least one
+        qq = {c[0] + 2 * c[1] - 3 for c in box}
         for e, coords in res.coords.items():
             assert res.cover.element_at(coords) == e
             x = res.x_set.elements[coords[2:].index(1)]
+            assert x == min(xx for xx in res.x_set if e - xx in qq)
             assert coords[:2] == next(c for c in box if c[0] + 2 * c[1] - 3 == e - x)
 
     def test_forced_q_outside_2a_minus_2a(self, monkeypatch):

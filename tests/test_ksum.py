@@ -1,6 +1,7 @@
 """k-SUM via pair representatives, splitters and structure-aware sumset folding."""
 
 import itertools
+import math
 import random
 import sys
 
@@ -29,9 +30,15 @@ def _meet_one_search(lvals, rvals, t):
     return int(lvals[len(lvals) - 1 - hits[-1]]) if len(hits) else None
 
 
-def _randrange_family(n, k, rng, gamma=1, cut_cap=2):
+@pytest.fixture
+def cut_cap(monkeypatch):
+    """Sets DEFAULT_CUT_CAP for one test; the solvers read it at call time."""
+    return lambda value: monkeypatch.setattr(ksum_module, "DEFAULT_CUT_CAP", value)
+
+
+def _randrange_family(n, k, rng):
     """Reference colorings: one rng.randrange(k) per element."""
-    for _ in range(splitter_plan(n, k, gamma, cut_cap).planned):
+    for _ in range(splitter_plan(n, k).planned):
         colors = [rng.randrange(k) for _ in range(n)]
         blocks = [[] for _ in range(k)]
         for i, c in enumerate(colors):
@@ -46,34 +53,38 @@ class TestSplitters:
         plan = splitter_plan(10, 3)
         assert plan.exhaustive and plan.planned == 36
 
-    def test_plan_large_randomized(self):
-        plan = splitter_plan(100, 5, cut_cap=100)
+    def test_plan_large_randomized(self, cut_cap):
+        cut_cap(100)
+        plan = splitter_plan(100, 5)
         assert not plan.exhaustive and plan.planned > 100
 
-    def test_blocks_nonempty(self):
+    def test_blocks_nonempty(self, cut_cap):
         # about 56% of raw colorings of 4 indices into 3 colors leave a block empty
-        parts = list(splitter_family(4, 3, random.Random(9), cut_cap=2))
+        cut_cap(2)
+        parts = list(splitter_family(4, 3, random.Random(9)))
         assert parts and all(len(p) == 3 and all(p) for p in parts)
 
     def test_exhaustive_plans_have_no_family(self):
         with pytest.raises(ValueError, match="without a splitter family"):
             next(splitter_family(10, 3, random.Random(0)))
 
-    def test_color_draw_matches_randrange(self):
+    def test_color_draw_matches_randrange(self, cut_cap):
         # powers of two reject about half of the getrandbits draws
+        cut_cap(2)
         for k in range(2, 10):
             for seed in (0, 1, 17, 2024):
                 ours, ref = random.Random(seed), random.Random(seed)
                 # whole families while they are short, their first 60 colorings after
                 take = None if k <= 5 else 60
-                got = list(itertools.islice(splitter_family(12, k, ours, cut_cap=2), take))
+                got = list(itertools.islice(splitter_family(12, k, ours), take))
                 want = list(itertools.islice(_randrange_family(12, k, ref), take))
                 assert got == want, (k, seed)
                 assert ours.getstate() == ref.getstate(), (k, seed)
 
-    def test_random_colorings_partition(self):
+    def test_random_colorings_partition(self, cut_cap):
+        cut_cap(10)
         rng = random.Random(5)
-        for part in itertools.islice(splitter_family(40, 3, rng, cut_cap=10), 20):
+        for part in itertools.islice(splitter_family(40, 3, rng), 20):
             flat = sorted(i for b in part for i in b)
             assert flat == list(range(40))
             assert len(part) == 3
@@ -173,17 +184,12 @@ class TestKsum:
         with pytest.raises(ValueError):
             ksum(IntegerSet((1, 2)), 3, 0, random.Random(0))
 
-    def test_arguments_checked_on_every_plan(self):
-        exhaustive = IntegerSet((1, 2, 3, 4, 5))
-        colored = IntegerSet(tuple(range(40)))
-        for z, cut_cap in ((exhaustive, 50), (colored, 2)):
-            assert splitter_plan(len(z), 3, cut_cap=cut_cap).exhaustive == (z is exhaustive)
-            with pytest.raises(ValueError, match="gamma must be nonnegative"):
-                ksum(z, 12, 3, random.Random(0), gamma=-1, cut_cap=cut_cap)
-
     def test_k_exceeds_n(self):
         res = ksum(IntegerSet((1, 2)), 3, 5, random.Random(0))
         assert res.witness is None and res.exhaustive
+        # the same result shape as every other plan
+        assert res.meta == ksum(IntegerSet((1, 2)), 3, 2, random.Random(0)).meta
+        assert res.meta == {"backends": {}}
 
     def test_k1(self):
         res = ksum(IntegerSet((4, 9, 11)), 9, 1, random.Random(0))
@@ -206,14 +212,15 @@ class TestKsum:
                 assert len(set(idx)) == k
                 assert sum(z.elements[i] for i in idx) == t
 
-    def test_randomized_path_finds_planted(self):
+    def test_randomized_path_finds_planted(self, cut_cap):
+        cut_cap(10)
         rng = random.Random(301)
         values = rng.sample(range(10**6), 60)
         z = IntegerSet.from_iterable(values)
         els = z.elements
         planted = [els[3], els[17], els[31], els[44]]
         t = sum(planted)
-        res = ksum(z, t, 4, random.Random(302), cut_cap=10)
+        res = ksum(z, t, 4, random.Random(302))
         assert not res.exhaustive
         assert res.witness is not None
         assert sum(els[i] for i in res.witness.payload) == t
@@ -241,7 +248,7 @@ class TestBigValues:
 
 
 class TestRandomPathValueRegimes:
-    """The coloring path (cut_cap 2) folds, meets and walks back arrays:
+    """The coloring path (cut cap 2) folds, meets and walks back arrays:
     int64 near 0, int64 levels crossing +-2^62 that turn into object arrays
     mid-fold, and object arrays throughout past 2^64."""
 
@@ -260,7 +267,8 @@ class TestRandomPathValueRegimes:
         return seen
 
     @pytest.mark.parametrize("regime", REGIMES)
-    def test_planted_and_residue_infeasible(self, regime, monkeypatch):
+    def test_planted_and_residue_infeasible(self, regime, monkeypatch, cut_cap):
+        cut_cap(2)
         base = self.REGIMES[regime]
         seen = self._levels_seen(monkeypatch)
         rng = random.Random(710 + len(regime))
@@ -270,14 +278,14 @@ class TestRandomPathValueRegimes:
                 base + 3 * v for v in rng.sample(range(-(1 << 20), 1 << 20), rng.randint(k + 3, 14))
             )
             t = sum(rng.sample(z.elements, k))
-            res = ksum(z, t, k, random.Random(rng.randrange(2**30)), cut_cap=2)
+            res = ksum(z, t, k, random.Random(rng.randrange(2**30)))
             assert not res.exhaustive and res.witness is not None
             idx = res.witness.payload
             assert len(set(idx)) == k and sum(z.elements[i] for i in idx) == t
             # every value is base mod 3, so no k of them reach t = k*base + 1 mod 3
             z = IntegerSet.from_iterable(base + 3 * v for v in rng.sample(range(-50, 50), k + 2))
             t = k * base + 3 * rng.randrange(-40, 40) + 1
-            res = ksum(z, t, k, random.Random(rng.randrange(2**30)), gamma=0, cut_cap=2)
+            res = ksum(z, t, k, random.Random(rng.randrange(2**30)))
             assert res.witness is None and not res.exhaustive and res.partitions_tried > 0
             assert brute_ksum(z.elements, t, k) is None
         dtypes = {level.dtype.kind for level in seen}
@@ -428,9 +436,10 @@ class TestFrozenRandomPath:
     }
 
     @pytest.mark.parametrize("name", CASES)
-    def test_frozen(self, name):
+    def test_frozen(self, name, cut_cap):
         values, k, seed, t, witness, work, tried, backends = self.CASES[name]
-        res = ksum(IntegerSet(tuple(values)), t, k, random.Random(seed), cut_cap=2)
+        cut_cap(2)
+        res = ksum(IntegerSet(tuple(values)), t, k, random.Random(seed))
         assert (None if res.witness is None else res.witness.payload) == witness
         assert (res.work, res.partitions_tried, res.exhaustive) == (work, tried, False)
         assert res.meta == {"backends": backends}
@@ -499,15 +508,7 @@ class TestPairRepresentatives:
             two = ksum(z, t, k, random.Random(2))
             assert one.witness is not None and one == two
 
-    def test_exhaustive_matches_plan_at_the_cap(self):
-        z = IntegerSet.from_iterable(range(0, 60, 3))
-        for k in (2, 3, 4, 5):
-            cuts = splitter_plan(len(z), k, cut_cap=10**9).planned
-            for cap in (cuts, cuts - 1):  # C(n-1, k-1) at the cap, then one past it
-                res = ksum(z, sum(z.elements[:k]), k, random.Random(3), cut_cap=cap)
-                assert res.exhaustive == splitter_plan(len(z), k, cut_cap=cap).exhaustive
-                assert res.exhaustive == (cap == cuts)
-                assert res.witness is not None
+    def test_exhaustive_matches_plan_at_the_cap(self, cut_cap):
         # at the default cap: C(316, 2) = 49,770 and C(317, 2) = 50,086
         for n, want in ((317, True), (318, False)):
             assert splitter_plan(n, 3).exhaustive == want
@@ -515,6 +516,22 @@ class TestPairRepresentatives:
             res = ksum(z, 3 * n + 1, 3, random.Random(4))
             assert res.exhaustive == want
             assert res.witness is None
+        z = IntegerSet.from_iterable(range(0, 60, 3))
+        for k in (2, 3, 4, 5):
+            cuts = math.comb(len(z) - 1, k - 1)
+            for cap in (cuts, cuts - 1):  # C(n-1, k-1) at the cap, then one past it
+                cut_cap(cap)
+                res = ksum(z, sum(z.elements[:k]), k, random.Random(3))
+                assert res.exhaustive == splitter_plan(len(z), k).exhaustive
+                assert res.exhaustive == (cap == cuts)
+                assert res.witness is not None
+
+    def test_cut_cap_read_at_call_time(self, cut_cap):
+        z = IntegerSet.from_iterable(range(0, 60, 3))
+        assert splitter_plan(20, 3).exhaustive and ksum(z, 9, 3, random.Random(0)).exhaustive
+        cut_cap(2)
+        assert not splitter_plan(20, 3).exhaustive
+        assert not ksum(z, 9, 3, random.Random(0)).exhaustive
 
     def test_counters(self):
         z = IntegerSet.from_iterable(range(0, 30, 3))  # n = 10, 45 pairs

@@ -91,11 +91,10 @@ class TestUnbounded:
         with pytest.raises(ValueError):
             unbounded_subset_sum(IntegerSet((-2, 3)), 5, random.Random(0))
 
-    def test_target_cap(self):
-        with pytest.raises(EnumerationCapError):
-            unbounded_subset_sum(
-                IntegerSet((3, 5)), 10**7, random.Random(0), target_cap=10**6
-            )
+    def test_target_cap(self, monkeypatch):
+        monkeypatch.setattr(subset_sum, "UNBOUNDED_TARGET_CAP", 10**6)
+        with pytest.raises(EnumerationCapError, match="keeps target \\+ 1 = 10000001 states"):
+            unbounded_subset_sum(IntegerSet((3, 5)), 10**7, random.Random(0))
 
     def test_vs_brute(self):
         rng = random.Random(201)
