@@ -15,7 +15,6 @@ import random
 import sys
 
 from gapsolve.core import (
-    DEFAULT_BIT_WIDTH,
     DEFAULT_ENUM_CAP,
     DEFAULT_TABLE_CAP,
     Gap,
@@ -88,13 +87,12 @@ def _detect_ilp(d: dict):
 def _cmd_ilp_solve(args) -> int:
     d = _read_json(args.input)
     inst = _detect_ilp(d)
-    bits = None if args.no_width_check else DEFAULT_BIT_WIDTH
     if isinstance(inst, HbilpInstance):
-        w = hbilp_feasibility(inst, table_cap=args.cap_table, bits=bits)
+        w = hbilp_feasibility(inst, table_cap=args.cap_table)
     elif inst.is_binary:
-        w = bilp_feasibility_dp(inst, table_cap=args.cap_table, bits=bits)
+        w = bilp_feasibility_dp(inst, table_cap=args.cap_table)
     else:
-        w = bounded_ilp_feasibility(inst, table_cap=args.cap_table, bits=bits)
+        w = bounded_ilp_feasibility(inst, table_cap=args.cap_table)
     if w is None:
         _emit({"feasible": False})
         return 1
@@ -351,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = ilp_sub.add_parser("solve")
     q.add_argument("--input", required=True)
     q.add_argument("--cap-table", type=int, default=DEFAULT_TABLE_CAP)
-    q.add_argument("--no-width-check", action="store_true")
     q.set_defaults(func=_cmd_ilp_solve)
 
     q = ilp_sub.add_parser("reduce")

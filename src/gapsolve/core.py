@@ -5,11 +5,11 @@ immutable and pure; operations never mutate their inputs, so concurrent use
 needs no locking. Lookup tables attached to progressions are built once per
 object and are read-only afterwards.
 
-Width discipline: operation results are checked against a configurable signed
-bit width (default 64) and rejected with BitWidthError instead of wrapping.
-Passing bits=None switches an operation to arbitrary precision; the group
-modeling path uses that switch because its intermediate values can grow far
-past 64 bits.
+Integer discipline: values are exact Python ints everywhere, of any size.
+numpy int64 appears only where the one guard `_int64_safe` admits it, and
+every other array holds Python ints, so no result wraps and none is refused
+for its size. `check_width` is the guard of the brute-force subset-sum
+oracle alone, which keeps its half sums in int64 arrays.
 
 Set arithmetic: one private sumset kernel serves `sumset`, the k-SUM folds
 and the Freiman supports. Its single int64 guard admits numpy int64 only when
@@ -54,13 +54,12 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-DEFAULT_BIT_WIDTH = 64
 DEFAULT_ENUM_CAP = 4_000_000
 DEFAULT_TABLE_CAP = 2_000_000
 
 
 class BitWidthError(OverflowError):
-    """A result left the configured signed integer width."""
+    """A value left the signed 64-bit range of an int64-only routine."""
 
 
 class EnumerationCapError(RuntimeError):
@@ -83,14 +82,11 @@ class InvariantError(AssertionError):
     """A runtime invariant that the mathematics guarantees was violated."""
 
 
-def check_width(value: int, bits: Optional[int] = DEFAULT_BIT_WIDTH) -> int:
+def check_width(value: int) -> int:
     """Return `value` unchanged, or raise BitWidthError if it does not fit
-    in a signed `bits`-bit integer. bits=None disables the check."""
-    if bits is None:
-        return value
-    bound = 1 << (bits - 1)
-    if not -bound <= value < bound:
-        raise BitWidthError(f"value {value} exceeds signed {bits}-bit range")
+    in a signed 64-bit integer."""
+    if not -(1 << 63) <= value < 1 << 63:
+        raise BitWidthError(f"value {value} exceeds signed 64-bit range")
     return value
 
 
@@ -170,11 +166,6 @@ class IntegerSet:
     @classmethod
     def from_json_dict(cls, d: dict) -> "IntegerSet":
         return cls.from_iterable(d["elements"])
-
-
-def _check_extremes(lo: int, hi: int, bits: Optional[int]) -> None:
-    check_width(lo, bits)
-    check_width(hi, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -275,31 +266,16 @@ def _fft_sumset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return hit + (a[0] + b[0])
 
 
-def sumset(
-    a: IntegerSet, b: IntegerSet, *, bits: Optional[int] = DEFAULT_BIT_WIDTH
-) -> IntegerSet:
-    """A + B = {x + y : x in A, y in B}.
-
-    Sum extremes are width-checked; checking only the extremes suffices
-    because addition is monotone.
-    """
-    ea, eb = a.elements, b.elements
-    _check_extremes(ea[0] + eb[0], ea[-1] + eb[-1], bits)
-    return IntegerSet(tuple(_pair_sumset(ea, eb).tolist()))
+def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:
+    """A + B = {x + y : x in A, y in B}, exact at any size."""
+    return IntegerSet(tuple(_pair_sumset(a.elements, b.elements).tolist()))
 
 
-def negate(a: IntegerSet, *, bits: Optional[int] = DEFAULT_BIT_WIDTH) -> IntegerSet:
-    _check_extremes(-a.elements[-1], -a.elements[0], bits)
+def negate(a: IntegerSet) -> IntegerSet:
     return IntegerSet(tuple(-x for x in reversed(a.elements)))
 
 
-def iterated_sumset(
-    a: IntegerSet,
-    plus_count: int,
-    minus_count: int = 0,
-    *,
-    bits: Optional[int] = DEFAULT_BIT_WIDTH,
-) -> IntegerSet:
+def iterated_sumset(a: IntegerSet, plus_count: int, minus_count: int = 0) -> IntegerSet:
     """The signed iterated sumset sA - tA with s = plus_count >= 1 and
     t = minus_count >= 0: all sums of s elements minus t elements, with
     repetition allowed."""
@@ -307,11 +283,11 @@ def iterated_sumset(
         raise ValueError("iterated_sumset needs plus_count >= 1, minus_count >= 0")
     acc = a
     for _ in range(plus_count - 1):
-        acc = sumset(acc, a, bits=bits)
+        acc = sumset(acc, a)
     if minus_count:
-        neg = negate(a, bits=bits)
+        neg = negate(a)
         for _ in range(minus_count):
-            acc = sumset(acc, neg, bits=bits)
+            acc = sumset(acc, neg)
     return acc
 
 

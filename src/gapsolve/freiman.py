@@ -15,7 +15,8 @@ bit either way; only inside that margin is the exact integer comparison
 vol * (q*d)^d < p^d * m (for eps = p/q) evaluated, so the d-th powers, with d
 the spectrum size, are built only on near-ties. The Bohr membership check runs
 over elements x frequencies at once, in blocks of bounded size, from the int64
-frequency array each BohrSpec builds once (object past the int64 guard).
+frequency array each BohrSpec holds (object past the int64 guard); the
+spectrum stays that array from the FFT to the check.
 
 The spectrum |1_B^(r)|^2 / m^2 takes one of two paths. When |B| <= log2 m it
 is summed directly over B, |B| * m work against the FFT's m log2 m, from one
@@ -33,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -166,12 +167,6 @@ def support_contains(support: tuple[int, np.ndarray], values: np.ndarray) -> np.
     return out
 
 
-def modeling_modulus_lower_bound(n: int, c, s: int) -> Fraction:
-    """Smallest group order the modeling stage accepts when the doubling
-    constant is c: 4 * c^(2s) * n."""
-    return 4 * Fraction(c) ** (2 * s) * n
-
-
 # ---------------------------------------------------------------------------
 # modeling stage
 
@@ -264,33 +259,29 @@ def modeling_lemma(
 # Fourier stage
 
 
-@dataclass(frozen=True)
 class BohrSpec:
     """Frequencies and width of a Bohr set in Z_m: the residues x with
-    min(rx mod m, m - rx mod m) / m <= width for every frequency r."""
+    min(rx mod m, m - rx mod m) / m <= width for every frequency r.
 
-    m: int
-    frequencies: tuple[int, ...]
-    width: Fraction
+    The frequencies are held as one array, int64 when the guard admits m and
+    object (exact Python ints) past it. `bogolyubov` passes its int64
+    spectrum array in directly, so no Python int is built per frequency;
+    `frequencies`, the tuple of Python ints, is built on first read."""
 
-    # the frequencies as one array, int64 when the guard admits m and object
-    # (exact Python ints) past it
-    _freqs: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.m < 2:
+    def __init__(self, m: int, frequencies: Sequence[int], width: Fraction):
+        if m < 2:
             raise ValueError("modulus must be >= 2")
-        if not (0 < self.width < 1):
+        if not (0 < width < 1):
             raise ValueError("width must lie in (0, 1)")
-        fs = self.frequencies
+        fs = frequencies
         # strictly increasing from >= 1 to < m: sorted, distinct, in range;
         # below the guard an entry that does not fit int64 lies outside [1, m)
         bad = ValueError("frequencies must be sorted, distinct, in [1, m)")
-        if fs and not (1 <= fs[0] and fs[-1] < self.m):
+        if len(fs) and not (1 <= fs[0] and fs[-1] < m):
             raise bad
-        if _int64_safe(0, self.m):
+        if _int64_safe(0, m):
             try:
-                freqs = np.fromiter(fs, dtype=np.int64, count=len(fs))
+                freqs = np.asarray(fs, dtype=np.int64)
             except OverflowError:
                 raise bad from None
             if not np.all(freqs[1:] > freqs[:-1]):
@@ -299,7 +290,11 @@ class BohrSpec:
             if not all(map(operator.lt, fs, fs[1:])):
                 raise bad
             freqs = np.array(fs, dtype=object)
-        object.__setattr__(self, "_freqs", freqs)
+        self.m, self.width, self._freqs = m, width, freqs
+
+    @functools.cached_property
+    def frequencies(self) -> tuple[int, ...]:
+        return tuple(self._freqs.tolist())
 
 
 def _roots_of_unity(m: int) -> np.ndarray:
@@ -361,7 +356,7 @@ def bogolyubov(b: IntegerSet, m: int) -> BohrSpec:
     rs = rs[rs != 0]
     if len(rs) * len(b) ** 2 >= m * m:
         raise InvariantError("spectrum larger than 1/alpha^2")
-    return BohrSpec(m, tuple(rs.tolist()), BOHR_WIDTH)
+    return BohrSpec(m, rs, BOHR_WIDTH)
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +427,14 @@ def gap_in_bohr(spec: BohrSpec) -> BohrGapResult:
     if eps >= Fraction(1, 2):
         raise ValueError("width must be < 1/2 for a proper fit")
     pe, qe = eps.numerator, eps.denominator
-    d = len(spec.frequencies)
+    d = len(spec._freqs)
     if d == 0:
         gap = Gap(0, (1,), (m,), modulus=m)
         return BohrGapResult(gap, (Fraction(1, m),), 0, eps)
 
     survivors = np.arange(1, m, dtype=np.int64)
     maxc = np.zeros(m - 1, dtype=np.int64)
-    for r in spec.frequencies:
+    for r in spec._freqs:
         w = (survivors * r) % m
         c = np.minimum(w, m - w)
         keep = c * (d * qe) < pe * m
@@ -489,7 +484,7 @@ def _assert_bohr_gap(gap: Gap, spec: BohrSpec) -> None:
     vol = gap.volume()
     if vol > m:
         raise InvariantError("volume exceeds group order; properness impossible")
-    d = len(spec.frequencies)
+    d = len(spec._freqs)
     if _below_volume_bound(vol, spec.width, d, m):
         raise InvariantError(f"volume {vol} below guarantee {(spec.width / d) ** d * m}")
     elems = _gap_values(gap)
@@ -526,7 +521,7 @@ def ruzsa_cover(y: IntegerSet, z: IntegerSet) -> IntegerSet:
             chosen.append(zz)
             used |= translate
     x = IntegerSet(tuple(chosen))
-    if len(x) * len(y) > len(sumset(y, z, bits=None)):
+    if len(x) * len(y) > len(sumset(y, z)):
         raise InvariantError("translate count exceeds sumset bound")
     diffs = {u - v for u in y for v in y}
     for zz in z:
@@ -550,9 +545,6 @@ class FreimanGapResult:
 
     cover: Gap
     coords: dict[int, tuple[int, ...]]
-    model: Optional[FreimanModel]
-    bohr: Optional[BohrSpec]
-    bohr_gap: Optional[BohrGapResult]
     q_gap: Optional[Gap]
     x_set: Optional[IntegerSet]
     metrics: dict = field(default_factory=dict)
@@ -604,7 +596,7 @@ def freiman_gap(
     if n == 1:
         cover = Gap(a.min(), (1,), (1,))
         return FreimanGapResult(
-            cover, {a.min(): (0,)}, None, None, None, None, None,
+            cover, {a.min(): (0,)}, None, None,
             {"n": 1, "m": None, "attempts": 0, "cover_dimension": 1, "cover_volume": 1},
         )
 
@@ -630,8 +622,7 @@ def freiman_gap(
             f"modeling failed {attempts} times (reasons: {','.join(failures)})"
         )
 
-    bohr = bogolyubov(model.image, m)
-    bres = gap_in_bohr(bohr)
+    bres = gap_in_bohr(bogolyubov(model.image, m))
 
     # Q is based at 0, the pull-back of 0 (the smallest pair sum is its own
     # first preimage); the full-group fit (empty frequency set) and a fit
@@ -704,7 +695,7 @@ def freiman_gap(
         "strict_checked": True,
         "modeling_failures": failures,
     }
-    return FreimanGapResult(cover, coords, model, bohr, bres, q_gap, x_set, metrics)
+    return FreimanGapResult(cover, coords, q_gap, x_set, metrics)
 
 
 # ---------------------------------------------------------------------------

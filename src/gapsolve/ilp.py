@@ -26,10 +26,9 @@ step of unbounded subset sum (one row, B = the remainder). The candidate
 supports are those of the least solutions for binary column-sum targets,
 which are all the supports any target in the box can need.
 
-All arithmetic is exact. Instance constructors check the declared bit width
-on row-sum extremes only (the tracked sums are monotone in each variable),
-and bits=None switches to unchecked arbitrary precision, which the
-subset-sum reduction uses for its deliberately enormous step coefficients.
+All arithmetic is exact on Python ints of any size, so no program is
+refused for the size of its values; numpy int64 keys are used only where
+`core._int64_safe` admits the key range.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from gapsolve.core import (
-    DEFAULT_BIT_WIDTH,
     DEFAULT_TABLE_CAP,
     DuplicateColumnError,
     EnumerationCapError,
@@ -52,7 +50,6 @@ from gapsolve.core import (
     TableCapError,
     _exact_int,
     _int64_safe,
-    check_width,
 )
 from gapsolve.freiman import FreimanGapResult, freiman_gap, split_coords, split_dimensions
 
@@ -216,7 +213,6 @@ def _solve_bounded(
     b: Sequence[int],
     bounds: Sequence[tuple[int, int]],
     table_cap: int,
-    bits: Optional[int],
 ) -> Optional[list[int]]:
     """An x with A x = b inside `bounds`, or None.
 
@@ -228,9 +224,6 @@ def _solve_bounded(
     spans = [hi - lo for lo, hi in bounds]
     shift = [lo for lo, _ in bounds]
     target = [bv - bb for bv, bb in zip(b, a.matvec(shift))]
-    if bits is not None:
-        for v in target:
-            check_width(v, bits)
     cols, m = a.columns(), a.num_rows
     lows, strides = [], []
     key_range = 1
@@ -238,9 +231,6 @@ def _solve_bounded(
     for i in range(m):
         lo = sum(min(0, col[i] * span) for col, span in zip(cols, spans))
         hi = sum(max(0, col[i] * span) for col, span in zip(cols, spans))
-        if bits is not None:
-            check_width(lo, bits)
-            check_width(hi, bits)
         outside = outside or not lo <= target[i] <= hi
         lows.append(lo)
         strides.append(key_range)
@@ -259,14 +249,12 @@ def _solve_bounded(
 
 
 def bilp_feasibility_dp(
-    inst: BilpInstance,
-    table_cap: int = DEFAULT_TABLE_CAP,
-    bits: Optional[int] = DEFAULT_BIT_WIDTH,
+    inst: BilpInstance, table_cap: int = DEFAULT_TABLE_CAP
 ) -> Optional[SolveWitness]:
     """Binary BILP feasibility; None when infeasible."""
     if not inst.is_binary:
         raise ValueError("instance is not binary; use bounded_ilp_feasibility")
-    x = _solve_bounded(inst.a, inst.b, inst.bounds, table_cap, bits)
+    x = _solve_bounded(inst.a, inst.b, inst.bounds, table_cap)
     if x is None:
         return None
     if inst.a.matvec(x) != inst.b:
@@ -275,12 +263,10 @@ def bilp_feasibility_dp(
 
 
 def bounded_ilp_feasibility(
-    inst: BilpInstance,
-    table_cap: int = DEFAULT_TABLE_CAP,
-    bits: Optional[int] = DEFAULT_BIT_WIDTH,
+    inst: BilpInstance, table_cap: int = DEFAULT_TABLE_CAP
 ) -> Optional[SolveWitness]:
     """General bounded variant; witness payload is the variable assignment."""
-    x = _solve_bounded(inst.a, inst.b, inst.bounds, table_cap, bits)
+    x = _solve_bounded(inst.a, inst.b, inst.bounds, table_cap)
     if x is None:
         return None
     if inst.a.matvec(x) != inst.b:
@@ -289,15 +275,13 @@ def bounded_ilp_feasibility(
 
 
 def hbilp_feasibility(
-    inst: HbilpInstance,
-    table_cap: int = DEFAULT_TABLE_CAP,
-    bits: Optional[int] = DEFAULT_BIT_WIDTH,
+    inst: HbilpInstance, table_cap: int = DEFAULT_TABLE_CAP
 ) -> Optional[SolveWitness]:
     """Aggregated single-constraint feasibility via the same table engine,
     running on the per-column dot products."""
     dots = inst.dots()
     x = _solve_bounded(
-        Matrix.from_rows([list(dots)]), (inst.t,), ((0, 1),) * len(dots), table_cap, bits
+        Matrix.from_rows([list(dots)]), (inst.t,), ((0, 1),) * len(dots), table_cap
     )
     if x is None:
         return None
@@ -386,7 +370,6 @@ class HbilpNonnegative:
 
     instance: HbilpInstance
     n_original: int
-    big_step: int
     guard_tripped: bool
 
     def decode(self, y: Sequence[int]) -> tuple[int, ...]:
@@ -417,11 +400,11 @@ def hbilp_nonnegative(inst: HbilpInstance) -> HbilpNonnegative:
     big = 2 * span + 1
     top_target = t + n * delta * sum(s)
     if abs(top_target) > span:
-        return HbilpNonnegative(_GUARD_HBILP, n, big, True)
+        return HbilpNonnegative(_GUARD_HBILP, n, True)
     rows = [[v + delta for v in row] + [delta] * n for row in a.rows]
     rows.append([1] * (2 * n))
     out = HbilpInstance(Matrix.from_rows(rows), s + (big,), top_target + n * big)
-    return HbilpNonnegative(out, n, big, False)
+    return HbilpNonnegative(out, n, False)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from gapsolve.core import (
     Gap,
     IntegerSet,
     Matrix,
+    _int64_safe,
     check_width,
 )
 
@@ -204,34 +205,35 @@ def _assignment_matrix(ranges: Sequence[Sequence[int]], cap: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids])
 
 
+def _first_solution(a: Matrix, b: Sequence[int], ranges: Sequence[Sequence[int]], cap: int):
+    """The first x in the product of `ranges` (x_1 slowest) with A x = b, or
+    None. Products are int64 when the guard admits b and every row's bound
+    sum_j |a_ij| max|x_j|, and exact Python ints otherwise."""
+    assigns = _assignment_matrix(ranges, cap)
+    peak = [max((abs(v) for v in r), default=0) for r in ranges]
+    bound = max([abs(v) for v in b] + [sum(abs(v) * p for v, p in zip(r, peak)) for r in a.rows])
+    dtype = np.int64 if _int64_safe(-bound, bound) else object
+    prods = np.asarray(a.rows, dtype=dtype) @ assigns.astype(dtype, copy=False)
+    ok = np.all(prods == np.asarray(b, dtype=dtype)[:, None], axis=0)
+    hits = np.nonzero(ok)[0]
+    if len(hits) == 0:
+        return None
+    return tuple(int(v) for v in assigns[:, hits[0]])
+
+
 def brute_bilp_feasibility(a: Matrix, b: Sequence[int], cap: int = _DIRECT_MAX_N):
     """Exhaustive binary assignment scan; first solution in lexicographic
     variable order (x_1 slowest) or None."""
     n = a.num_cols
     if n > cap or n > _DIRECT_MAX_N:
         raise EnumerationCapError(f"BILP oracle capped at n <= {cap}")
-    assigns = _assignment_matrix([(0, 1)] * n, 1 << _DIRECT_MAX_N)
-    amat = np.asarray(a.rows, dtype=np.int64)
-    prods = amat @ assigns
-    ok = np.all(prods == np.asarray(b, dtype=np.int64)[:, None], axis=0)
-    hits = np.nonzero(ok)[0]
-    if len(hits) == 0:
-        return None
-    return tuple(int(v) for v in assigns[:, hits[0]])
+    return _first_solution(a, b, [(0, 1)] * n, 1 << _DIRECT_MAX_N)
 
 
 def brute_bounded_feasibility(
     a: Matrix, b: Sequence[int], bounds: Sequence[tuple[int, int]], cap: int = 1 << 20
 ):
-    ranges = [range(lo, hi + 1) for lo, hi in bounds]
-    assigns = _assignment_matrix(ranges, cap)
-    amat = np.asarray(a.rows, dtype=np.int64)
-    prods = amat @ assigns
-    ok = np.all(prods == np.asarray(b, dtype=np.int64)[:, None], axis=0)
-    hits = np.nonzero(ok)[0]
-    if len(hits) == 0:
-        return None
-    return tuple(int(v) for v in assigns[:, hits[0]])
+    return _first_solution(a, b, [range(lo, hi + 1) for lo, hi in bounds], cap)
 
 
 def brute_hbilp_feasibility(a: Matrix, s: Sequence[int], t: int, cap: int = _MITM_MAX_N):

@@ -13,7 +13,6 @@ import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 from gapsolve.core import (
     IntegerSet,

@@ -72,6 +72,14 @@ class TestSubsetSum:
         out = last_json(proc)
         assert out["witness"] == {"kind": "multiplicity-vector", "values": [2, 1]}
 
+    def test_values_past_int64(self, tmp_path):
+        big = 1 << 62
+        inst = write_json(
+            tmp_path / "ss.json", {"elements": [5, big, big + 1], "target": 2 * big + 1}
+        )
+        proc = run_cli("subset-sum", "solve", "--input", inst, check=0)
+        assert last_json(proc)["witness"] == {"kind": "subset-of-indices", "values": [1, 2]}
+
 
 class TestIlp:
     def test_solve_binary(self, tmp_path):
@@ -103,6 +111,14 @@ class TestIlp:
             tmp_path / "bilp.json", {"A": [[1, 0], [0, 1]], "b": [2, 2]}
         )
         run_cli("ilp", "solve", "--input", inst, check=1)
+
+    def test_solve_values_past_int64(self, tmp_path):
+        big = 1 << 62
+        inst = write_json(tmp_path / "wide.json", {"A": [[big, big + 1]], "b": [big + 1]})
+        proc = run_cli("ilp", "solve", "--input", inst, check=0)
+        assert last_json(proc)["witness"] == {"kind": "binary-vector", "values": [0, 1]}
+        proc = run_cli("ilp", "solve", "--input", inst, "--no-width-check", check=2)
+        assert "unrecognized arguments: --no-width-check" in proc.stderr
 
     def test_reduce_solve_decode_loop(self, tmp_path):
         # signed binary program, feasible at x = (1, 1)
@@ -387,12 +403,13 @@ class TestInProcess:
 
         assert cli.build_parser() is cli.build_parser()
         ss = write_json(tmp_path / "ss.json", {"elements": [2, 5, 9, 14], "target": 16})
-        wide = write_json(tmp_path / "wide.json", {"A": [[1 << 62, (1 << 62) + 1]], "b": [0]})
+        # a cap of 3 refuses this program; the default cap answers it
+        prog = write_json(tmp_path / "prog.json", {"A": [[1, 10, 100, 1000]], "b": [111]})
         calls = [
             ("generate", "--kind", "random", "--n", "12", "--seed", "3"),
             ("subset-sum", "solve", "--input", ss),
-            ("ilp", "solve", "--input", wide, "--no-width-check"),
-            ("ilp", "solve", "--input", wide),
+            ("ilp", "solve", "--input", prog, "--cap-table", "3"),
+            ("ilp", "solve", "--input", prog),
             ("generate", "--kind", "random", "--n", "12", "--seed", "3"),
         ]
         want = []
@@ -404,7 +421,7 @@ class TestInProcess:
             code = cli.main(list(argv))
             got.append((code, capsys.readouterr().out))
         assert got == want
-        assert [code for code, _ in got] == [0, 0, 0, 2, 0]
+        assert [code for code, _ in got] == [0, 0, 2, 0, 0]
 
 
 class TestErrors:

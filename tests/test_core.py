@@ -75,17 +75,17 @@ class TestSumset:
         a = IntegerSet(tuple(range(0, 3 * n, 3)))
         assert doubling_constant(a) == Fraction(2 * n - 1, n)
 
-    def test_width_check(self):
+    def test_sums_past_int64_are_exact(self):
         big = IntegerSet((1 << 62,))
-        with pytest.raises(BitWidthError):
-            sumset(big, big)
-        assert sumset(big, big, bits=None).elements == (1 << 63,)
+        assert sumset(big, big).elements == (1 << 63,)
+        assert negate(sumset(big, big)).elements == (-(1 << 63),)
+        assert iterated_sumset(big, 2, 1).elements == (1 << 62,)
 
     def test_unchecked_sums_past_int64_stay_exact(self):
         # 65 * 65 pairs take numpy's int64 unless a sum could leave int64
         a = IntegerSet(tuple(range(64)) + (1 << 62,))
         want = sorted({x + y for x in a for y in a})
-        got = sumset(a, a, bits=None).elements
+        got = sumset(a, a).elements
         assert got == tuple(want)
         assert (got[0], got[-1]) == (0, 1 << 63)
         # operands on both sides of the int64 guard (2^62) and past int64
@@ -96,7 +96,7 @@ class TestSumset:
                     b = IntegerSet.from_iterable(sign * (top - 5 * d) for d in range(nb))
                     for x, y in ((a, b), (a, IntegerSet(tuple(range(nb))))):
                         want = tuple(sorted({u + v for u in x for v in y}))
-                        assert sumset(x, y, bits=None).elements == want
+                        assert sumset(x, y).elements == want
 
     @given(small_sets, small_sets)
     @settings(max_examples=60, deadline=None)
@@ -130,7 +130,6 @@ def test_check_width_boundary():
     check_width((1 << 63) - 1)
     with pytest.raises(BitWidthError):
         check_width(1 << 63)
-    check_width(1 << 100, bits=None)
 
 
 class TestPairSumset:

@@ -28,7 +28,6 @@ from gapsolve.freiman import (
     is_prime,
     iterated_support,
     modeling_lemma,
-    modeling_modulus_lower_bound,
     next_prime,
     ruzsa_cover,
     split_coords,
@@ -118,7 +117,7 @@ class TestIteratedSupport:
                     if (p + m) * z.diameter() + 1 > freiman.DEFAULT_SUPPORT_CAP:
                         continue
                     off, sup = iterated_support(z, p, m)
-                    want = iterated_sumset(z, p, m, bits=None)
+                    want = iterated_sumset(z, p, m)
                     assert len(sup) == (p + m) * z.diameter() + 1
                     got = tuple(off + int(i) for i in np.flatnonzero(sup))
                     assert got == want.elements, (z.elements, p, m)
@@ -142,11 +141,6 @@ class TestIteratedSupport:
             iterated_support(IntegerSet((0, 1 << 20)), 8, 8)
         with pytest.raises(EnumerationCapError, match="33554433 exceeds cap"):
             freiman_gap(IntegerSet((0, 1 << 21)), random.Random(0))
-
-
-def test_modulus_lower_bound():
-    assert modeling_modulus_lower_bound(4, 2, 2) == 256
-    assert modeling_modulus_lower_bound(4, Fraction(5, 2), 2) == Fraction(625, 4) * 4
 
 
 class TestModelingLemma:
@@ -489,6 +483,20 @@ class TestBohrSpec:
                 assert all(type(r) is int for r in spec._freqs.tolist())
         with pytest.raises(ValueError, match="sorted, distinct"):
             BohrSpec(11, (1, 1 << 70, 5), Fraction(1, 4))
+
+    def test_array_input_builds_the_tuple_only_when_read(self):
+        """An int64 array is validated like a tuple; bogolyubov's spectrum
+        stays an array until `frequencies` is read."""
+        arr = np.array([1, 4, 9], dtype=np.int64)
+        spec = BohrSpec(11, arr, Fraction(1, 4))
+        assert spec._freqs.tolist() == [1, 4, 9] and spec.frequencies == (1, 4, 9)
+        for bad in ([4, 1], [1, 1], [0, 3], [3, 11]):
+            with pytest.raises(ValueError, match="sorted, distinct"):
+                BohrSpec(11, np.array(bad, dtype=np.int64), Fraction(1, 4))
+        spec = bogolyubov(IntegerSet((0, 1, 5)), 101)
+        assert "frequencies" not in vars(spec)
+        assert spec.frequencies == tuple(spec._freqs.tolist())
+        assert all(type(r) is int for r in spec.frequencies)
 
 
 class TestRuzsaCover:

@@ -9,11 +9,9 @@ import pytest
 
 from gapsolve import ilp
 from gapsolve.core import (
-    BitWidthError,
     DuplicateColumnError,
     EnumerationCapError,
     IntegerSet,
-    InvariantError,
     Matrix,
     TableCapError,
 )
@@ -111,13 +109,29 @@ class TestSolvers:
         every = BilpInstance.binary(a, (1111,))
         assert bilp_feasibility_dp(every, table_cap=3).payload == (1, 1, 1, 1)
 
-    def test_bit_width(self):
+    def test_values_past_int64(self):
+        """Row sums past 2^63 are solved exactly, and agree with the oracle."""
         big = 1 << 62
-        inst = BilpInstance.binary(Matrix.from_rows([[big, big + 1]]), (0,))
-        with pytest.raises(BitWidthError):
-            bilp_feasibility_dp(inst)
-        w = bilp_feasibility_dp(inst, bits=None)
-        assert w is not None and w.payload == (0, 0)
+        inst = BilpInstance.binary(Matrix.from_rows([[big, big + 1]]), (big + 1,))
+        assert bilp_feasibility_dp(inst).payload == (0, 1)
+        # all four columns sum to 2^64 + 6, which int64 would read as 6
+        row = [big + j for j in range(4)]
+        assert bilp_feasibility_dp(BilpInstance.binary(Matrix.from_rows([row]), (6,))) is None
+        rng = random.Random(104)
+        seen = set()
+        for _ in range(30):
+            m, n = rng.randint(1, 2), rng.randint(1, 6)
+            a = _rand_matrix(rng, m, n)
+            a = Matrix.from_rows([[v * big + rng.randint(-3, 3) for v in r] for r in a.rows])
+            x = [rng.randint(0, 1) for _ in range(n)]
+            for b in (a.matvec(x), tuple(v + 1 for v in a.matvec(x))):
+                got = bilp_feasibility_dp(BilpInstance.binary(a, b))
+                want = brute_bilp_feasibility(a, b)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert a.matvec(got.payload) == b
+                seen.add(got is None)
+        assert seen == {True, False}
 
     def test_vs_brute_binary(self):
         rng = random.Random(100)
@@ -175,7 +189,7 @@ def _reachable(a, bounds):
     ]
     out = set()
     for vec in itertools.product(*box):
-        w = bounded_ilp_feasibility(BilpInstance(a, vec, bounds), table_cap=1 << 20, bits=64)
+        w = bounded_ilp_feasibility(BilpInstance(a, vec, bounds), table_cap=1 << 20)
         if w is not None:
             x = w.payload
             assert all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds))
@@ -208,7 +222,7 @@ class TestReachableTable:
 
 def _outcome(solve, inst, cap):
     try:
-        w = solve(inst, table_cap=cap, bits=None)
+        w = solve(inst, table_cap=cap)
     except TableCapError as e:
         return "cap", str(e)
     if w is None:
@@ -415,8 +429,8 @@ class TestEngineEquivalence:
         above = BilpInstance.binary(Matrix.from_rows([[big, 3]]), (big + 3,))
         at = BilpInstance.binary(Matrix.from_rows([[big - 4, 3]]), (big - 4,))
         widths = _key_widths(monkeypatch)
-        assert bilp_feasibility_dp(above, bits=None).payload == (1, 1)
-        assert bilp_feasibility_dp(at, bits=None).payload == (1, 0)
+        assert bilp_feasibility_dp(above).payload == (1, 1)
+        assert bilp_feasibility_dp(at).payload == (1, 0)
         assert widths == [object, np.int64]
 
 

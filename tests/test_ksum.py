@@ -115,7 +115,7 @@ class TestSparseSumset:
                 cases += [(big, big), (big, list(range(64))), (big, [0])]
         for a, b in cases:
             want = tuple(sorted({x + y for x in a for y in b}))
-            assert sumset(IntegerSet(tuple(a)), IntegerSet(tuple(b)), bits=None).elements == want
+            assert sumset(IntegerSet(tuple(a)), IntegerSet(tuple(b))).elements == want
             assert sparse_sumset(a, b).values == want
             assert tuple(_pair_sumset(a, b).tolist()) == want
             span = a[-1] - a[0] + b[-1] - b[0] + 1

@@ -95,6 +95,17 @@ class TestIlpOracles:
         a = Matrix.from_rows([[2, 3]])
         assert brute_bounded_feasibility(a, [7], [(0, 2), (0, 2)]) == (2, 1)
 
+    def test_products_past_int64_do_not_wrap(self):
+        big = 1 << 62
+        a = Matrix.from_rows([[big, big + 1, big + 2, big + 3]])
+        # the sum of all four is 2^64 + 6, which int64 would read as 6
+        assert brute_bilp_feasibility(a, [6]) is None
+        assert brute_bilp_feasibility(a, [2 * big + 3]) == (0, 1, 1, 0)
+        assert brute_bilp_feasibility(a, [4 * big + 6]) == (1, 1, 1, 1)
+        wide = Matrix.from_rows([[big, 3]])
+        assert brute_bounded_feasibility(wide, [3 * big + 3], [(0, 4), (0, 1)]) == (3, 1)
+        assert brute_bounded_feasibility(wide, [3], [(-4, 4), (0, 1)]) == (0, 1)
+
     def test_hbilp_reduces_to_subset_sum(self):
         rng = random.Random(7)
         for _ in range(150):
