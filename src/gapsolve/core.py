@@ -8,8 +8,7 @@ object and are read-only afterwards.
 Integer discipline: values are exact Python ints everywhere, of any size.
 numpy int64 appears only where the one guard `_int64_safe` admits it, and
 every other array holds Python ints, so no result wraps and none is refused
-for its size. `check_width` is the guard of the brute-force subset-sum
-oracle alone, which keeps its half sums in int64 arrays.
+for its size.
 
 Set arithmetic: one private sumset kernel serves `sumset`, the k-SUM folds
 and the Freiman supports. Its single int64 guard admits numpy int64 only when
@@ -59,7 +58,8 @@ DEFAULT_TABLE_CAP = 2_000_000
 
 
 class BitWidthError(OverflowError):
-    """A value left the signed 64-bit range of an int64-only routine."""
+    """A value left the signed 64-bit range of an int64-only routine. No
+    gapsolve routine raises it any more; it stays for callers that catch it."""
 
 
 class EnumerationCapError(RuntimeError):
@@ -80,14 +80,6 @@ class PipelineFailureError(RuntimeError):
 
 class InvariantError(AssertionError):
     """A runtime invariant that the mathematics guarantees was violated."""
-
-
-def check_width(value: int) -> int:
-    """Return `value` unchanged, or raise BitWidthError if it does not fit
-    in a signed 64-bit integer."""
-    if not -(1 << 63) <= value < 1 << 63:
-        raise BitWidthError(f"value {value} exceeds signed 64-bit range")
-    return value
 
 
 def floor_root(x: int, k: int) -> int:

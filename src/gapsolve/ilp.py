@@ -33,6 +33,7 @@ refused for the size of its values; numpy int64 keys are used only where
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -216,15 +217,27 @@ def _solve_bounded(
 ) -> Optional[list[int]]:
     """An x with A x = b inside `bounds`, or None.
 
-    Variables are shifted to x~ = x - lower bound in [0, spans_j]. A vector
-    v of A x~ lies between lows and highs, the row extremes, and is encoded
-    as the key sum_i (v_i - lows_i) * strides_i; the encoding is linear, so
-    adding a column contribution is integer addition on keys.
+    Each row i is first divided by g_i, the gcd of its entries: A x is a
+    multiple of g_i in row i, so a b_i that g_i does not divide is an exact
+    "no", and the division keeps every solution. Variables are shifted to
+    x~ = x - lower bound in [0, spans_j]. A vector v of A x~ lies between
+    lows and highs, the row extremes, and is encoded as the key
+    sum_i (v_i - lows_i) * strides_i; the encoding is linear, so adding a
+    column contribution is integer addition on keys. The division keeps the
+    order of the keys, so the key range, and with it the key dtype, follows
+    the rows' spreads over their gcds, not the size of the entries.
     """
+    rows, rhs = [], []
+    for row, bi in zip(a.rows, b):
+        g = math.gcd(*row) or 1
+        if bi % g:
+            return None
+        rows.append(row if g == 1 else tuple(v // g for v in row))
+        rhs.append(bi // g)
     spans = [hi - lo for lo, hi in bounds]
     shift = [lo for lo, _ in bounds]
-    target = [bv - bb for bv, bb in zip(b, a.matvec(shift))]
-    cols, m = a.columns(), a.num_rows
+    target = [bi - sum(v * s for v, s in zip(row, shift)) for row, bi in zip(rows, rhs)]
+    cols, m = tuple(zip(*rows)), len(rows)
     lows, strides = [], []
     key_range = 1
     outside = False

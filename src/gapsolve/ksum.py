@@ -14,6 +14,11 @@ to the backend that ran it (transform length for convolution, pair count
 for hashing), so structured and unstructured inputs separate honestly in
 benchmarks.
 
+Before it plans, `ksum` normalizes the input by x -> (x - c) / g, with
+c = min A and g = gcd(A - c), a Freiman isomorphism of every order: a target
+of the wrong residue gets an exact "no" at once, and everything after it
+depends on the spread of the values over g, not on their size.
+
 Every fold runs on the sumset kernel in `gapsolve.core`. Each fold level is
 one sorted numpy array from the fold through the meet to the witness walk:
 int64 while the kernel's one guard admits the operands (all strictly inside
@@ -161,6 +166,9 @@ class KsumResult:
     `partitions_tried` the fixed (k-4)-tuples scanned, which is 1 for
     k <= 4. Random colorings: `work` is the folds' backend work plus the
     sizes of the met sumsets, and `partitions_tried` the colorings folded.
+    A target of the wrong residue (g does not divide t - k*c, see `ksum`)
+    and k > n are refused exactly: no witness, `exhaustive` True, `work`
+    and `partitions_tried` both 0, and no backends.
     """
 
     witness: Optional[SolveWitness]
@@ -329,8 +337,38 @@ def _meet(lvals: np.ndarray, rvals: np.ndarray, t: int) -> Optional[int]:
     return None
 
 
+def _normalized(values: Sequence[int]) -> tuple[int, int, np.ndarray]:
+    """(c, g, (A - c) / g) for sorted distinct values: c = min A and
+    g = gcd(A - c), 1 for a single value. The map x -> (x - c) / g is a
+    Freiman isomorphism of every order: it keeps the order of the values
+    and the order and equality of every k-fold sum, which it sends to
+    (s - k*c) / g. The array is int64 while the normalized spread passes
+    the guard, whatever the size of the raw values, and an object array of
+    exact Python ints past it."""
+    c = values[0]
+    if _int64_safe(c, values[-1]):
+        arr = np.array(values, dtype=np.int64)
+        arr -= c
+    else:
+        arr = np.array([v - c for v in values], dtype=object)
+    g = int(np.gcd.reduce(arr)) or 1
+    if g > 1:
+        arr //= g
+    if not _int64_safe(0, int(arr[-1])):
+        return c, g, arr.astype(object)
+    return c, g, arr.astype(np.int64, copy=False)
+
+
 def ksum(z: IntegerSet, t: int, k: int, rng) -> KsumResult:
     """Find k distinct indices of z summing to t.
+
+    The values and the target are first normalized by x -> (x - c) / g
+    (see `_normalized`), t -> (t - k*c) / g. When g does not divide
+    t - k*c, no k of the values reach t, and the answer is an exact "no"
+    with no pair table and no fold. Otherwise the plan runs on the
+    normalized values, so its cost and its int64 arrays depend on the
+    spread of the values over their gcd, not on their size; indices carry
+    over unchanged, and the witness is re-evaluated on the raw values.
 
     Exhaustive plans (see `splitter_plan`) are settled from capped pair
     representatives, and a None witness then proves infeasibility. Other
@@ -346,28 +384,32 @@ def ksum(z: IntegerSet, t: int, k: int, rng) -> KsumResult:
     if k > n:
         return KsumResult(None, 0, 0, True, {"backends": {}})
     values = z.elements
+    c, g, arr = _normalized(values)
+    shifted = t - k * c
+    if shifted % g:
+        return KsumResult(None, 0, 0, True, {"backends": {}})
+    target = shifted // g
     if splitter_plan(n, k).exhaustive:
-        indices, work, tried = _pair_ksum(values, t, k)
+        indices, work, tried = _pair_ksum(arr.tolist(), target, k)
         witness = None if indices is None else _checked(values, indices, t, k)
         return KsumResult(witness, work, tried, True, {"backends": {}})
-    # blocks list indices ascending, so indexing the sorted values keeps them sorted
-    arr = np.array(values, dtype=np.int64 if _int64_safe(values[0], values[-1]) else object)
     work = 0
     tried = 0
     backends: dict = {}
     split_at = k // 2
     for blocks in splitter_family(n, k, rng):
         tried += 1
+        # blocks list indices ascending, so indexing the sorted values keeps them sorted
         lblocks = [arr[list(b)] for b in blocks[:split_at]]
         rblocks = [arr[list(b)] for b in blocks[split_at:]]
         llevels, lwork = _fold_blocks(lblocks, backends)
         rlevels, rwork = _fold_blocks(rblocks, backends)
         work += lwork + rwork + len(llevels[-1]) + len(rlevels[-1])
-        hit = _meet(llevels[-1], rlevels[-1], t)
+        hit = _meet(llevels[-1], rlevels[-1], target)
         if hit is None:
             continue
-        picks = _unfold(llevels, lblocks, hit) + _unfold(rlevels, rblocks, t - hit)
-        indices = tuple(sorted(bisect_left(values, v) for v in picks))
+        picks = _unfold(llevels, lblocks, hit) + _unfold(rlevels, rblocks, target - hit)
+        indices = tuple(sorted(bisect_left(arr, v) for v in picks))
         witness = _checked(values, indices, t, k)
         return KsumResult(witness, work, tried, False, {"backends": backends})
     return KsumResult(None, work, tried, False, {"backends": backends})

@@ -20,7 +20,6 @@ from gapsolve.core import (
     IntegerSet,
     Matrix,
     _int64_safe,
-    check_width,
 )
 
 _MITM_MAX_N = 40
@@ -33,13 +32,14 @@ def _as_values(z) -> tuple[int, ...]:
     return tuple(int(v) for v in z)
 
 
-def _half_sums(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """All 2^h subset sums of `values` with their popcounts.
+def _half_sums(values: Sequence[int], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^h subset sums of `values` with their popcounts, the sums in
+    `dtype`.
 
     Index bit j corresponds to values[j], so the flat index doubles as the
     chosen-subset mask.
     """
-    sums = np.zeros(1, dtype=np.int64)
+    sums = np.zeros(1, dtype=dtype)
     counts = np.zeros(1, dtype=np.int64)
     for v in values:
         sums = np.concatenate([sums, sums + v])
@@ -76,14 +76,14 @@ def brute_subset_sum(
     n = len(values)
     if n > cap or n > _MITM_MAX_N:
         raise EnumerationCapError(f"subset-sum oracle capped at n <= {cap}")
-    # extremes of the half sums are what the int64 arrays must hold
-    check_width(sum(v for v in values if v > 0))
-    check_width(sum(v for v in values if v < 0))
-    check_width(t)
+    # the arrays hold subset sums in [neg, pos] and t minus them: int64
+    # while the guard admits both ranges, exact Python ints otherwise
+    neg, pos = sum(v for v in values if v < 0), sum(v for v in values if v > 0)
+    dtype = np.int64 if _int64_safe(min(neg, t - pos), max(pos, t - neg)) else object
     h = n // 2
     left_vals, right_vals = values[:h], values[h:]
-    ls, lc = _half_sums(left_vals)
-    rs, rc = _half_sums(right_vals)
+    ls, lc = _half_sums(left_vals, dtype)
+    rs, rc = _half_sums(right_vals, dtype)
 
     if mode == "count":
         total = 0

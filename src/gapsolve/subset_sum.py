@@ -9,7 +9,9 @@ coordinates, enumerate the few supports a lexicographically-least solution
 can use (those of the least solutions for binary column-sum targets, one
 walk per target), then solve coin reachability per support whose gcd
 divides the remainder; both steps run the box engine of `ilp` (big-int
-closures by doubling passes). Witnesses always re-verify before returning.
+closures by doubling passes), on the elements and target divided by
+gcd(z), so a target that gcd does not divide is an exact "no" at once.
+Witnesses always re-verify before returning.
 """
 
 from __future__ import annotations
@@ -92,14 +94,18 @@ def subset_sum_doubling(
 def unbounded_subset_sum(z: IntegerSet, t: int, rng) -> Optional[SolveWitness]:
     """Unbounded subset sum via progression structure of the element set.
 
-    Elements become columns of coordinates in a covering progression, and
-    the lexicographically-least multiplicity vector for any reachable
-    coordinate target has a support that also shows up for some binary
-    column-sum target. Those supports are enumerable, and within a fixed
-    support the problem is ordinary coin reachability. The coordinate box
-    grows quickly with set size; this is a small-n solver by design, and
-    the box cap of `ilp` and UNBOUNDED_TARGET_CAP, read at call time, say
-    so rather than letting it thrash.
+    Every nonnegative combination of z is a multiple of g = gcd(z), so a
+    target that g does not divide is an exact "no"; otherwise elements and
+    target are divided by g, which keeps every multiplicity vector, and the
+    rest runs on the quotients. Elements become columns of coordinates in a
+    covering progression, and the lexicographically-least multiplicity
+    vector for any reachable coordinate target has a support that also
+    shows up for some binary column-sum target. Those supports are
+    enumerable, and within a fixed support the problem is ordinary coin
+    reachability. The coordinate box grows quickly with set size; this is a
+    small-n solver by design, and the box cap of `ilp` and
+    UNBOUNDED_TARGET_CAP (on t / g), read at call time, say so rather than
+    letting it thrash.
     """
     if z.min() < 1:
         raise ValueError("elements must be positive")
@@ -108,18 +114,22 @@ def unbounded_subset_sum(z: IntegerSet, t: int, rng) -> Optional[SolveWitness]:
         return None
     if t == 0:
         return SolveWitness("multiplicity-vector", (0,) * n)
-    if t > UNBOUNDED_TARGET_CAP:
+    g = math.gcd(*z.elements)
+    if t % g:
+        return None
+    goal = t // g
+    if goal > UNBOUNDED_TARGET_CAP:
         raise EnumerationCapError(
-            f"target {t} above cap {UNBOUNDED_TARGET_CAP}: "
-            f"coin reachability keeps target + 1 = {t + 1} states"
+            f"target {goal} above cap {UNBOUNDED_TARGET_CAP}: "
+            f"coin reachability keeps target + 1 = {goal + 1} states"
         )
-    enc = ss_to_hbilp(z, t, rng)
+    values = tuple(v // g for v in z.elements)
+    enc = ss_to_hbilp(IntegerSet(values), goal, rng)
     supports = binary_image_supports(enc.instance.a)
-    values = z.elements
     for sigma in supports:
         if not sigma:
             continue
-        rem = t - sum(values[j] for j in sigma)
+        rem = goal - sum(values[j] for j in sigma)
         if rem < 0 or rem % math.gcd(*(values[j] for j in sigma)):
             continue  # every coin sum over sigma is a multiple of that gcd
         # a one-row box [0, rem]; the target cap already bounds its states
@@ -130,7 +140,7 @@ def unbounded_subset_sum(z: IntegerSet, t: int, rng) -> Optional[SolveWitness]:
         x = [0] * n
         for j, e in zip(sigma, extras):
             x[j] = 1 + e
-        if sum(v * m for v, m in zip(values, x)) != t:
+        if sum(v * m for v, m in zip(z.elements, x)) != t:
             raise InvariantError("multiplicity witness failed re-evaluation")
         return SolveWitness("multiplicity-vector", tuple(x))
     return None

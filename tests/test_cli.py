@@ -259,7 +259,7 @@ class TestKsum:
         )
         assert proc.stdout == (
             '{"exhaustive":false,"feasible":true,"partitions":1,'
-            '"witness":{"kind":"subset-of-indices","values":[0,1,5,94]},"work":1880}\n'
+            '"witness":{"kind":"subset-of-indices","values":[0,1,5,94]},"work":888}\n'
         )
 
     def test_gamma_flag_is_gone(self, tmp_path):

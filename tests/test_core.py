@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 import gapsolve
 import gapsolve.core as core
 from gapsolve.core import (
-    BitWidthError,
     Gap,
     IntegerSet,
     Matrix,
     SolveWitness,
-    check_width,
     doubling_constant,
     gap_enumerate,
     gap_membership,
@@ -124,12 +122,6 @@ class TestSumset:
         for _ in range(minus):
             ref = {x - y for x in ref for y in a}
         assert list(iterated_sumset(a, plus, minus).elements) == sorted(ref)
-
-
-def test_check_width_boundary():
-    check_width((1 << 63) - 1)
-    with pytest.raises(BitWidthError):
-        check_width(1 << 63)
 
 
 class TestPairSumset:

@@ -133,6 +133,25 @@ class TestSolvers:
                 seen.add(got is None)
         assert seen == {True, False}
 
+    def test_row_gcd(self, monkeypatch):
+        """Each row is divided by the gcd of its entries: a b_i of the wrong
+        residue is refused before any table, and scaled rows keep int64 keys
+        and their witness."""
+        widths = _key_widths(monkeypatch)
+        a = Matrix.from_rows([[1, 2, 3, 5], [6, 10, 4, 8]])
+        # 13 is within the second row's extremes [0, 28], but odd
+        assert bilp_feasibility_dp(BilpInstance.binary(a, (6, 13))) is None
+        bounded = BilpInstance(a, (6, 13), ((0, 2),) * 4)
+        assert bounded_ilp_feasibility(bounded) is None
+        assert widths == []
+        want = bilp_feasibility_dp(BilpInstance.binary(a, (6, 14)))
+        assert want.payload == (1, 0, 0, 1)
+        big = 1 << 70
+        scaled = Matrix.from_rows([[big * v for v in row] for row in a.rows])
+        assert bilp_feasibility_dp(BilpInstance.binary(scaled, (6 * big, 14 * big))) == want
+        assert bilp_feasibility_dp(BilpInstance.binary(scaled, (6 * big, 14 * big + 2))) is None
+        assert widths == [np.int64, np.int64]
+
     def test_vs_brute_binary(self):
         rng = random.Random(100)
         for _ in range(150):
@@ -386,7 +405,9 @@ class TestEngineEquivalence:
 
     def test_random_programs_past_int64(self, monkeypatch):
         """Binary and bounded programs whose key range is past 2^62, so the
-        engine runs on object keys, with entries scaled by 2^40 to 2^100."""
+        engine runs on object keys, with entries scaled by 2^40 to 2^100 and
+        moved by -3..3, so that no common factor of a row divides the scale
+        out again."""
         rng = random.Random(107)
         seen = set()
         checked = 0
@@ -394,7 +415,9 @@ class TestEngineEquivalence:
             m, n = rng.randint(1, 3), rng.randint(1, 8)
             small = _rand_matrix(rng, m, n)
             scales = [1 << rng.randint(40, 100) for _ in range(m)]
-            a = Matrix.from_rows([[v * sc for v in r] for r, sc in zip(small.rows, scales)])
+            a = Matrix.from_rows(
+                [[v * sc + rng.randint(-3, 3) for v in r] for r, sc in zip(small.rows, scales)]
+            )
             if rng.random() < 0.5:
                 bounds = ((0, 1),) * n
             else:

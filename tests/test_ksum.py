@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapsolve.core import EnumerationCapError, IntegerSet, _fft_sumset, _pair_sumset, sumset
 from gapsolve.ksum import (
@@ -17,7 +19,7 @@ from gapsolve.ksum import (
     splitter_family,
     splitter_plan,
 )
-from gapsolve.instances import random_dense_set
+from gapsolve.instances import ap_set, random_dense_set
 from gapsolve.oracles import brute_ksum
 
 # the package exports the function ksum under the module's name
@@ -248,11 +250,13 @@ class TestBigValues:
 
 
 class TestRandomPathValueRegimes:
-    """The coloring path (cut cap 2) folds, meets and walks back arrays:
-    int64 near 0, int64 levels crossing +-2^62 that turn into object arrays
-    mid-fold, and object arrays throughout past 2^64."""
+    """The coloring path (cut cap 2) folds, meets and walks back arrays of
+    the normalized values, so their regime is set by the spread of the
+    values, whatever their offset: int64 near 0, int64 levels crossing
+    +-2^62 that turn into object arrays mid-fold, and object arrays
+    throughout past 2^64."""
 
-    REGIMES = {"near 0": 0, "straddling 2^62": 1 << 61, "past 2^64": -(1 << 66)}
+    REGIMES = {"near 0": 1 << 21, "straddling 2^62": 1 << 62, "past 2^64": 1 << 66}
 
     def _levels_seen(self, monkeypatch):
         seen = []
@@ -269,24 +273,31 @@ class TestRandomPathValueRegimes:
     @pytest.mark.parametrize("regime", REGIMES)
     def test_planted_and_residue_infeasible(self, regime, monkeypatch, cut_cap):
         cut_cap(2)
-        base = self.REGIMES[regime]
+        spread = self.REGIMES[regime]
         seen = self._levels_seen(monkeypatch)
         rng = random.Random(710 + len(regime))
         for k in range(3, 7):
-            # planted: the witness must sum to t
+            # planted, at an offset far past int64: the witness must sum to t;
+            # the least value normalizes to 0, every other one to at least spread/2
+            offset = rng.randrange(-(1 << 70), 1 << 70)
+            size = rng.randint(k + 3, 14)
             z = IntegerSet.from_iterable(
-                base + 3 * v for v in rng.sample(range(-(1 << 20), 1 << 20), rng.randint(k + 3, 14))
+                [offset] + [offset + rng.randrange(spread >> 1, spread) for _ in range(size - 1)]
             )
             t = sum(rng.sample(z.elements, k))
             res = ksum(z, t, k, random.Random(rng.randrange(2**30)))
             assert not res.exhaustive and res.witness is not None
             idx = res.witness.payload
             assert len(set(idx)) == k and sum(z.elements[i] for i in idx) == t
-            # every value is base mod 3, so no k of them reach t = k*base + 1 mod 3
-            z = IntegerSet.from_iterable(base + 3 * v for v in rng.sample(range(-50, 50), k + 2))
-            t = k * base + 3 * rng.randrange(-40, 40) + 1
+            # every value is offset mod 3, so no k of them reach t = k*offset + 1
+            # mod 3: an exact "no" before any fold
+            z = IntegerSet.from_iterable(offset + 3 * rng.randrange(spread >> 2) for _ in range(k + 2))
+            t = k * offset + 3 * rng.randrange(spread >> 1) + 1
+            folds = len(seen)
             res = ksum(z, t, k, random.Random(rng.randrange(2**30)))
-            assert res.witness is None and not res.exhaustive and res.partitions_tried > 0
+            assert res.witness is None and res.exhaustive
+            assert (res.work, res.partitions_tried, res.meta) == (0, 0, {"backends": {}})
+            assert len(seen) == folds
             assert brute_ksum(z.elements, t, k) is None
         dtypes = {level.dtype.kind for level in seen}
         crossing = [
@@ -298,7 +309,9 @@ class TestRandomPathValueRegimes:
         elif regime == "straddling 2^62":
             assert dtypes == {"i", "O"} and crossing
         else:
-            assert dtypes == {"O"}
+            # a block that holds the least value alone folds to [0], which the
+            # guard admits; every other level is an object array
+            assert {level.dtype.kind for level in seen if level.tolist() != [0]} == {"O"}
 
     def test_complements_do_not_wrap(self):
         # t - lvals[0] = 3 * 2^62 - 11 leaves int64, and wrapped it would be
@@ -405,7 +418,8 @@ class TestEarlyExitMeet:
 
 class TestFrozenRandomPath:
     """Whole results of seeded coloring-path queries, pinned: witness, work,
-    colorings folded and backends."""
+    colorings folded and backends. The "ap" and "straddle" values have
+    gcd 3 after the shift by their least value, "object" gcd 7."""
 
     CASES = {
         # name: (values, k, rng seed, target, witness, work, colorings, backends)
@@ -415,7 +429,7 @@ class TestFrozenRandomPath:
         ),
         "ap": (
             list(range(0, 42, 3)), 3, 12,
-            63, (2, 6, 13), 64, 1, {"hash": 3},
+            63, (2, 6, 13), 64, 1, {"hash": 2, "fft": 1},
         ),
         "mixed": (
             list(range(40)), 5, 13,
@@ -429,9 +443,15 @@ class TestFrozenRandomPath:
             [(1 << 61) + 3 * v * v - 40 for v in range(12)], 5, 15,
             11529215046068470091, (0, 2, 3, 8, 10), 75, 1, {"hash": 5},
         ),
+        # no 3 distinct squares below 100 sum to 103: every coloring is folded
+        "sweep": (
+            [v * v for v in range(10)], 3, 16,
+            103, None, 7702, 260, {"hash": 780},
+        ),
+        # 301 is not 0 mod 3: an exact "no" before any coloring
         "residue": (
             [3 * v * v for v in range(10)], 3, 16,
-            301, None, 7702, 260, {"hash": 780},
+            301, None, 0, 0, {},
         ),
     }
 
@@ -441,7 +461,8 @@ class TestFrozenRandomPath:
         cut_cap(2)
         res = ksum(IntegerSet(tuple(values)), t, k, random.Random(seed))
         assert (None if res.witness is None else res.witness.payload) == witness
-        assert (res.work, res.partitions_tried, res.exhaustive) == (work, tried, False)
+        # only the residue refusal is exact on this path
+        assert (res.work, res.partitions_tried, res.exhaustive) == (work, tried, name == "residue")
         assert res.meta == {"backends": backends}
 
 
@@ -513,7 +534,8 @@ class TestPairRepresentatives:
         for n, want in ((317, True), (318, False)):
             assert splitter_plan(n, 3).exhaustive == want
             z = IntegerSet.from_iterable(range(0, 3 * n, 3))
-            res = ksum(z, 3 * n + 1, 3, random.Random(4))
+            # a multiple of 3 above every sum of three, so the plan runs
+            res = ksum(z, 9 * n, 3, random.Random(4))
             assert res.exhaustive == want
             assert res.witness is None
         z = IntegerSet.from_iterable(range(0, 60, 3))
@@ -535,7 +557,86 @@ class TestPairRepresentatives:
 
     def test_counters(self):
         z = IntegerSet.from_iterable(range(0, 30, 3))  # n = 10, 45 pairs
-        assert ksum(z, 61, 3, random.Random(0)).partitions_tried == 1
-        res = ksum(z, 61, 5, random.Random(0))
+        # multiples of 3 below every sum of three and of five
+        assert ksum(z, 6, 3, random.Random(0)).partitions_tried == 1
+        res = ksum(z, 27, 5, random.Random(0))
         assert res.partitions_tried == 10  # one fixed index per tuple
         assert res.work > 45
+
+
+class TestNormalization:
+    """ksum runs on (A - c) / g with c = min A and g = gcd(A - c), and on
+    (t - k*c) / g: a target of the wrong residue is refused exactly, and
+    everything else depends on the normalized instance alone."""
+
+    def test_foursum_on_ap_is_value_independent(self):
+        # n = 256: C(255, 3) is past the cut cap, so colorings are folded
+        picks = random.Random(256).sample(range(256), 4)
+        results = []
+        for start, step in ((5, 1), (-(10**9), 10**6), ((1 << 75) + 1, 1 << 70)):
+            z = ap_set(256, start, step)
+            planted = foursum(z, sum(z.elements[i] for i in picks), random.Random(7))
+            # a multiple of step past the largest sum of four: a full sweep
+            above = foursum(z, 4 * start + 1020 * step, random.Random(7))
+            assert planted.witness is not None and above.witness is None
+            assert not planted.exhaustive and not above.exhaustive
+            results.append([(r.witness, r.work, r.partitions_tried, r.meta) for r in (planted, above)])
+        assert results[0] == results[1] == results[2]
+        assert results[0][0][1:] == (2114, 1, {"backends": {"hash": 2, "fft": 2}})
+        assert results[0][1][1:] == (5122273, 2423, {"backends": {"hash": 4846, "fft": 4846}})
+
+    def test_wrong_residue_builds_nothing(self, monkeypatch):
+        def no_fold(*args):
+            raise AssertionError("a refused query folded")
+
+        monkeypatch.setattr(ksum_module, "_fold_blocks", no_fold)
+        monkeypatch.setattr(ksum_module, "_pair_ksum", no_fold)
+        z = ap_set(2048, 7, 10**6)  # colorings past the cut cap
+        for k in (1, 2, 4, 6):
+            res = ksum(z, k * 7 + 10**6 * 100 + 1, k, random.Random(0))
+            assert res == ksum_module.KsumResult(None, 0, 0, True, {"backends": {}})
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-30, 30), min_size=1, max_size=9, unique=True),
+        st.integers(1, 5),
+        st.integers(-(1 << 70), 1 << 70),
+        st.integers(1, 1 << 70),
+        st.sampled_from(("planted", "off by one", "residue")),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_agrees_with_brute_and_the_normalized_instance(
+        self, base, k, offset, scale, kind, colouring, rnd
+    ):
+        k = min(k, len(base))
+        if colouring:
+            k = min(k, 3)  # k = 5 plans over 3,000 colorings at n = 9
+        z = IntegerSet.from_iterable(offset + scale * v for v in base)
+        picked = rnd.sample(range(len(z)), k)
+        t = sum(z.elements[i] for i in picked)
+        if kind == "off by one":
+            t += rnd.choice((-1, 1))
+        elif kind == "residue":
+            t = k * offset + scale * rnd.randrange(-200, 200) + rnd.randrange(1, scale + 1)
+        c = z.elements[0]
+        g = math.gcd(*(v - c for v in z.elements)) or 1
+        norm = IntegerSet(tuple((v - c) // g for v in z.elements))
+        seed = rnd.randrange(1 << 30)
+        with pytest.MonkeyPatch.context() as mp:
+            if colouring:
+                mp.setattr(ksum_module, "DEFAULT_CUT_CAP", 2)
+            res = ksum(z, t, k, random.Random(seed))
+            if (t - k * c) % g:
+                assert (res.witness, res.work, res.partitions_tried) == (None, 0, 0)
+                assert res.exhaustive
+            else:
+                pre = ksum(norm, (t - k * c) // g, k, random.Random(seed))
+                assert res == pre
+        want = brute_ksum(z.elements, t, k)
+        if res.witness is None:
+            assert want is None or not res.exhaustive
+        else:
+            idx = res.witness.payload
+            assert len(set(idx)) == k and sum(z.elements[i] for i in idx) == t
+            assert want is not None

@@ -106,6 +106,16 @@ class TestIlpOracles:
         assert brute_bounded_feasibility(wide, [3 * big + 3], [(0, 4), (0, 1)]) == (3, 1)
         assert brute_bounded_feasibility(wide, [3], [(-4, 4), (0, 1)]) == (0, 1)
 
+    def test_hbilp_half_sums_past_int64(self):
+        # the dot products are 2^62 and 2^63: the half sums leave int64
+        assert brute_hbilp_feasibility(Matrix.from_rows([[1, 2]]), (1 << 62,), 1 << 62) == (1, 0)
+        assert brute_hbilp_feasibility(Matrix.from_rows([[1, 2]]), (1 << 62,), 3 << 62) == (1, 1)
+        assert brute_hbilp_feasibility(Matrix.from_rows([[1, 2]]), (1 << 62,), 1) is None
+        big = [5, 1 << 62, (1 << 62) + 1]
+        assert brute_subset_sum(big, (1 << 63) + 1) == (1, 2)
+        assert brute_subset_sum(big, (1 << 63) + 1, mode="count") == 1
+        assert brute_subset_sum([-(1 << 70), 3, 1 << 70], 3, k=3) == (0, 1, 2)
+
     def test_hbilp_reduces_to_subset_sum(self):
         rng = random.Random(7)
         for _ in range(150):

@@ -3,9 +3,10 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
-from gapsolve import subset_sum
+from gapsolve import ilp, subset_sum
 from gapsolve.core import EnumerationCapError, IntegerSet, TableCapError
 from gapsolve.ilp import _BoxReachability
 from gapsolve.instances import ap_set
@@ -74,6 +75,22 @@ class TestBinary:
         assert a == b
 
 
+    def test_scaled_ap_keeps_its_witness(self, monkeypatch):
+        # the row is divided by its gcd, 2^64, so the keys stay int64
+        widths = []
+        engine = ilp._array_engine
+        monkeypatch.setattr(
+            ilp, "_array_engine", lambda keys, *args: widths.append(keys.dtype) or engine(keys, *args)
+        )
+        picks = random.Random(200).sample(range(200), 60)
+        one = ap_set(200, 1, 1)
+        big = ap_set(200, 1 << 64, 1 << 64)
+        w = subset_sum_doubling(one, sum(one.elements[i] for i in picks))
+        assert w is not None
+        assert subset_sum_doubling(big, sum(big.elements[i] for i in picks)) == w
+        assert widths == [np.int64, np.int64]
+
+
 class TestUnbounded:
     def test_frozen(self):
         rng = random.Random(0)
@@ -130,6 +147,16 @@ class TestUnbounded:
                 assert sum(v * m for v, m in zip(z.elements, got.payload)) == t
         assert odd == 0
         assert len(built) == 97  # 1,470 without the gcd test
+
+    def test_divides_by_the_gcd(self):
+        # gcd 10^6: the target 2.1 * 10^7 is 21 in units of it, far below the
+        # cap, and a target that the gcd does not divide is an exact "no"
+        z = ap_set(5, 10**6, 10**6)
+        w = unbounded_subset_sum(z, 21 * 10**6, random.Random(0))
+        assert w is not None and all(m >= 0 for m in w.payload)
+        assert sum(v * m for v, m in zip(z.elements, w.payload)) == 21 * 10**6
+        assert w == unbounded_subset_sum(ap_set(5, 1, 1), 21, random.Random(0))
+        assert unbounded_subset_sum(z, 21 * 10**6 + 1, random.Random(0)) is None
 
     def test_coprime_large_targets(self):
         # past the Frobenius number of {3, 5} everything is reachable
