@@ -19,14 +19,16 @@ deduplicated by sort plus an adjacent-difference mask, when the guard admits
 both operands, and an object array of exact Python ints from a Python set
 otherwise. When at least 2,048 pairs have sums spanning less than 2^32,
 the outer sum, sort and mask run on uint32 offsets from the least sum,
-and the result is the same int64 array. `sumset` turns that array into
-Python ints at its own boundary; the k-SUM folds keep it. Dense ranges take `_fft_sumset`, sorted arrays in
-and a sorted int64 array out, by an FFT convolution of indicator vectors
-(exact: counts stay far inside float64's integer range); its cost is the
-transform length over the combined range. The k-SUM fft backend and the
-Freiman supports both call it. A support fold x + y takes the pairwise
-kernel when |x|*|y| is at most that transform length and the FFT otherwise,
-so a support costs about the sizes of its partial sumsets, not the range.
+and the result is the same int64 array. `sumset` and `iterated_sumset` run
+on the pairwise kernel alone, the reference for the other paths, and turn
+its array into Python ints at their boundary. `_fft_sumset`, sorted arrays
+in and a sorted int64 array out, convolves indicator vectors (exact: counts
+stay far inside float64's integer range); its cost is the transform length
+over the span of the sums.
+
+One fold rule, `_fold`, serves the k-SUM folds and the Freiman supports: the
+FFT when its transform length is below the pair count, pairs otherwise, at
+the smaller work, which one cap, `DEFAULT_FOLD_CAP`, bounds.
 
 GAP convention: coefficient boxes are zero-based and half-open, so a
 generalized arithmetic progression is {base + sum(l_i * y_i) : 0 <= l_i < L_i}.
@@ -55,6 +57,8 @@ import numpy as np
 
 DEFAULT_ENUM_CAP = 4_000_000
 DEFAULT_TABLE_CAP = 2_000_000
+# the work of one fold: its pair count or its transform length
+DEFAULT_FOLD_CAP = 50_000_000
 
 
 class BitWidthError(OverflowError):
@@ -256,6 +260,23 @@ def _fft_sumset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = _indicator(a)
     hit = np.flatnonzero(_conv_support(x, x if b is a else _indicator(b)))
     return hit + (a[0] + b[0])
+
+
+def _fold(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str, int]:
+    """Sorted distinct {x + y} of two sorted nonempty arrays, the backend
+    that ran and its work, by the one fold rule: "fft" exactly when both
+    operands pass the int64 guard and the transform length over the span of
+    the sums is below the pair count, "hash" (the pairwise kernel)
+    otherwise. The work is the smaller of the two, and a fold whose work
+    exceeds DEFAULT_FOLD_CAP, read at call time, is refused."""
+    backend, work = "hash", len(a) * len(b)
+    if _int64_safe(a[0], a[-1]) and _int64_safe(b[0], b[-1]):
+        size = _transform_size(int(a[-1]) + int(b[-1]) - int(a[0]) - int(b[0]) + 1)
+        if size < work:
+            backend, work = "fft", size
+    if work > DEFAULT_FOLD_CAP:
+        raise EnumerationCapError(f"{backend} fold work {work} above cap {DEFAULT_FOLD_CAP}")
+    return (_fft_sumset if backend == "fft" else _pair_sumset)(a, b), backend, work
 
 
 def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:

@@ -8,8 +8,11 @@ properness and membership, and the final cover is checked element by element
 against the input. Violations raise InvariantError rather than degrade.
 
 Width discipline: group arithmetic stays within int64 ranges by construction
-(the working modulus is bounded by the difference-set range cap); norms and
-widths are exact rationals (fractions.Fraction). The volume guarantee
+(the working modulus and the modeling prime are bounded by the
+difference-support span cap); norms and widths are exact rationals
+(fractions.Fraction). Difference supports are sorted int64 arrays of offsets,
+folded by the one fold rule of `core._fold`; no array over their value range
+is built, and membership in one is a binary search. The volume guarantee
 vol >= (eps/d)^d * m is decided by a float log2 screen with a margin of one
 bit either way; only inside that margin is the exact integer comparison
 vol * (q*d)^d < p^d * m (for eps = p/q) evaluated, so the d-th powers, with d
@@ -45,13 +48,11 @@ from gapsolve.core import (
     IntegerSet,
     InvariantError,
     PipelineFailureError,
-    _fft_sumset,
+    _fold,
     _gap_value_table,
     _gap_values,
     _int64_safe,
-    _pair_sumset,
     _sorted_distinct,
-    _transform_size,
     ceil_root,
     gap_enumerate,
     sumset,
@@ -103,17 +104,18 @@ def next_prime(n: int) -> int:
 
 
 def iterated_support(a: IntegerSet, plus_count: int, minus_count: int) -> tuple[int, np.ndarray]:
-    """(offset, boolean array) for plus_count*A - minus_count*A.
+    """(offset, sorted distinct int64 offsets) for plus_count*A - minus_count*A.
 
     The support is folded by repeated squaring on sorted int64 arrays of
-    offsets from min A (the span cap keeps every offset far inside int64).
-    Each fold x + y enumerates pairs when |x|*|y| is at most the transform
-    length of its range, the work `ksum.sparse_sumset` reports for its fft
-    backend, and convolves indicator vectors otherwise, so the cost follows
-    the sizes of the partial sumsets up to |sA - tA| rather than the value
-    range. When plus_count == minus_count the minus side is the plus fold
-    reflected rather than a second fold. Only the span cap and the returned
-    boolean array, one byte per value in the range, follow the diameter.
+    offsets from min A, each fold by the one rule of `core._fold`, so the
+    cost follows the sizes of the partial sumsets up to |sA - tA| rather
+    than the value range. When plus_count == minus_count the minus side is
+    the plus fold reflected rather than a second fold. The span cap,
+    (s + t) * diam + 1 within DEFAULT_SUPPORT_CAP, keeps every offset and
+    every FFT length small, so no fold here reaches the fold cap; its
+    remaining job is to keep the modeling prime q = next_prime(8 * diam + 1)
+    below about 2^23, so that lam * (cs % q) in `modeling_lemma` stays
+    inside int64.
     """
     if plus_count < 1 or minus_count < 0:
         raise ValueError("need plus_count >= 1, minus_count >= 0")
@@ -126,45 +128,27 @@ def iterated_support(a: IntegerSet, plus_count: int, minus_count: int) -> tuple[
     lo = a.min()
     base = np.fromiter((x - lo for x in a.elements), dtype=np.int64, count=len(a))
 
-    def add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # both operands start at offset 0, so x[-1] + y[-1] + 1 is the range
-        # not sparse_sumset's span rule: that one convolves more here and slows the cover path
-        if len(x) * len(y) <= _transform_size(int(x[-1] + y[-1]) + 1):
-            return _pair_sumset(x, y)
-        return _fft_sumset(x, y)
-
     def fold(k: int) -> np.ndarray:
         acc, sq = None, base
         while True:
             if k & 1:
-                acc = sq if acc is None else add(acc, sq)
+                acc = sq if acc is None else _fold(acc, sq)[0]
             k >>= 1
             if not k:
                 return acc
-            sq = add(sq, sq)
+            sq = _fold(sq, sq)[0]
 
     sums = fold(plus_count)
     offset = plus_count * lo
     if minus_count:
         neg = sums if minus_count == plus_count else fold(minus_count)
-        sums = add(sums, minus_count * diam - neg[::-1])
+        sums = _fold(sums, minus_count * diam - neg[::-1])[0]
         offset -= minus_count * a.max()
-    out = np.zeros(span, dtype=bool)
-    out[sums] = True
-    return offset, out
+    return offset, sums
 
 
 def support_size(support: tuple[int, np.ndarray]) -> int:
-    return int(support[1].sum())
-
-
-def support_contains(support: tuple[int, np.ndarray], values: np.ndarray) -> np.ndarray:
-    offset, arr = support
-    idx = values - offset
-    ok = (idx >= 0) & (idx < len(arr))
-    out = np.zeros(len(values), dtype=bool)
-    out[ok] = arr[idx[ok]]
-    return out
+    return len(support[1])
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +226,13 @@ def modeling_lemma(
     if len(a_prime) * s < len(a):
         raise InvariantError("slice smaller than n/s")
 
-    off, arr = iterated_support(a_prime, s, s)
-    cs = (np.nonzero(arr)[0] + off).astype(np.int64)
+    off, sums = iterated_support(a_prime, s, s)
+    cs = sums + off
     cs = cs[cs != 0]
     if np.any((lam * (cs % q)) % q % m == 0):
         return ModelingFailure("iso-divisibility", q, lam)
 
-    image = sorted({((lam * (x % q)) % q) % m for x in a_prime})
+    image = sorted({phi[x] % m for x in a_prime})
     if len(image) < len(a_prime):
         return ModelingFailure("collision", q, lam)
     image_set = IntegerSet(tuple(image))
@@ -639,10 +623,10 @@ def freiman_gap(
     if not q_proper:
         raise InvariantError("pulled-back progression not proper")
     if len(q_elems) > 1:
-        inside = support_contains(
-            iterated_support(a, 2, 2), np.asarray(q_elems.elements, dtype=np.int64)
-        )
-        if not bool(np.all(inside)):
+        off, diffs = iterated_support(a, 2, 2)
+        want = np.asarray(q_elems.elements, dtype=np.int64) - off
+        pos = np.minimum(np.searchsorted(diffs, want), len(diffs) - 1)
+        if not np.array_equal(diffs[pos], want):
             raise InvariantError("pulled-back progression escapes 2A - 2A")
 
     x_set = ruzsa_cover(q_elems, a)

@@ -9,23 +9,24 @@ color block; each half of the blocks is folded into a sumset whose
 representation cost depends on the additive structure of the input, and
 the two halves meet in the middle: the left values whose complement can
 lie in the right level's range are searched in ascending slices of doubling
-width, up to the first hit. Fold work is accounted in units native
-to the backend that ran it (transform length for convolution, pair count
-for hashing), so structured and unstructured inputs separate honestly in
-benchmarks.
+width, up to the first hit. Each fold takes the backend with less work,
+and its work is accounted in units native to that backend (transform
+length for convolution, pair count for hashing), so structured and
+unstructured inputs separate honestly in benchmarks.
 
 Before it plans, `ksum` normalizes the input by x -> (x - c) / g, with
 c = min A and g = gcd(A - c), a Freiman isomorphism of every order: a target
 of the wrong residue gets an exact "no" at once, and everything after it
 depends on the spread of the values over g, not on their size.
 
-Every fold runs on the sumset kernel in `gapsolve.core`. Each fold level is
-one sorted numpy array from the fold through the meet to the witness walk:
-int64 while the kernel's one guard admits the operands (all strictly inside
-+-2^62), exact Python ints in an object array past it. Pair folds of at
-least 2,048 pairs whose sums span less than 2^32 sort uint32 offsets inside
-the kernel and return the same int64 level. Python ints appear only in the
-k witness values; the pair table keys exact Python ints.
+Every fold runs through `core._fold`, the one fold rule and cap that the
+Freiman supports share. Each fold level is one sorted numpy array from the
+fold through the meet to the witness walk: int64 while the kernel's one
+guard admits the operands (all strictly inside +-2^62), exact Python ints
+in an object array past it. Pair folds of at least 2,048 pairs whose sums
+span less than 2^32 sort uint32 offsets inside the kernel and return the
+same int64 level. Python ints appear only in the k witness values; the
+pair table keys exact Python ints.
 """
 
 from __future__ import annotations
@@ -40,19 +41,14 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from gapsolve.core import (
-    EnumerationCapError,
     IntegerSet,
     InvariantError,
     SolveWitness,
-    _fft_sumset,
+    _fold,
     _int64_safe,
-    _pair_sumset,
-    _transform_size,
 )
 
 DEFAULT_CUT_CAP = 50_000
-DEFAULT_PAIR_CAP = 50_000_000
-DEFAULT_RANGE_CAP = 1 << 22
 # left values in the meet's first search; later searches double it
 _MEET_SLICE = 64
 
@@ -127,30 +123,23 @@ class SumsetFold:
 
 
 def sparse_sumset(a: Sequence[int], b: Sequence[int]) -> SumsetFold:
-    """Pairwise sumset with the backend chosen by shape alone.
+    """Pairwise sumset by the one fold rule of `core._fold`, which chooses
+    the backend from the operands alone.
 
     "hash" enumerates all pairs (work |a|*|b|); "fft" convolves indicator
-    vectors over the combined value range (work: the transform length). The
-    one rule: fft exactly when the operands pass the int64 guard, the span
-    of the sums is within DEFAULT_RANGE_CAP and the pair count exceeds that
-    span, which is what separates structured from unstructured inputs; hash
-    otherwise, refused past DEFAULT_PAIR_CAP pairs. Both caps are read at
-    call time. Arrays keep their dtype; other sequences enter as exact
-    Python ints.
+    vectors over the span of the sums (work: the transform length). fft
+    runs exactly when the operands pass the int64 guard and the transform
+    length is below the pair count, which is what separates structured from
+    unstructured inputs; the work is the smaller of the two, refused past
+    `core.DEFAULT_FOLD_CAP`. Arrays keep their dtype; other sequences enter
+    as exact Python ints.
     """
     if not len(a) or not len(b):
         raise ValueError("sumset factors must be nonempty")
     a, b = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (a, b))
     # a stable sort is linear on the already sorted fold levels
     a, b = np.sort(a, kind="stable"), np.sort(b, kind="stable")
-    pairs = len(a) * len(b)
-    if _int64_safe(a[0], a[-1]) and _int64_safe(b[0], b[-1]):
-        span = int(a[-1]) + int(b[-1]) - int(a[0]) - int(b[0]) + 1
-        if span <= DEFAULT_RANGE_CAP and pairs > span:
-            return SumsetFold(_fft_sumset(a, b), "fft", _transform_size(span))
-    if pairs > DEFAULT_PAIR_CAP:
-        raise EnumerationCapError(f"{pairs} pairs above cap {DEFAULT_PAIR_CAP}")
-    return SumsetFold(_pair_sumset(a, b), "hash", pairs)
+    return SumsetFold(*_fold(a, b))
 
 
 # ---------------------------------------------------------------------------

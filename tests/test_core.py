@@ -199,6 +199,60 @@ class TestPairSumset:
                     assert got.tobytes() == want.tobytes()
 
 
+class TestFold:
+    def test_one_rule(self, monkeypatch):
+        """`_fold` against `sumset`: both kernels give its values, the one
+        with less work runs and reports min(pairs, transform length), the
+        cap refuses either backend, and a span past 2^22 still convolves
+        when that is the lesser work."""
+        rng = random.Random(140)
+        seen = set()
+        for _ in range(400):
+            pair = []
+            for _ in range(2):
+                width = rng.choice((0, 5, 40, 300, 3000))
+                size = rng.randint(1, min(width + 1, 120))
+                lo = rng.choice((0, -(1 << 40), 1 << 62)) + rng.randint(-9, 9)
+                pair.append(sorted(lo + v for v in rng.sample(range(width + 1), size)))
+            a, b = pair
+            want = sumset(IntegerSet(tuple(a)), IntegerSet(tuple(b))).elements
+            safe = core._int64_safe(a[0], a[-1]) and core._int64_safe(b[0], b[-1])
+            x, y = (np.array(v, dtype=np.int64 if safe else object) for v in (a, b))
+            sums, backend, work = core._fold(x, y)
+            assert tuple(sums.tolist()) == want
+            pairs = len(a) * len(b)
+            if not safe:
+                assert (backend, work) == ("hash", pairs)
+                seen.add("past guard")
+                continue
+            span = a[-1] + b[-1] - a[0] - b[0] + 1
+            size = core._transform_size(span)
+            assert tuple(core._pair_sumset(x, y).tolist()) == want
+            assert tuple(core._fft_sumset(x, y).tolist()) == want
+            assert work == min(pairs, size)
+            assert backend == ("fft" if size < pairs else "hash")
+            seen.add("fft" if size < pairs else "band" if span < pairs else "hash")
+        assert seen == {"fft", "band", "hash", "past guard"}
+
+        # 2901^2 pairs over a span of 2^22 + 3: past any span rule, but the
+        # transform, 2^23, is less work than the pairs and within the cap
+        wide = np.append(np.arange(2900, dtype=np.int64), (1 << 21) + 1)
+        monkeypatch.setattr(core, "DEFAULT_FOLD_CAP", 1 << 23)
+        sums, backend, work = core._fold(wide, wide)
+        assert (backend, work) == ("fft", 1 << 23) and len(wide) ** 2 > work
+        far = (1 << 21) + 1 + np.arange(2900)
+        assert np.array_equal(sums, np.concatenate([np.arange(5799), far, [(1 << 22) + 2]]))
+
+        dense, sparse = np.arange(100, dtype=np.int64), np.array([0, 1000], dtype=np.int64)
+        big = np.array([1 << 70, (1 << 70) + 1], dtype=object)
+        for x, backend, work in ((dense, "fft", 256), (sparse, "hash", 4), (big, "hash", 4)):
+            monkeypatch.setattr(core, "DEFAULT_FOLD_CAP", work)
+            assert core._fold(x, x)[1:] == (backend, work)
+            monkeypatch.setattr(core, "DEFAULT_FOLD_CAP", work - 1)
+            with pytest.raises(core.EnumerationCapError, match=f"{backend} fold work {work} above"):
+                core._fold(x, x)
+
+
 class TestGap:
     def test_digits_proper(self):
         g = Gap(0, (1, 10), (3, 2))

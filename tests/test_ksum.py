@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapsolve import core
 from gapsolve.core import EnumerationCapError, IntegerSet, _fft_sumset, _pair_sumset, sumset
 from gapsolve.ksum import (
-    DEFAULT_RANGE_CAP,
     foursum,
     ksum,
     sparse_sumset,
@@ -121,7 +121,7 @@ class TestSparseSumset:
             assert sparse_sumset(a, b).values == want
             assert tuple(_pair_sumset(a, b).tolist()) == want
             span = a[-1] - a[0] + b[-1] - b[0] + 1
-            if max(-a[0], a[-1], -b[0], b[-1]) < 1 << 62 and span <= DEFAULT_RANGE_CAP:
+            if max(-a[0], a[-1], -b[0], b[-1]) < 1 << 62 and span <= 1 << 22:
                 x, y = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
                 assert tuple(_fft_sumset(x, y).tolist()) == want
 
@@ -142,10 +142,10 @@ class TestSparseSumset:
 
     def test_pair_cap_holds_beyond_int64(self, monkeypatch):
         a = [(1 << 70) + i for i in range(200)]
-        monkeypatch.setattr(ksum_module, "DEFAULT_PAIR_CAP", 100)
-        with pytest.raises(EnumerationCapError, match="40000 pairs above cap 100"):
+        monkeypatch.setattr(core, "DEFAULT_FOLD_CAP", 100)
+        with pytest.raises(EnumerationCapError, match="hash fold work 40000 above cap 100"):
             sparse_sumset(a, a)
-        monkeypatch.setattr(ksum_module, "DEFAULT_PAIR_CAP", 40000)
+        monkeypatch.setattr(core, "DEFAULT_FOLD_CAP", 40000)
         fold = sparse_sumset(a, a)
         assert fold.values == tuple((1 << 71) + i for i in range(399))
 
@@ -164,15 +164,16 @@ class TestSparseSumset:
     def test_caps(self, monkeypatch):
         with pytest.raises(ValueError):
             sparse_sumset([], [1])
-        # 10,000 pairs over a span of 199: fft below the range cap, hash above it
+        # 10,000 pairs over a span of 199: fft at its transform length, 256,
+        # which the one fold cap bounds as it bounds a pair count
         a = list(range(100))
-        monkeypatch.setattr(ksum_module, "DEFAULT_PAIR_CAP", 50)
-        assert sparse_sumset(a, a).backend == "fft"
-        monkeypatch.setattr(ksum_module, "DEFAULT_RANGE_CAP", 198)
-        with pytest.raises(EnumerationCapError, match="10000 pairs above cap 50"):
+        fold = sparse_sumset(a, a)
+        assert (fold.backend, fold.work) == ("fft", 256)
+        monkeypatch.setattr(core, "DEFAULT_FOLD_CAP", 255)
+        with pytest.raises(EnumerationCapError, match="fft fold work 256 above cap 255"):
             sparse_sumset(a, a)
-        monkeypatch.setattr(ksum_module, "DEFAULT_PAIR_CAP", 10000)
-        assert sparse_sumset(a, a).backend == "hash"
+        monkeypatch.setattr(core, "DEFAULT_FOLD_CAP", 256)
+        assert sparse_sumset(a, a).values == tuple(range(199))
 
 
 class TestKsum:
@@ -427,13 +428,16 @@ class TestFrozenRandomPath:
             [5 * v * v + v for v in range(14)], 4, 11,
             2054, (7, 8, 11, 13), 307, 6, {"hash": 24},
         ),
+        # 32 pairs over a span of 24 (transform length 32) enumerate pairs
         "ap": (
             list(range(0, 42, 3)), 3, 12,
-            63, (2, 6, 13), 64, 1, {"hash": 2, "fft": 1},
+            63, (2, 6, 13), 64, 1, {"hash": 3},
         ),
+        # 55 pairs over a span of 51 (transform length 64) enumerate pairs;
+        # 77 and 270 pairs over spans of 63 and 93 convolve
         "mixed": (
             list(range(40)), 5, 13,
-            68, (2, 8, 9, 17, 32), 393, 1, {"hash": 2, "fft": 3},
+            68, (2, 8, 9, 17, 32), 384, 1, {"hash": 3, "fft": 2},
         ),
         "object": (
             [(1 << 70) + 7 * v * v for v in range(13)], 4, 14,
