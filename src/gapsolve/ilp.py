@@ -6,9 +6,12 @@ encoded as integer keys. One engine fills the table variable by variable and
 keeps, as one sorted array, only the reachable keys whose distance to the
 target lies in the range the later variables can add. Variable j runs one
 sub-step per value v = 1..span: the keys key + v * column that land in that
-window and are not yet present are recorded and merged into the array. The
-keys are int64 while the key range stays within 2^62 and exact Python ints
-in an object array past it. Cost and the table cap follow the number of
+window and are not yet present are recorded and merged into the array.
+Every key written lies in the first window; when that window is at most
+`DEFAULT_TABLE_CAP` keys wide, a bitmap over it marks each key written and
+drops a repeat in one lookup, and a wider window binary-searches the array.
+The keys are int64 while the key range stays within 2^62 and exact Python
+ints in an object array past it. Cost and the table cap follow the number of
 distinct reachable vectors that can still hit the target, not the size of
 the values. Witnesses are deterministic: a new key keeps the smallest value
 that reaches it, and the walk back from the target subtracts, variable by
@@ -166,14 +169,24 @@ def _array_engine(
     so a key that leaves the table never returns and every key is written
     at most once; the walk back from the target takes x_j = v at the one
     sub-step (j, v) that wrote the current key and subtracts v * delta.
-    Each variable costs about |table| * span, whatever the size of the
-    keys, and the table cap applies to the kept table after it.
+
+    The windows being nested, every key written lies in the first window
+    [lo, hi] of a variable that moves, and a candidate in the current window
+    is in the table exactly when it was ever written. When that window is
+    at most `DEFAULT_TABLE_CAP` keys wide, a bitmap `seen` over it marks the
+    kept table and every candidate, and the duplicate check is one lookup
+    per candidate, at most the cap in bytes; a wider window (the chain DPs'
+    are 10^10 and more) binary-searches the table instead. Each variable
+    costs about |table| * span, times log |table| on wide windows only,
+    whatever the size of the keys, and the table cap applies to the kept
+    table after it.
     """
     low, high = [0] * len(spans), [0] * len(spans)
     for j in range(len(spans) - 1, 0, -1):
         step = deltas[j] * spans[j]
         low[j - 1], high[j - 1] = low[j] + min(0, step), high[j] + max(0, step)
     written = []  # (variable, value, sorted keys it wrote) per sub-step
+    base = seen = None
     for j, (delta, span) in enumerate(zip(deltas, spans)):
         if span == 0 or delta == 0:
             continue
@@ -181,9 +194,18 @@ def _array_engine(
         # old[ends[2v] : ends[2v + 1]] are the keys that v * delta carries into [lo, hi]
         ends = keys.searchsorted([b - v * delta for v in range(span + 1) for b in (lo, hi + 1)])
         old, keys = keys, keys[ends[0] : ends[1]]
+        if base is None:  # every key from here on lies in this first window
+            base = lo
+            if hi - lo < DEFAULT_TABLE_CAP:
+                seen = np.zeros(hi - lo + 1, dtype=bool)
+                seen[(keys - base).astype(np.intp, copy=False)] = True
         for v in range(1, span + 1):
             new = old[ends[2 * v] : ends[2 * v + 1]] + v * delta
-            if len(keys) and len(new):
+            if seen is not None:
+                at = (new - base).astype(np.intp, copy=False)
+                new = new[~seen[at]]
+                seen[at] = True
+            elif len(keys) and len(new):
                 at = np.minimum(keys.searchsorted(new), len(keys) - 1)
                 new = new[keys[at] != new]
             if len(new):

@@ -112,6 +112,14 @@ class TestIlp:
         )
         run_cli("ilp", "solve", "--input", inst, check=1)
 
+    def test_solve_zero_columns(self, tmp_path):
+        inst = write_json(tmp_path / "zero.json", {"A": [[]], "b": [0]})
+        proc = run_cli("ilp", "solve", "--input", inst, check=0)
+        assert last_json(proc)["witness"] == {"kind": "binary-vector", "values": []}
+        inst = write_json(tmp_path / "one.json", {"A": [[]], "b": [1]})
+        proc = run_cli("ilp", "solve", "--input", inst, check=1)
+        assert last_json(proc) == {"feasible": False}
+
     def test_solve_values_past_int64(self, tmp_path):
         big = 1 << 62
         inst = write_json(tmp_path / "wide.json", {"A": [[big, big + 1]], "b": [big + 1]})

@@ -109,6 +109,18 @@ class TestSolvers:
         every = BilpInstance.binary(a, (1111,))
         assert bilp_feasibility_dp(every, table_cap=3).payload == (1, 1, 1, 1)
 
+    def test_no_moving_variable(self):
+        """Programs in which no variable can move build no window: a program
+        without columns solves b = 0 with the empty vector and nothing else,
+        and fixed variables are checked against b as they stand."""
+        empty = Matrix.from_rows([[]])
+        assert bilp_feasibility_dp(BilpInstance.binary(empty, (0,))).payload == ()
+        assert bilp_feasibility_dp(BilpInstance.binary(empty, (1,))) is None
+        a = Matrix.from_rows([[1, 2], [3, -1]])
+        fixed = ((1, 1), (2, 2))
+        assert bounded_ilp_feasibility(BilpInstance(a, (5, 1), fixed)).payload == (1, 2)
+        assert bounded_ilp_feasibility(BilpInstance(a, (5, 2), fixed)) is None
+
     def test_values_past_int64(self):
         """Row sums past 2^63 are solved exactly, and agree with the oracle."""
         big = 1 << 62
@@ -348,9 +360,31 @@ def _key_widths(mp):
     return widths
 
 
+def _duplicate_checks(mp, bitmap):
+    """Record, for every DP the solvers run under `mp` that moves a key,
+    whether its duplicate check is the bitmap (True) or the binary search
+    (False). The engine takes the bitmap when its first window is at most
+    `ilp.DEFAULT_TABLE_CAP` keys wide; bitmap=False sets that limit to 0, so
+    every DP keeps the binary search."""
+    picks = []
+
+    class Limit(int):
+        def __gt__(self, width):
+            picks.append(int(self) > width)
+            return picks[-1]
+
+    mp.setattr(ilp, "DEFAULT_TABLE_CAP", Limit(ilp.DEFAULT_TABLE_CAP if bitmap else 0))
+    return picks
+
+
 class TestEngineEquivalence:
     """The array engine, with int64 keys and with object keys, against the
-    dict reference: same witnesses, same Nones, same cap failures."""
+    dict reference: same witnesses, same Nones, same cap failures. Int64
+    programs run once with the bitmap duplicate check and once with the
+    binary search forced."""
+
+    def setup_method(self):
+        self.checks = []  # the duplicate check of every DP that moved a key
 
     def _compare(self, monkeypatch, solve, inst, cap):
         """A target outside the row extremes is refused before any table is
@@ -360,15 +394,19 @@ class TestEngineEquivalence:
             mp.setattr(ilp, "_array_engine", lambda *args: ran.append(1) or _dict_engine(*args))
             want = _outcome(solve, inst, cap)
         got = {}
-        for width in (np.int64, object):
+        for width, bitmap in ((np.int64, True), (np.int64, False), (object, True)):
             with monkeypatch.context() as mp:
                 if width is object:
                     mp.setattr(ilp, "_int64_safe", lambda lo, hi: False)
                 widths = _key_widths(mp)
-                got[width] = _outcome(solve, inst, cap)
+                picks = _duplicate_checks(mp, bitmap)
+                got[width, bitmap] = _outcome(solve, inst, cap)
             assert widths == [width] * len(ran) and len(ran) <= 1
-        assert got[np.int64] == want
-        assert got[object] == want
+            assert len(picks) <= len(ran) and (bitmap or not any(picks))
+            self.checks += picks
+        assert got[np.int64, True] == want
+        assert got[np.int64, False] == want
+        assert got[object, True] == want
         return want
 
     def test_random_programs(self, monkeypatch):
@@ -377,6 +415,7 @@ class TestEngineEquivalence:
             got = self._compare(monkeypatch, solve, inst, cap)
             seen.add("none" if got is None else got[0])
         assert seen == {"none", "cap", "binary-vector", "multiplicity-vector"}
+        assert True in self.checks and False in self.checks
 
     def test_window_changes_no_witness(self, monkeypatch):
         """Keeping only the keys that can still reach the target changes no
@@ -402,6 +441,7 @@ class TestEngineEquivalence:
             s = tuple(rng.randint(-40, 40) for _ in range(m))
             inst = HbilpInstance(a, s, rng.randint(-150, 150))
             self._compare(monkeypatch, hbilp_feasibility, inst, 1 << 20)
+        assert True in self.checks and False in self.checks
 
     def test_random_programs_past_int64(self, monkeypatch):
         """Binary and bounded programs whose key range is past 2^62, so the
