@@ -9,7 +9,8 @@ against the input. Violations raise InvariantError rather than degrade.
 
 Width discipline: group arithmetic stays within int64 ranges by construction
 (the working modulus and the modeling prime are bounded by the
-difference-support span cap); norms and widths are exact rationals
+difference-support span cap), and the modeling check's products, below q^2,
+enter int64 only under core._int64_safe; norms and widths are exact rationals
 (fractions.Fraction). Difference supports are sorted int64 arrays of offsets,
 folded by the one fold rule of `core._fold`; no array over their value range
 is built, and membership in one is a binary search. The volume guarantee
@@ -112,10 +113,9 @@ def iterated_support(a: IntegerSet, plus_count: int, minus_count: int) -> tuple[
     than the value range. When plus_count == minus_count the minus side is
     the plus fold reflected rather than a second fold. The span cap,
     (s + t) * diam + 1 within DEFAULT_SUPPORT_CAP, keeps every offset and
-    every FFT length small, so no fold here reaches the fold cap; its
-    remaining job is to keep the modeling prime q = next_prime(8 * diam + 1)
-    below about 2^23, so that lam * (cs % q) in `modeling_lemma` stays
-    inside int64.
+    every FFT length small, so no fold here reaches the fold cap, and the
+    modeling prime q = next_prime(8 * diam + 1) below about 2^23;
+    `modeling_lemma` guards its products lam * (c mod q) on its own.
     """
     if plus_count < 1 or minus_count < 0:
         raise ValueError("need plus_count >= 1, minus_count >= 0")
@@ -229,7 +229,9 @@ def modeling_lemma(
     off, sums = iterated_support(a_prime, s, s)
     cs = sums + off
     cs = cs[cs != 0]
-    if np.any((lam * (cs % q)) % q % m == 0):
+    # lam * (c mod q) < q^2: int64 under the guard, exact object ints past it
+    rs = cs % q if _int64_safe(0, (q - 1) ** 2) else cs.astype(object) % q
+    if np.any(lam * rs % q % m == 0):
         return ModelingFailure("iso-divisibility", q, lam)
 
     image = sorted({phi[x] % m for x in a_prime})

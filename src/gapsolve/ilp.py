@@ -9,11 +9,16 @@ sub-step per value v = 1..span: the keys key + v * column that land in that
 window and are not yet present are recorded and merged into the array.
 Every key written lies in the first window; when that window is at most
 `DEFAULT_TABLE_CAP` keys wide, a bitmap over it marks each key written and
-drops a repeat in one lookup, and a wider window binary-searches the array.
-The keys are int64 while the key range stays within 2^62 and exact Python
-ints in an object array past it. Cost and the table cap follow the number of
-distinct reachable vectors that can still hit the target, not the size of
-the values. Witnesses are deterministic: a new key keeps the smallest value
+drops a repeat in one lookup. A wider window binary-searches the array, and
+there the DP also drops every key whose residue mod 2^12 the later
+variables cannot carry to the target's, so the sparse sums of the reduction
+chains keep hundreds of keys rather than tens of thousands. Both filters
+keep every key on a path to the target, so neither changes a witness or a
+None; on wide windows the table cap bounds the filtered table. The keys are
+int64 while the key range stays within 2^62 and exact Python ints in an
+object array past it. Cost and the table cap follow the number of distinct
+reachable vectors that can still hit the target, not the size of the
+values. Witnesses are deterministic: a new key keeps the smallest value
 that reaches it, and the walk back from the target subtracts, variable by
 variable, the value of the sub-step that wrote the current key. A 0/1
 variable gives each new key one source, so a binary witness is the one that
@@ -148,6 +153,38 @@ class HbilpInstance:
 # ---------------------------------------------------------------------------
 # reachable-sum dynamic program
 
+# wide-window DPs keep a key only if its residue modulo this can reach the target
+_RESIDUE_MODULUS = 1 << 12
+
+
+def _residue_sets(deltas: Sequence[int], spans: Sequence[int], target: int) -> list:
+    """reach[j] marks the residues r mod `_RESIDUE_MODULUS` from which the
+    variables after j can add up to the target's residue, or is None when
+    every residue can. Built from the last variable backwards: the set
+    before variable j is the union over v = 0..span of the set after it
+    shifted by -v * delta, each shift two slice-ORs. The sets grow towards
+    the front, so the first full one ends the build."""
+    mod = _RESIDUE_MODULUS
+    reach = [None] * (len(spans) - 1) + [np.zeros(mod, dtype=bool)]
+    reach[-1][target % mod] = True
+    for j in range(len(spans) - 1, 0, -1):
+        after, d = reach[j], deltas[j] % mod
+        before = after.copy()
+        # v * d mod `mod` repeats with period mod / gcd(d, mod)
+        for v in range(1, min(spans[j], mod // math.gcd(d, mod) - 1) + 1):
+            s = v * d % mod
+            before[: mod - s] |= after[s:]
+            before[mod - s :] |= after[:s]
+        if before.all():
+            break
+        reach[j - 1] = before
+    return reach
+
+
+def _residues(keys: np.ndarray) -> np.ndarray:
+    """Each key mod `_RESIDUE_MODULUS`, as indices; object keys included."""
+    return (keys & (_RESIDUE_MODULUS - 1)).astype(np.intp, copy=False)
+
 
 def _array_engine(
     keys: np.ndarray, deltas: Sequence[int], spans: Sequence[int], target: int, table_cap: int
@@ -176,10 +213,23 @@ def _array_engine(
     at most `DEFAULT_TABLE_CAP` keys wide, a bitmap `seen` over it marks the
     kept table and every candidate, and the duplicate check is one lookup
     per candidate, at most the cap in bytes; a wider window (the chain DPs'
-    are 10^10 and more) binary-searches the table instead. Each variable
-    costs about |table| * span, times log |table| on wide windows only,
-    whatever the size of the keys, and the table cap applies to the kept
-    table after it.
+    are 10^10 and more) binary-searches the table instead.
+
+    On a wide window the keys are also filtered by residue: `reach[j]`
+    (`_residue_sets`, built once per DP, 4,096 booleans per variable until
+    the first full set) holds the residues mod `_RESIDUE_MODULUS` from which
+    the variables after j can reach the target's, and the table at the start
+    of variable j and each sub-step's candidates, before the search, keep
+    only keys with such a residue. The sets only shrink along the DP, so a
+    dropped key never passes again and the search stays exact; a key that
+    reaches the target always passes, so every key on a path to it is
+    written at the same sub-step as without the filter, the walk back reads
+    only such keys, and the witness is unchanged. Narrow windows take no
+    residue filter: their residues fill within a few variables. Each
+    variable costs about |table| * span, times log |table| on wide windows
+    only, whatever the size of the keys, and the table cap applies to the
+    kept table after it, on wide windows the filtered one, so a wide DP
+    hits the cap later, never sooner.
     """
     low, high = [0] * len(spans), [0] * len(spans)
     for j in range(len(spans) - 1, 0, -1):
@@ -187,6 +237,7 @@ def _array_engine(
         low[j - 1], high[j - 1] = low[j] + min(0, step), high[j] + max(0, step)
     written = []  # (variable, value, sorted keys it wrote) per sub-step
     base = seen = None
+    reach = [None] * len(spans)  # residue filters, wide windows only
     for j, (delta, span) in enumerate(zip(deltas, spans)):
         if span == 0 or delta == 0:
             continue
@@ -199,8 +250,15 @@ def _array_engine(
             if hi - lo < DEFAULT_TABLE_CAP:
                 seen = np.zeros(hi - lo + 1, dtype=bool)
                 seen[(keys - base).astype(np.intp, copy=False)] = True
+            else:
+                reach = _residue_sets(deltas, spans, target)
+        ok = reach[j]
+        if ok is not None:
+            keys = keys[ok[_residues(keys)]]
         for v in range(1, span + 1):
             new = old[ends[2 * v] : ends[2 * v + 1]] + v * delta
+            if ok is not None:  # wide windows only, so never with `seen`
+                new = new[ok[_residues(new)]]
             if seen is not None:
                 at = (new - base).astype(np.intp, copy=False)
                 new = new[~seen[at]]

@@ -21,6 +21,7 @@ from gapsolve.core import (
 )
 from gapsolve.freiman import (
     BohrSpec,
+    FreimanModel,
     ModelingFailure,
     bogolyubov,
     freiman_gap,
@@ -163,6 +164,21 @@ class TestModelingLemma:
         a = IntegerSet(tuple(range(8)))
         with pytest.raises(ValueError):
             modeling_lemma(a, 2, 11, random.Random(0))
+
+    def test_product_past_int64_is_exact(self, monkeypatch):
+        """The divisibility check multiplies lam * (c mod q) in int64 while
+        the guard admits (q - 1)^2 and on exact Python ints past it; forcing
+        the second path gives the same models and the same failure."""
+        a = IntegerSet((0, 1, 5, 1000, 1003))
+        m = next_prime(4 * len(_iterated_set(a, 2)) + 1)
+        want = [modeling_lemma(a, 2, m, random.Random(seed)) for seed in range(8)]
+        guards = []  # every guard call of the forced runs, each answered "no"
+        monkeypatch.setattr(freiman, "_int64_safe", lambda *span: guards.append(span) or False)
+        got = [modeling_lemma(a, 2, m, random.Random(seed)) for seed in range(8)]
+        assert got == want
+        assert guards == [(0, 2010**2)] * 8  # q = 2011
+        assert sum(isinstance(w, FreimanModel) for w in want) == 7
+        assert want[6] == ModelingFailure("iso-divisibility", 2011, 1625)
 
     def test_image_lives_in_zm(self):
         a = IntegerSet((0, 3, 7, 11, 20))

@@ -100,7 +100,10 @@ class TestSolvers:
         w = bounded_ilp_feasibility(inst)
         assert w is not None and w.kind == "multiplicity-vector"
 
-    def test_table_cap(self):
+    def test_table_cap(self, monkeypatch):
+        # the first window is 1,111 keys wide, so the kept table is not
+        # filtered by residue and the cap sees the same table as before
+        monkeypatch.setattr(ilp, "_residue_sets", None)
         a = Matrix.from_rows([[1, 10, 100, 1000]])
         inst = BilpInstance.binary(a, (111,))
         with pytest.raises(TableCapError, match=r"hit 4 entries at variable 1 \(cap 3\)"):
@@ -265,10 +268,11 @@ def _outcome(solve, inst, cap):
 _ROOT = None
 
 
-def _dict_engine(keys, deltas, spans, target, table_cap, window=True):
+def _dict_engine(keys, deltas, spans, target, table_cap, window=True, residues=False):
     """Reference DP on Python ints, with the signature of
-    `ilp._array_engine` plus `window`; with the window on, the engine must
-    match it witness for witness.
+    `ilp._array_engine` plus `window` and `residues`; with the window on,
+    the engine must match it witness for witness, with `residues` on where
+    the engine's first window is wider than `ilp.DEFAULT_TABLE_CAP`.
 
     `table` lists the live keys in insertion order, and `back` maps every
     key ever written to a back-pointer (prev_key, var, value) chain ending
@@ -277,8 +281,15 @@ def _dict_engine(keys, deltas, spans, target, table_cap, window=True):
     writer of a key keeps it, so a new key keeps the smallest value that
     reaches it. After variable j only the keys K with target - K in the
     range of what the later variables can add stay live; window=False
-    keeps every reachable key instead.
+    keeps every reachable key instead. residues=True also drops the keys K
+    for which no choice of the later variables makes K plus their sum
+    congruent to the target modulo `ilp._RESIDUE_MODULUS`.
     """
+    mod = ilp._RESIDUE_MODULUS
+    reach = [{target % mod}]  # key residues that reach the target, last variable first
+    for d, s in zip(deltas[:0:-1], spans[:0:-1]) if residues else ():
+        reach.append({(r - v * d) % mod for r in reach[-1] for v in range(s + 1)})
+    reach.reverse()
     table = [int(keys[0])]
     back = {table[0]: _ROOT}
     for j, (delta, span) in enumerate(zip(deltas, spans)):
@@ -288,6 +299,8 @@ def _dict_engine(keys, deltas, spans, target, table_cap, window=True):
         low, high = sum(min(0, v) for v in later), sum(max(0, v) for v in later)
 
         def live(key):
+            if residues and key % mod not in reach[j]:
+                return False
             return not window or low <= target - key <= high
 
         additions = []
@@ -377,11 +390,23 @@ def _duplicate_checks(mp, bitmap):
     return picks
 
 
+def _reference(mp, solve, inst, cap, residues=False):
+    """The outcome of `solve` with the dict reference as its engine, and
+    how many times the engine ran."""
+    ran = []
+    engine = functools.partial(_dict_engine, residues=residues)
+    mp.setattr(ilp, "_array_engine", lambda *args: ran.append(1) or engine(*args))
+    return _outcome(solve, inst, cap), len(ran)
+
+
 class TestEngineEquivalence:
     """The array engine, with int64 keys and with object keys, against the
     dict reference: same witnesses, same Nones, same cap failures. Int64
     programs run once with the bitmap duplicate check and once with the
-    binary search forced."""
+    binary search forced. A DP that binary-searches (its first window is
+    wider than `ilp.DEFAULT_TABLE_CAP`) also drops keys by residue, so its
+    table is smaller and its cap failures are matched against the
+    reference with `residues` on."""
 
     def setup_method(self):
         self.checks = []  # the duplicate check of every DP that moved a key
@@ -389,25 +414,25 @@ class TestEngineEquivalence:
     def _compare(self, monkeypatch, solve, inst, cap):
         """A target outside the row extremes is refused before any table is
         built, so each solve runs the engine once or not at all."""
+        want = {}
         with monkeypatch.context() as mp:
-            ran = []
-            mp.setattr(ilp, "_array_engine", lambda *args: ran.append(1) or _dict_engine(*args))
-            want = _outcome(solve, inst, cap)
-        got = {}
+            want[False], ran = _reference(mp, solve, inst, cap)
         for width, bitmap in ((np.int64, True), (np.int64, False), (object, True)):
             with monkeypatch.context() as mp:
                 if width is object:
                     mp.setattr(ilp, "_int64_safe", lambda lo, hi: False)
                 widths = _key_widths(mp)
                 picks = _duplicate_checks(mp, bitmap)
-                got[width, bitmap] = _outcome(solve, inst, cap)
-            assert widths == [width] * len(ran) and len(ran) <= 1
-            assert len(picks) <= len(ran) and (bitmap or not any(picks))
+                got = _outcome(solve, inst, cap)
+            assert widths == [width] * ran and ran <= 1
+            assert len(picks) <= ran and (bitmap or not any(picks))
             self.checks += picks
-        assert got[np.int64, True] == want
-        assert got[np.int64, False] == want
-        assert got[object, True] == want
-        return want
+            wide = picks == [False]
+            if wide not in want:
+                with monkeypatch.context() as mp:
+                    want[wide] = _reference(mp, solve, inst, cap, residues=True)[0]
+            assert got == want[wide]
+        return want[False]
 
     def test_random_programs(self, monkeypatch):
         seen = set()
@@ -416,6 +441,30 @@ class TestEngineEquivalence:
             seen.add("none" if got is None else got[0])
         assert seen == {"none", "cap", "binary-vector", "multiplicity-vector"}
         assert True in self.checks and False in self.checks
+
+    def test_residue_filter_changes_no_witness(self, monkeypatch):
+        """Dropping keys whose residue cannot reach the target keeps every
+        key on a path to it, so with a loose cap and the wide branch forced
+        (`ilp.DEFAULT_TABLE_CAP` = 0) every DP that moves a key filters by
+        residue and still gives the witnesses and Nones of the plain
+        reference, on int64 and on object keys. The programs have spans up
+        to 4, negative entries and zero columns."""
+        cap, programs, filtered = 1 << 20, 0, []
+        for solve, inst, _ in _random_programs(random.Random(108), 3200):
+            programs += 1
+            with monkeypatch.context() as mp:
+                want, ran = _reference(mp, solve, inst, cap)
+            for width in (np.int64, object):
+                with monkeypatch.context() as mp:
+                    if width is object:
+                        mp.setattr(ilp, "_int64_safe", lambda lo, hi: False)
+                    widths = _key_widths(mp)
+                    picks = _duplicate_checks(mp, False)
+                    sets = ilp._residue_sets
+                    mp.setattr(ilp, "_residue_sets", lambda *a: filtered.append(1) or sets(*a))
+                    assert _outcome(solve, inst, cap) == want
+                assert widths == [width] * ran and picks in ([], [False])
+        assert programs >= 3000 and len(filtered) > 4000
 
     def test_window_changes_no_witness(self, monkeypatch):
         """Keeping only the keys that can still reach the target changes no
@@ -479,16 +528,18 @@ class TestEngineEquivalence:
             solve = bilp_feasibility_dp if inst.is_binary else bounded_ilp_feasibility
             with monkeypatch.context() as mp:
                 widths = _key_widths(mp)
+                picks = _duplicate_checks(mp, True)
                 got = _outcome(solve, inst, cap)
             if widths != [object]:
                 continue  # key range within 2^62
             with monkeypatch.context() as mp:
-                mp.setattr(ilp, "_array_engine", _dict_engine)
-                assert got == _outcome(solve, inst, cap)
+                assert got == _reference(mp, solve, inst, cap, residues=picks == [False])[0]
             checked += 1
+            self.checks += picks
             seen.add("none" if got is None else got[0])
         assert checked == 1000
         assert seen == {"none", "cap", "binary-vector", "multiplicity-vector"}
+        assert True in self.checks and False in self.checks
 
     def test_fallback_above_int64(self, monkeypatch):
         """A key range of 2^62 + 4 runs on object keys, one of 2^62 on int64
@@ -531,6 +582,24 @@ class TestWitnessRule:
         w = subset_sum_doubling(ss.elements, ss.target)
         assert w.payload == (0, 3, 4, 5, 6, 7, 8, 10, 12, 14, 15, 16, 17, 18)
         assert nn.decode(agg.decode(ss.decode(w.payload).payload)) == (1, 0, 1)
+
+    def test_bilp_to_ss_chain_small_cap(self):
+        """The chain's subset sums are sparse over a first window of about
+        9 * 10^10 keys, too wide for the bitmap, and without the residue
+        filter their kept table reaches 1,416 keys at variable 11. Keys
+        whose residue mod 2^12 the later elements cannot carry to the
+        target are dropped, so a cap of 1,000 holds and the witnesses are
+        the ones the unfiltered table gives."""
+        a = Matrix.from_rows([[-1, 2, -1], [0, 0, 2]])
+        for b, want in (((-2, 2), (1, 0, 1)), ((1, 0), (1, 1, 0)), ((-2, 3), None)):
+            nn = bilp_nonnegative(a, b)
+            agg = bilp_to_hbilp(nn.matrix, nn.rhs)
+            ss = hbilp_to_ss(agg.instance)
+            assert len(ss.elements) == 24
+            w = subset_sum_doubling(ss.elements, ss.target, table_cap=1000)
+            got = None if w is None else nn.decode(agg.decode(ss.decode(w.payload).payload))
+            assert got == want
+            assert w == subset_sum_doubling(ss.elements, ss.target)
 
     def test_hbilp(self):
         g = random.Random(16)
