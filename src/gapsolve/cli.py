@@ -4,6 +4,11 @@ Output is machine-first: one JSON object per line with sorted keys and no
 whitespace, so fixed seeds give byte-identical runs. Exit codes: 0 when
 solved/feasible/verified, 1 when infeasible or a verification fails, 2 on
 errors (bad input, caps, pipeline failure).
+
+The CLI holds no validity rule of its own: `verify witness` and `ilp
+decode` ask the instance type's `solved_by` (`SubsetSumInstance`,
+`BilpInstance`, `HbilpInstance`), the same check every solver runs on its
+witness.
 """
 
 from __future__ import annotations
@@ -183,8 +188,7 @@ def _cmd_ilp_decode(args) -> int:
         y = stages["agg"].decode(w.payload)
     if args.src == "bilp":
         y = stages["nn"].decode(y)
-        binst = BilpInstance.from_json_dict(d)
-        if binst.a.matvec(y) != binst.b:
+        if not BilpInstance.from_json_dict(d).solved_by(y):
             raise ValueError("decoded assignment does not satisfy the program")
     _emit({"witness": SolveWitness("binary-vector", y).to_json_dict()})
     return 0
@@ -239,29 +243,10 @@ def _cmd_verify(args) -> int:
 
 def _verify_witness(d: dict, w: SolveWitness) -> bool:
     if "elements" in d and "target" in d:
-        inst = SubsetSumInstance.from_json_dict(d)
-        vals = inst.elements.elements
-        if w.kind == "subset-of-indices":
-            if any(not 0 <= i < len(vals) for i in w.payload):
-                return False
-            return sum(vals[i] for i in w.payload) == inst.target
-        if w.kind == "multiplicity-vector":
-            if len(w.payload) != len(vals) or any(v < 0 for v in w.payload):
-                return False
-            if inst.mode == "binary" and any(v > 1 for v in w.payload):
-                return False
-            return sum(v * m for v, m in zip(vals, w.payload)) == inst.target
-        return False
+        return SubsetSumInstance.from_json_dict(d).solved_by(w)
     if w.kind == "subset-of-indices":  # ILP witnesses are assignments
         return False
-    inst = _detect_ilp(d)
-    if isinstance(inst, HbilpInstance):
-        return inst.solved_by(w.payload)
-    if len(w.payload) != inst.a.num_cols:
-        return False
-    if any(not lo <= v <= hi for v, (lo, hi) in zip(w.payload, inst.bounds)):
-        return False
-    return inst.a.matvec(w.payload) == inst.b
+    return _detect_ilp(d).solved_by(w.payload)
 
 
 def _cmd_generate(args) -> int:

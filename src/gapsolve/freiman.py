@@ -497,7 +497,10 @@ def ruzsa_cover(y: IntegerSet, z: IntegerSet) -> IntegerSet:
     """Greedy maximal x-set with pairwise disjoint translates y + x.
 
     Maximality gives z subset of (y - y) + X, and disjointness gives
-    |X| * |y| <= |y + z|; both are asserted before returning.
+    |X| * |y| <= |y + z|; both are asserted before returning. The covering
+    is checked as maximality: z lies in (y - y) + X exactly when y + z
+    meets y + x for some x in X, that is, meets `used`, so no set of
+    differences y - y is built.
     """
     used: set[int] = set()
     chosen: list[int] = []
@@ -509,9 +512,8 @@ def ruzsa_cover(y: IntegerSet, z: IntegerSet) -> IntegerSet:
     x = IntegerSet(tuple(chosen))
     if len(x) * len(y) > len(sumset(y, z)):
         raise InvariantError("translate count exceeds sumset bound")
-    diffs = {u - v for u in y for v in y}
     for zz in z:
-        if not any(zz - xx in diffs for xx in x):
+        if used.isdisjoint(yy + zz for yy in y):
             raise InvariantError("covering property failed")
     return x
 

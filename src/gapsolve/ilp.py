@@ -24,8 +24,12 @@ variable, the value of the sub-step that wrote the current key. A 0/1
 variable gives each new key one source, so a binary witness is the one that
 scanning an insertion-ordered table of every reachable vector gives.
 Reductions carry enough metadata to decode a downstream witness back to the
-original variables, and every decode re-evaluates the witness against the
-original instance before returning it.
+original variables. Each instance type writes its validity rule once, as
+`solved_by` (`BilpInstance`: one integer per variable within its bounds and
+A x = b; `HbilpInstance`: a 0/1 vector with <Ax, s> = t). The three solvers
+share one tail that calls it on every witness, the decoders to and from the
+aggregated form check with it (`_decode_subset` makes the same checks from
+z and t alone), and `gapsolve verify witness` only dispatches to it.
 
 Unbounded reachability has one engine: big-int bitset closures of
 nonnegative column combinations in a box [0, B]^m by doubling passes, for
@@ -97,6 +101,15 @@ class BilpInstance:
     @property
     def delta(self) -> int:
         return self.a.infinity_norm()
+
+    def solved_by(self, x: Sequence[int]) -> bool:
+        """Whether x has one integer per variable, each within its bounds,
+        and A x = b."""
+        if len(x) != self.a.num_cols:
+            return False
+        if any(not lo <= v <= hi for v, (lo, hi) in zip(x, self.bounds)):
+            return False
+        return self.a.matvec(x) == self.b
 
     def to_json_dict(self) -> dict:
         d = {"A": self.a.to_json_rows(), "b": list(self.b)}
@@ -341,6 +354,18 @@ def _solve_bounded(
     return [s + v for s, v in zip(shift, xt)]
 
 
+def _certified(
+    inst: BilpInstance | HbilpInstance, kind: str, x: Optional[list[int]]
+) -> Optional[SolveWitness]:
+    """The solvers' shared tail: None passes through, and any other x must
+    pass the instance's own `solved_by` before it becomes a witness."""
+    if x is None:
+        return None
+    if not inst.solved_by(x):
+        raise InvariantError("witness failed re-evaluation")
+    return SolveWitness(kind, tuple(x))
+
+
 def bilp_feasibility_dp(
     inst: BilpInstance, table_cap: int = DEFAULT_TABLE_CAP
 ) -> Optional[SolveWitness]:
@@ -348,11 +373,7 @@ def bilp_feasibility_dp(
     if not inst.is_binary:
         raise ValueError("instance is not binary; use bounded_ilp_feasibility")
     x = _solve_bounded(inst.a, inst.b, inst.bounds, table_cap)
-    if x is None:
-        return None
-    if inst.a.matvec(x) != inst.b:
-        raise InvariantError("witness failed re-evaluation")
-    return SolveWitness("binary-vector", tuple(x))
+    return _certified(inst, "binary-vector", x)
 
 
 def bounded_ilp_feasibility(
@@ -360,11 +381,7 @@ def bounded_ilp_feasibility(
 ) -> Optional[SolveWitness]:
     """General bounded variant; witness payload is the variable assignment."""
     x = _solve_bounded(inst.a, inst.b, inst.bounds, table_cap)
-    if x is None:
-        return None
-    if inst.a.matvec(x) != inst.b:
-        raise InvariantError("witness failed re-evaluation")
-    return SolveWitness("multiplicity-vector", tuple(x))
+    return _certified(inst, "multiplicity-vector", x)
 
 
 def hbilp_feasibility(
@@ -376,11 +393,7 @@ def hbilp_feasibility(
     x = _solve_bounded(
         Matrix.from_rows([list(dots)]), (inst.t,), ((0, 1),) * len(dots), table_cap
     )
-    if x is None:
-        return None
-    if not inst.solved_by(x):
-        raise InvariantError("witness failed re-evaluation")
-    return SolveWitness("binary-vector", tuple(x))
+    return _certified(inst, "binary-vector", x)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +563,7 @@ class SubsetSumFromHbilp:
             kept = half[: len(self.kept_columns)]
             for idx, v in zip(self.kept_columns, kept):
                 x[idx] = v
-        dots = self.original.dots()
-        if sum(d * v for d, v in zip(dots, x)) != self.original.t:
+        if not self.original.solved_by(x):
             raise InvariantError("decoded assignment failed re-evaluation")
         return SolveWitness("binary-vector", tuple(x))
 
@@ -675,10 +687,15 @@ class HbilpFromSubsetSum:
 
 
 def _decode_subset(z: IntegerSet, t: int, y: Sequence[int]) -> SolveWitness:
-    """Subset witness from an assignment of the encoding of (z, t), which
-    keeps one column per element in order, so only z and t are needed."""
+    """Subset witness from an assignment of the encoding of (z, t). The
+    encoding keeps one column per element in order, with dot product z_j, so
+    its `solved_by` holds exactly for a 0/1 vector with one entry per element
+    whose subset sums to t; these checks need only z and t. Raises
+    ValueError for any other y."""
     if len(y) != len(z):
         raise ValueError(f"assignment has {len(y)} entries for {len(z)} elements")
+    if any(v not in (0, 1) for v in y):
+        raise ValueError("assignment entries must be 0 or 1")
     indices = tuple(j for j, v in enumerate(y) if v)
     if sum(z.elements[j] for j in indices) != t:
         raise ValueError("decoded subset misses the target")

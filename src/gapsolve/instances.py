@@ -13,9 +13,8 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, TextIO
+from typing import TextIO
 
 from gapsolve.core import EnumerationCapError, Gap, IntegerSet, doubling_constant
 from gapsolve.freiman import next_prime
@@ -92,36 +91,6 @@ def union_of_aps(rng, n: int, parts: int = 2) -> IntegerSet:
 # benchmark
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    family: str
-    n: int
-    trial: int
-    feasible: bool
-    work: int
-    partitions: int
-    c: str
-    c_source: str
-    wall_ms: Optional[float] = None
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "v": 1,
-            "kind": "foursum-bench",
-            "family": self.family,
-            "n": self.n,
-            "trial": self.trial,
-            "feasible": self.feasible,
-            "work": self.work,
-            "partitions": self.partitions,
-            "c": self.c,
-            "c_source": self.c_source,
-        }
-        if self.wall_ms is not None:
-            d["wall_ms"] = self.wall_ms
-        return d
-
-
 def family_set(family: str, n: int) -> IntegerSet:
     if family == "ap":
         return ap_set(n)
@@ -171,9 +140,8 @@ def bench_foursum_scaling(
     string-seeded rng each, so two runs with the same arguments produce
     identical records; wall-clock timing is opt-in because it breaks that.
     Targets are sums of four rng-chosen positions, hence always feasible.
-    Returns {"records": [...], "fits": {family: exponent}}.
+    Returns {"fits": {family: exponent}}.
     """
-    records = []
     fits = {}
     for family in ("ap", "sidon"):
         points = []
@@ -189,20 +157,22 @@ def bench_foursum_scaling(
                 t0 = time.perf_counter()
                 res = foursum(z, t, rng)
                 wall = (time.perf_counter() - t0) * 1000.0
-                rec = BenchRecord(
-                    family,
-                    n,
-                    trial,
-                    res.witness is not None,
-                    res.work,
-                    res.partitions_tried,
-                    c,
-                    c_source,
-                    wall_ms=round(wall, 3) if timing else None,
-                )
-                records.append(rec)
+                rec = {
+                    "v": 1,
+                    "kind": "foursum-bench",
+                    "family": family,
+                    "n": n,
+                    "trial": trial,
+                    "feasible": res.witness is not None,
+                    "work": res.work,
+                    "partitions": res.partitions_tried,
+                    "c": c,
+                    "c_source": c_source,
+                }
+                if timing:
+                    rec["wall_ms"] = round(wall, 3)
                 points.append((n, res.work))
-                out.write(json.dumps(rec.to_json_dict(), sort_keys=True, separators=(",", ":")))
+                out.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
                 out.write("\n")
         exponent = fit_exponent(points)
         fits[family] = exponent
@@ -220,4 +190,4 @@ def bench_foursum_scaling(
             )
         )
         out.write("\n")
-    return {"records": records, "fits": fits}
+    return {"fits": fits}

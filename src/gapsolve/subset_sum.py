@@ -11,7 +11,10 @@ walk per target), then solve coin reachability per support whose gcd
 divides the remainder; both steps run the box engine of `ilp` (big-int
 closures by doubling passes), on the elements and target divided by
 gcd(z), so a target that gcd does not divide is an exact "no" at once.
-Witnesses always re-verify before returning.
+
+`SubsetSumInstance.solved_by` is the one validity rule for a subset-sum
+witness: both solvers re-check their witness through it before returning,
+and `gapsolve verify witness` calls it for subset-sum instances.
 """
 
 from __future__ import annotations
@@ -52,6 +55,24 @@ class SubsetSumInstance:
         if self.mode not in SS_MODES:
             raise ValueError(f"mode must be one of {SS_MODES}")
 
+    def solved_by(self, w: SolveWitness) -> bool:
+        """Whether w solves (elements, target): in-range indices whose
+        elements sum to the target, or one nonnegative multiplicity per
+        element (at most 1 in binary mode) with that sum. Every other
+        witness kind is refused."""
+        vals = self.elements.elements
+        if w.kind == "subset-of-indices":
+            if any(not 0 <= i < len(vals) for i in w.payload):
+                return False
+            return sum(vals[i] for i in w.payload) == self.target
+        if w.kind == "multiplicity-vector":
+            if len(w.payload) != len(vals) or any(v < 0 for v in w.payload):
+                return False
+            if self.mode == "binary" and any(v > 1 for v in w.payload):
+                return False
+            return sum(v * m for v, m in zip(vals, w.payload)) == self.target
+        return False
+
     def to_json_dict(self) -> dict:
         return {
             "elements": list(self.elements.elements),
@@ -85,10 +106,10 @@ def subset_sum_doubling(
     w = bilp_feasibility_dp(inst, table_cap=table_cap)
     if w is None:
         return None
-    indices = tuple(j for j, v in enumerate(w.payload) if v)
-    if sum(z.elements[j] for j in indices) != t:
+    w = SolveWitness("subset-of-indices", tuple(j for j, v in enumerate(w.payload) if v))
+    if not SubsetSumInstance(z, t).solved_by(w):
         raise InvariantError("subset witness failed re-evaluation")
-    return SolveWitness("subset-of-indices", indices)
+    return w
 
 
 def unbounded_subset_sum(z: IntegerSet, t: int, rng) -> Optional[SolveWitness]:
@@ -140,9 +161,10 @@ def unbounded_subset_sum(z: IntegerSet, t: int, rng) -> Optional[SolveWitness]:
         x = [0] * n
         for j, e in zip(sigma, extras):
             x[j] = 1 + e
-        if sum(v * m for v, m in zip(z.elements, x)) != t:
+        w = SolveWitness("multiplicity-vector", tuple(x))
+        if not SubsetSumInstance(z, t, "unbounded").solved_by(w):
             raise InvariantError("multiplicity witness failed re-evaluation")
-        return SolveWitness("multiplicity-vector", tuple(x))
+        return w
     return None
 
 

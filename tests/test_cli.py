@@ -377,6 +377,112 @@ class TestFreimanAndVerify:
         assert last_json(proc) == {"ok": True}
 
 
+def _random_instance(rng, kind):
+    """A small instance of `kind` and its solver's output. Most targets are
+    planted, the rest moved off a planted one by 1, so most draws are
+    feasible; None, None for a drawn matrix with duplicate columns."""
+    from gapsolve.core import DuplicateColumnError, IntegerSet, Matrix
+    from gapsolve.ilp import (
+        BilpInstance,
+        HbilpInstance,
+        bilp_feasibility_dp,
+        bounded_ilp_feasibility,
+        hbilp_feasibility,
+    )
+    from gapsolve.subset_sum import SubsetSumInstance, solve_subset_sum
+
+    if kind in ("binary", "unbounded"):
+        n = rng.randint(1, 6 if kind == "binary" else 3)
+        z = IntegerSet.from_iterable(rng.sample(range(1, 25), n))
+        mult = [rng.randint(0, 1 if kind == "binary" else 3) for _ in range(len(z))]
+        t = sum(v * m for v, m in zip(z.elements, mult)) + rng.choice((0, 0, 1, -1))
+        inst = SubsetSumInstance(z, t, kind)
+        return inst, solve_subset_sum(inst, rng)
+    n = rng.randint(1, 5)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+    if kind == "bounded":
+        bounds = [(lo, lo + rng.randint(0, 3)) for lo in (rng.randint(-2, 0) for _ in range(n))]
+    else:
+        bounds = [(0, 1)] * n
+    x = [rng.randint(lo, hi) for lo, hi in bounds]
+    offset = rng.choice((0, 0, 1))
+    if kind == "hbilp":
+        s = tuple(rng.randint(-4, 4) for _ in rows)
+        a = Matrix.from_rows(rows)
+        t = sum(v * si for v, si in zip(a.matvec(x), s)) + offset
+        inst = HbilpInstance(a, s, t)
+        return inst, hbilp_feasibility(inst)
+    b = [v + offset for v in Matrix.from_rows(rows).matvec(x)]
+    try:
+        inst = BilpInstance(Matrix.from_rows(rows), tuple(b), tuple(bounds))
+    except DuplicateColumnError:
+        return None, None
+    solver = bilp_feasibility_dp if kind == "bilp" else bounded_ilp_feasibility
+    return inst, solver(inst)
+
+
+def _near_witnesses(vec, n):
+    """Witnesses of every kind around the vector `vec`: vec itself, each
+    entry off by one (which leaves the bounds at an edge), one entry more or
+    less, and the same positions read as indices, one index out of range."""
+    from gapsolve.core import WITNESS_KINDS, SolveWitness
+
+    payloads = [tuple(vec), tuple(vec) + (0,), tuple(vec[:-1])]
+    for i in range(len(vec)):
+        for d in (-1, 1):
+            payloads.append(tuple(vec[:i]) + (vec[i] + d,) + tuple(vec[i + 1 :]))
+    out = set()
+    for p in payloads:
+        indices = tuple(j for j, v in enumerate(p) if v)
+        for kind in WITNESS_KINDS:
+            for payload in (p, indices, indices + (n,)) if kind == "subset-of-indices" else (p,):
+                try:
+                    out.add(SolveWitness(kind, payload))
+                except ValueError:  # e.g. a 2 in a binary vector: not a witness at all
+                    pass
+    return sorted(out, key=lambda w: (w.kind, w.payload))
+
+
+class TestOneValidityRule:
+    @pytest.mark.parametrize("kind", ["bilp", "bounded", "hbilp", "binary", "unbounded"])
+    def test_verify_and_solvers_agree_with_solved_by(self, kind, tmp_path, capsys):
+        """Every solver output passes its instance's `solved_by`, and
+        `verify witness` exits 0 exactly where `solved_by` accepts."""
+        import random
+
+        from gapsolve import cli
+
+        rng = random.Random(f"one-rule:{kind}")
+        solved = accepted = 0
+        for draw in range(12):
+            inst, w = _random_instance(rng, kind)
+            if inst is None:
+                continue
+            path = write_json(tmp_path / f"inst{draw}.json", inst.to_json_dict())
+            if kind in ("binary", "unbounded"):
+                n = len(inst.elements)
+                rule = inst.solved_by
+            else:
+                n = inst.a.num_cols
+                rule = lambda c: c.kind != "subset-of-indices" and inst.solved_by(c.payload)
+            if w is None:
+                vec = [0] * n
+            else:
+                assert rule(w), (inst, w)
+                vec = list(w.payload)
+                if w.kind == "subset-of-indices":
+                    vec = [int(j in w.payload) for j in range(n)]
+            for c in _near_witnesses(vec, n):
+                wpath = write_json(tmp_path / "w.json", c.to_json_dict())
+                want = rule(c)
+                code = cli.main(["verify", "witness", "--input", path, "--witness", wpath])
+                out = json.loads(capsys.readouterr().out)
+                assert (code, out) == (0 if want else 1, {"ok": want}), (inst, c)
+                accepted += want
+            solved += w is not None
+        assert solved >= 4 and accepted > solved
+
+
 class TestBench:
     def test_jsonl_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -805,6 +805,12 @@ class TestSsToHbilp:
             res.decode((1, 1, 0))
         with pytest.raises(ValueError, match="assignment has 2 entries for 3 elements"):
             res.decode((1, 1))
+        # entries outside {0, 1} whose nonzero positions would pick a solution
+        pair = ss_to_hbilp(IntegerSet((1, 2)), 3, random.Random(0))
+        triple = ss_to_hbilp(IntegerSet((1, 2, 3)), 3, random.Random(0))
+        for enc, y in ((pair, (2, 1)), (pair, (1, -1)), (triple, (0, 0, 5))):
+            with pytest.raises(ValueError, match="assignment entries must be 0 or 1"):
+                enc.decode(y)
 
     def test_equivalence(self):
         from gapsolve.oracles import brute_subset_sum
