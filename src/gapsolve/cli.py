@@ -15,17 +15,17 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import random
 import sys
 
 from gapsolve.core import (
-    DEFAULT_ENUM_CAP,
     DEFAULT_TABLE_CAP,
     Gap,
     IntegerSet,
     SolveWitness,
-    gap_membership,
+    gap_enumerate,
 )
 from gapsolve.freiman import freiman_gap, split_dimensions
 from gapsolve.ilp import (
@@ -73,7 +73,7 @@ def _rng(seed: int) -> random.Random:
 
 def _cmd_freiman(args) -> int:
     z = IntegerSet.from_json_dict(_read_json(args.input))
-    res = freiman_gap(z, _rng(args.seed), enum_cap=args.cap_enum)
+    res = freiman_gap(z, _rng(args.seed))
     out = {"gap": res.cover.to_json_dict(), "metrics": res.metrics}
     if args.split:
         split = split_dimensions(res.cover, len(z))
@@ -225,11 +225,12 @@ def _cmd_verify(args) -> int:
     if args.check in ("gap-contains", "cover"):
         gap = Gap.from_json_dict(_read_json(args.gap))
         z = IntegerSet.from_json_dict(_read_json(args.set))
-        missing = [x for x in z if gap_membership(gap, x, cap=args.cap_enum) is None]
+        elems, proper = gap_enumerate(gap)
+        m = gap.modulus
+        missing = [x for x in z if (x if m is None else x % m) not in elems]
         if args.check == "gap-contains":
             _emit({"ok": not missing, "missing": missing[:16]})
             return 0 if not missing else 1
-        proper = gap.is_proper(args.cap_enum)
         _emit({"contains": not missing, "proper": proper, "volume": gap.volume()})
         return 0 if not missing and proper else 1
     if args.check == "witness":
@@ -267,12 +268,9 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _csv_lines(path: str) -> None:
-    """Rewrite a JSON-lines bench file as CSV in place."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            rows.append(json.loads(line))
+def _csv_text(jsonl: str) -> str:
+    """A JSON-lines bench record stream as CSV."""
+    rows = [json.loads(line) for line in jsonl.splitlines()]
     bench = [r for r in rows if r.get("kind") == "foursum-bench"]
     fits = [r for r in rows if r.get("kind") == "fit"]
     cols = ["family", "n", "trial", "feasible", "work", "partitions", "c", "c_source"]
@@ -283,24 +281,26 @@ def _csv_lines(path: str) -> None:
         lines.append(",".join(str(r.get(c, "")) for c in cols))
     for r in fits:
         lines.append(f"# fit,{r['family']},{r['exponent']}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_bench(args) -> int:
+    """Records go to a buffer, and `--out` is written only once the run has
+    succeeded, so a failed run leaves an existing file as it was."""
     if args.task != "foursum-scaling":
         raise ValueError(f"unknown bench task {args.task!r}")
+    buf = io.StringIO()
+    result = bench_foursum_scaling(
+        buf,
+        seed=args.seed,
+        trials=args.trials,
+        min_exp=args.min_exp,
+        max_exp=args.max_exp,
+        timing=args.timing,
+    )
+    text = buf.getvalue()
     with open(args.out, "w", encoding="utf-8") as fh:
-        result = bench_foursum_scaling(
-            fh,
-            seed=args.seed,
-            trials=args.trials,
-            min_exp=args.min_exp,
-            max_exp=args.max_exp,
-            timing=args.timing,
-        )
-    if args.format == "csv":
-        _csv_lines(args.out)
+        fh.write(_csv_text(text) if args.format == "csv" else text)
     for family, exponent in sorted(result["fits"].items()):
         _emit({"family": family, "fitted_exponent": round(exponent, 4)})
     return 0
@@ -323,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("freiman", help="cover a set by a multidimensional progression")
     p.add_argument("--input", required=True)
-    p.add_argument("--cap-enum", type=int, default=DEFAULT_ENUM_CAP)
     p.add_argument("--split", action="store_true", help="also emit the split-dimension form")
     _add_common(p)
     p.set_defaults(func=_cmd_freiman)
@@ -372,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set")
     p.add_argument("--input")
     p.add_argument("--witness")
-    p.add_argument("--cap-enum", type=int, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("generate", help="instance families")

@@ -38,9 +38,12 @@ count equals its volume). One kernel, `_gap_values`, enumerates a box: each
 point's value in one flat array, in the lex order of itertools.product, by a
 numpy outer sum per axis (reduced mod m after each axis for a modular GAP);
 int64 when the guard admits base +- sum((L_i - 1) * |y_i|), or [0, 2m) for a
-modular GAP, and an object array of Python ints otherwise. Elements,
-properness, membership and the Bohr-fit check all read it; membership gives
-the lexicographically least coefficient vector of a value.
+modular GAP, and an object array of Python ints otherwise. Elements and
+properness (`gap_enumerate`, one enumeration for both), membership, the Q - Q
+table and the Bohr-fit check all read it; membership gives the
+lexicographically least coefficient vector of a value. The one enumeration
+cap, `DEFAULT_ENUM_CAP`, is checked there and nowhere else, so no caller
+sets or skips it.
 """
 
 from __future__ import annotations
@@ -196,6 +199,12 @@ def _sorted_distinct(arr: np.ndarray) -> np.ndarray:
     return arr[keep]
 
 
+def _in_sorted(level: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Boolean mask of the keys that occur in a sorted nonempty array."""
+    pos = np.minimum(np.searchsorted(level, keys), len(level) - 1)
+    return level[pos] == keys
+
+
 def _pair_sumset(a: Sequence[int], b: Sequence[int]) -> np.ndarray:
     """Sorted distinct {x + y} of two sorted nonempty sequences or arrays: an
     int64 array from a numpy outer sum when the guard admits both inputs, an
@@ -345,14 +354,6 @@ class Gap:
         x = self.base + sum(c * y for c, y in zip(coords, self.generators))
         return x if self.modulus is None else x % self.modulus
 
-    def enumerate_elements(self, cap: Optional[int] = DEFAULT_ENUM_CAP) -> tuple:
-        if cap is not None and self.volume() > cap:
-            raise EnumerationCapError(f"gap volume {self.volume()} exceeds enumeration cap {cap}")
-        return tuple(_sorted_distinct(_gap_values(self)).tolist())
-
-    def is_proper(self, cap: Optional[int] = DEFAULT_ENUM_CAP) -> bool:
-        return len(self.enumerate_elements(cap)) == self.volume()
-
     def to_json_dict(self) -> dict:
         d = {"base": self.base, "generators": list(self.generators), "lengths": list(self.lengths)}
         if self.modulus is not None:
@@ -370,7 +371,12 @@ def _gap_values(gap: Gap) -> np.ndarray:
     """The value of every point of the coefficient box as one flat array, in
     the lexicographic order of itertools.product: one outer sum per axis,
     reduced mod m after each axis for a modular GAP. int64 when the guard
-    admits the value range, object (exact Python ints) otherwise."""
+    admits the value range, object (exact Python ints) otherwise. A box of
+    volume above DEFAULT_ENUM_CAP, read at call time, is refused."""
+    if gap.volume() > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(
+            f"gap volume {gap.volume()} exceeds enumeration cap {DEFAULT_ENUM_CAP}"
+        )
     m = gap.modulus
     # a length-1 axis adds only 0, however large its generator; a modular
     # GAP reduces its generators into [0, m) first
@@ -403,18 +409,14 @@ def _gap_value_table(gap: Gap) -> dict:
     return dict(zip(vals.tolist(), vectors))
 
 
-def gap_enumerate(gap: Gap, cap: Optional[int] = DEFAULT_ENUM_CAP) -> tuple[IntegerSet, bool]:
-    """All elements of a GAP plus a properness flag."""
-    elems = gap.enumerate_elements(cap)
-    return IntegerSet(elems), len(elems) == gap.volume()
+def gap_enumerate(gap: Gap) -> tuple[IntegerSet, bool]:
+    """All elements of a GAP plus a properness flag, from one enumeration."""
+    elems = IntegerSet(tuple(_sorted_distinct(_gap_values(gap)).tolist()))
+    return elems, len(elems) == gap.volume()
 
 
-def gap_membership(
-    gap: Gap, x: int, cap: Optional[int] = DEFAULT_ENUM_CAP
-) -> Optional[tuple[int, ...]]:
+def gap_membership(gap: Gap, x: int) -> Optional[tuple[int, ...]]:
     """Lexicographically least coefficient vector representing x, or None."""
-    if cap is not None and gap.volume() > cap:
-        raise EnumerationCapError(f"gap volume {gap.volume()} exceeds membership cap {cap}")
     if gap.modulus is not None:
         x = x % gap.modulus
     return _gap_value_table(gap).get(x)

@@ -43,7 +43,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from gapsolve.core import (
-    DEFAULT_ENUM_CAP,
     EnumerationCapError,
     Gap,
     IntegerSet,
@@ -52,6 +51,7 @@ from gapsolve.core import (
     _fold,
     _gap_value_table,
     _gap_values,
+    _in_sorted,
     _int64_safe,
     _sorted_distinct,
     ceil_root,
@@ -568,9 +568,7 @@ def _psi2_inverter(model: FreimanModel):
     return invert
 
 
-def freiman_gap(
-    a: IntegerSet, rng, enum_cap: int = DEFAULT_ENUM_CAP
-) -> FreimanGapResult:
+def freiman_gap(a: IntegerSet, rng) -> FreimanGapResult:
     """Cover `a` by a progression shaped (Q - Q) + X.
 
     The working modulus is the smallest prime above 4 * |8A - 8A|, computed
@@ -623,14 +621,13 @@ def freiman_gap(
         q_lengths = bres.gap.lengths
     q_gap = Gap(0, y_gens, q_lengths)
 
-    q_elems, q_proper = gap_enumerate(q_gap, enum_cap)
+    q_elems, q_proper = gap_enumerate(q_gap)
     if not q_proper:
         raise InvariantError("pulled-back progression not proper")
     if len(q_elems) > 1:
         off, diffs = iterated_support(a, 2, 2)
         want = np.asarray(q_elems.elements, dtype=np.int64) - off
-        pos = np.minimum(np.searchsorted(diffs, want), len(diffs) - 1)
-        if not np.array_equal(diffs[pos], want):
+        if not _in_sorted(diffs, want).all():
             raise InvariantError("pulled-back progression escapes 2A - 2A")
 
     x_set = ruzsa_cover(q_elems, a)

@@ -62,6 +62,7 @@ from gapsolve.core import (
     SolveWitness,
     TableCapError,
     _exact_int,
+    _in_sorted,
     _int64_safe,
 )
 from gapsolve.freiman import FreimanGapResult, freiman_gap, split_coords, split_dimensions
@@ -277,8 +278,7 @@ def _array_engine(
                 new = new[~seen[at]]
                 seen[at] = True
             elif len(keys) and len(new):
-                at = np.minimum(keys.searchsorted(new), len(keys) - 1)
-                new = new[keys[at] != new]
+                new = new[~_in_sorted(keys, new)]
             if len(new):
                 written.append((j, v, new))
                 keys = np.concatenate((keys, new))
@@ -521,18 +521,17 @@ def hbilp_nonnegative(inst: HbilpInstance) -> HbilpNonnegative:
 class SubsetSumFromHbilp:
     """Subset-sum instance equivalent to an aggregated ILP.
 
-    `column_values` lists the element attached to each column of the final
-    doubled system, in column order; `decode` maps a subset of indices into
-    the sorted element set back to a binary assignment of the original
-    variables and re-verifies it.
+    `origin` holds one entry per sorted element: the original variable that
+    element's column stands for, or None for a column that carries no
+    variable (a pin or complement column, or the placeholder of a trivial
+    instance); `decode` maps a subset of indices into the sorted element set
+    back to a binary assignment of the original variables and re-verifies it.
     """
 
     elements: IntegerSet
     target: int
     original: HbilpInstance
-    column_values: tuple[int, ...]
-    kept_columns: tuple[int, ...]
-    n_normalized: int
+    origin: tuple[Optional[int], ...]
     trivial: bool
     guard_tripped: bool
     meta: dict = field(default_factory=dict)
@@ -550,19 +549,10 @@ class SubsetSumFromHbilp:
             seen.add(i)
         if sum(elems[i] for i in indices) != self.target:
             raise ValueError("subset misses the reduced target")
-        n0 = self.original.a.num_cols
-        x = [0] * n0
-        if not self.trivial:
-            chosen = {elems[i] for i in indices}
-            col_of = {v: j for j, v in enumerate(self.column_values)}
-            picked = sorted(col_of[v] for v in chosen)
-            half = [0] * self.n_normalized
-            for j in picked:
-                if j < self.n_normalized:
-                    half[j] = 1
-            kept = half[: len(self.kept_columns)]
-            for idx, v in zip(self.kept_columns, kept):
-                x[idx] = v
+        x = [0] * self.original.a.num_cols
+        for i in indices:
+            if self.origin[i] is not None:
+                x[self.origin[i]] = 1
         if not self.original.solved_by(x):
             raise InvariantError("decoded assignment failed re-evaluation")
         return SolveWitness("binary-vector", tuple(x))
@@ -601,13 +591,13 @@ def hbilp_to_ss(inst: HbilpInstance) -> SubsetSumFromHbilp:
         elems = IntegerSet((1,))
         target = 0 if t == 0 else -1
         return SubsetSumFromHbilp(
-            elems, target, inst, (1,), (), 0, True, False, {"reason": "all columns zero"}
+            elems, target, inst, (None,), True, False, {"reason": "all columns zero"}
         )
     a1 = Matrix.from_rows([[row[j] for j in kept] for row in a.rows])
     norm = hbilp_nonnegative(HbilpInstance(a1, s, t))
     if norm.guard_tripped:
         return SubsetSumFromHbilp(
-            IntegerSet((1,)), -1, inst, (1,), kept, 0, True, True, {"reason": "target out of range"}
+            IntegerSet((1,)), -1, inst, (None,), True, True, {"reason": "target out of range"}
         )
     a2, s2, t2 = norm.instance.a, norm.instance.s, norm.instance.t
     n2, m2 = a2.num_cols, a2.num_rows
@@ -650,7 +640,9 @@ def hbilp_to_ss(inst: HbilpInstance) -> SubsetSumFromHbilp:
 
     support = len(kept)
     target = t2 + support * delta2 * sum(v_steps)
-    elements = sorted(dots)
+    # column j < support stands for original variable kept[j]
+    order = sorted(range(len(dots)), key=dots.__getitem__)
+    origin = tuple(kept[j] if j < support else None for j in order)
     meta = {
         "m": big_m,
         "k": k,
@@ -659,15 +651,7 @@ def hbilp_to_ss(inst: HbilpInstance) -> SubsetSumFromHbilp:
         "padded": 0,
     }
     return SubsetSumFromHbilp(
-        IntegerSet(tuple(elements)),
-        target,
-        inst,
-        dots,
-        kept,
-        n2,
-        False,
-        False,
-        meta,
+        IntegerSet(tuple(dots[j] for j in order)), target, inst, origin, False, False, meta
     )
 
 

@@ -16,12 +16,11 @@ import time
 from fractions import Fraction
 from typing import TextIO
 
-from gapsolve.core import EnumerationCapError, Gap, IntegerSet, doubling_constant
+from gapsolve.core import EnumerationCapError, Gap, IntegerSet, doubling_constant, gap_enumerate
 from gapsolve.freiman import next_prime
 from gapsolve.ksum import foursum
 
 MEASURE_LIMIT = 2048
-_SAMPLE_ENUM_CAP = 1 << 20  # points enumerated per progression gap_sample_set draws
 
 
 def ap_set(n: int, start: int = 0, step: int = 1) -> IntegerSet:
@@ -63,9 +62,9 @@ def gap_sample_set(rng, n: int, dimension: int = 2) -> IntegerSet:
             gens.append(scale * rng.randrange(1, 4))
             scale *= side * 4
         gap = Gap(base, tuple(gens), (side,) * dimension)
-        values = gap.enumerate_elements(_SAMPLE_ENUM_CAP)
-        if len(values) == gap.volume() and len(values) >= n:
-            return IntegerSet(tuple(sorted(rng.sample(values, n))))
+        values, proper = gap_enumerate(gap)
+        if proper and len(values) >= n:
+            return IntegerSet(tuple(sorted(rng.sample(values.elements, n))))
     raise EnumerationCapError("could not draw a proper progression to sample")
 
 

@@ -45,6 +45,7 @@ from gapsolve.core import (
     InvariantError,
     SolveWitness,
     _fold,
+    _in_sorted,
     _int64_safe,
 )
 
@@ -274,12 +275,6 @@ def _minus(t: int, arr: np.ndarray) -> np.ndarray:
     return t - arr
 
 
-def _first_in(keys: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """Positions of the keys that occur in a sorted level, ascending."""
-    pos = np.minimum(np.searchsorted(level, keys), len(level) - 1)
-    return np.flatnonzero(level[pos] == keys)
-
-
 def _unfold(levels: list[np.ndarray], block_values: list[np.ndarray], total: int) -> list[int]:
     """One value per block summing to `total`, deterministically: each block's
     first value (ascending) whose remainder is on the level below."""
@@ -287,7 +282,7 @@ def _unfold(levels: list[np.ndarray], block_values: list[np.ndarray], total: int
     v = total
     for i in range(len(block_values) - 1, -1, -1):
         rest = _minus(v, block_values[i])
-        hits = _first_in(rest, levels[i])
+        hits = np.flatnonzero(_in_sorted(levels[i], rest))
         if not len(hits):
             raise InvariantError("fold walk lost its value")
         picks.append(int(block_values[i][hits[0]]))
@@ -318,7 +313,7 @@ def _meet(lvals: np.ndarray, rvals: np.ndarray, t: int) -> Optional[int]:
     width = _MEET_SLICE
     while lo < hi:
         part = lvals[lo : min(lo + width, hi)]
-        hits = _first_in(_minus(t, part)[::-1], rvals)
+        hits = np.flatnonzero(_in_sorted(rvals, _minus(t, part)[::-1]))
         if len(hits):
             return int(part[len(part) - 1 - hits[-1]])
         lo += width

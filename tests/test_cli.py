@@ -308,6 +308,23 @@ class TestFreimanAndVerify:
         proc = run_cli("verify", "gap-contains", "--gap", gp, "--set", zp, check=1)
         assert last_json(proc)["missing"] == [1]
 
+    def test_verify_over_the_enumeration_cap_exits_2(self, tmp_path):
+        gp = write_json(
+            tmp_path / "gap.json", {"base": 0, "generators": [1, 5000], "lengths": [3000, 3000]}
+        )
+        zp = write_json(tmp_path / "z.json", {"elements": [0, 1]})
+        proc = run_cli("verify", "cover", "--gap", gp, "--set", zp, check=2)
+        assert proc.stdout == ""
+        assert "gap volume 9000000 exceeds enumeration cap 4000000" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["freiman", "verify"])
+    def test_cap_enum_flag_is_gone(self, tmp_path, command):
+        zp = write_json(tmp_path / "z.json", {"elements": [0, 1]})
+        argv = ["--input", zp] if command == "freiman" else ["cover", "--gap", zp, "--set", zp]
+        proc = run_cli(command, *argv, "--cap-enum", "10", check=2)
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --cap-enum 10" in proc.stderr
+
     @pytest.mark.parametrize(
         "gap,elements",
         [
@@ -506,6 +523,15 @@ class TestBench:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("family,n,trial,feasible,work")
         assert len(lines) > 2
+
+    @pytest.mark.parametrize(
+        "bad", [["--min-exp", "5", "--max-exp", "4"], ["--trials", "0"]]
+    )
+    def test_failed_run_leaves_out_untouched(self, tmp_path, bad):
+        out = tmp_path / "bench.jsonl"
+        out.write_text("sentinel\n")
+        run_cli("bench", "foursum-scaling", "--out", str(out), *bad, check=2)
+        assert out.read_text() == "sentinel\n"
 
 
 class TestInProcess:

@@ -270,8 +270,8 @@ class TestGap:
         assert vals.elements == (5, 8, 11, 14) and proper
 
     def test_two_dim_proper(self):
-        assert Gap(0, (2, 3), (3, 3)).is_proper()
-        assert not Gap(0, (1, 2), (3, 3)).is_proper()
+        assert gap_enumerate(Gap(0, (2, 3), (3, 3)))[1]
+        assert not gap_enumerate(Gap(0, (1, 2), (3, 3)))[1]
 
     def test_zero_dimensional(self):
         g = Gap(7, (), ())
@@ -333,6 +333,25 @@ class TestGap:
         assert proper == (len(lex_least) == g.volume())
         for v, coords in lex_least.items():
             assert gap_membership(g, v) == coords
+
+    def test_one_enumeration_cap(self, monkeypatch):
+        """Every enumeration of a box, the cached value table included,
+        refuses a volume above DEFAULT_ENUM_CAP, read at call time, and
+        answers at it."""
+        core._gap_value_table.cache_clear()
+        calls = (
+            gap_enumerate,
+            lambda g: gap_membership(g, 5),
+            core._gap_value_table,
+        )
+        for i, call in enumerate(calls):
+            # a fresh Gap per call, so no cached table answers for it
+            g = Gap(i, (1, 5), (3, 2))
+            monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 5)
+            with pytest.raises(core.EnumerationCapError, match="6 exceeds enumeration cap 5"):
+                call(g)
+            monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 6)
+            call(g)
 
 
 class TestMatrix:

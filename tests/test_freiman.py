@@ -430,6 +430,14 @@ class TestBohrCertificate:
         assert _bohr_verdict_reference(gap, clean) is None
         freiman._assert_bohr_gap(gap, clean)
 
+    def test_enumeration_cap(self, monkeypatch):
+        gap, spec = Gap(0, (1,), (2,), modulus=5), BohrSpec(5, (1,), Fraction(1, 4))
+        monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 1)
+        with pytest.raises(EnumerationCapError, match="gap volume 2 exceeds enumeration cap 1"):
+            freiman._assert_bohr_gap(gap, spec)
+        monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 2)
+        freiman._assert_bohr_gap(gap, spec)
+
     def test_every_failure_fires(self):
         q = Fraction(1, 4)
         with pytest.raises(InvariantError, match="exceeds group order"):

@@ -28,7 +28,7 @@ ksum_module = sys.modules[ksum.__module__]
 
 def _meet_one_search(lvals, rvals, t):
     """Reference meet: every complement searched at once, the least hit kept."""
-    hits = ksum_module._first_in(ksum_module._minus(t, lvals)[::-1], rvals)
+    hits = np.flatnonzero(ksum_module._in_sorted(rvals, ksum_module._minus(t, lvals)[::-1]))
     return int(lvals[len(lvals) - 1 - hits[-1]]) if len(hits) else None
 
 
@@ -388,13 +388,13 @@ class TestEarlyExitMeet:
 
     def test_planted_queries_search_few_left_values(self, monkeypatch):
         searched, left = [], []
-        first_in, meet = ksum_module._first_in, ksum_module._meet
+        in_sorted, meet = ksum_module._in_sorted, ksum_module._meet
         inside = []
 
-        def first_in_spy(keys, level):
+        def in_sorted_spy(level, keys):
             if inside:
                 searched.append(len(keys))
-            return first_in(keys, level)
+            return in_sorted(level, keys)
 
         def meet_spy(lvals, rvals, t):
             left.append(len(lvals))
@@ -404,7 +404,7 @@ class TestEarlyExitMeet:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(ksum_module, "_first_in", first_in_spy)
+        monkeypatch.setattr(ksum_module, "_in_sorted", in_sorted_spy)
         monkeypatch.setattr(ksum_module, "_meet", meet_spy)
         for seed in range(721, 725):
             searched.clear()
