@@ -1,9 +1,22 @@
 """Exact integer-set arithmetic: sumsets, doubling, progressions.
 
 Foundational value types shared by the solver stack. Everything here is
-immutable and pure; operations never mutate their inputs, so concurrent use
+immutable and pure, apart from the buffers a caller may lend the sumset
+kernel (below); operations never mutate their inputs, so concurrent use
 needs no locking. Lookup tables attached to progressions are built once per
 object and are read-only afterwards.
+
+Buffer providers: `_fold` and the two sumset backends take an optional
+provider, a callable `buffers(name, dtype, n)` that returns a writable
+array of exactly n entries of that dtype. With one, the uint32 pair path
+writes its outer sum, mask and distinct offsets to the "outer", "keep" and
+"offsets" buffers, and it and the FFT backend write their int64 result to
+"out" and return that array, a view of the caller's memory that stays
+valid until the caller hands the same buffer out again; the other pair
+paths allocate as without a provider. The caller owns the buffers
+and their lifetime; core keeps no state. Without a provider every array is
+allocated afresh, and `sumset`, the Freiman supports and every solver
+other than `ksum` pass none.
 
 Integer discipline: values are exact Python ints everywhere, of any size.
 numpy int64 appears only where the one guard `_int64_safe` admits it, and
@@ -187,16 +200,23 @@ def _int64_safe(lo: int, hi: int) -> bool:
     return -_INT64_SAFE < lo and hi < _INT64_SAFE
 
 
-def _sorted_distinct(arr: np.ndarray) -> np.ndarray:
+def _sorted_distinct(arr: np.ndarray, keep=None, out=None) -> np.ndarray:
     """Sorted distinct entries of an array in its own dtype, by a sort and an
     adjacent-difference mask, which on int64 and uint32 is far cheaper than
     numpy's unique. The operand is consumed: a contiguous one is sorted in
-    place rather than copied, so callers pass an array of their own."""
+    place rather than copied, so callers pass an array of their own. Given
+    `keep`, a bool array of arr.size entries, the mask is written there;
+    given `out`, of arr's dtype and at least that many entries, the distinct
+    entries are written to its head, which is returned."""
     arr = arr.ravel()
     arr.sort()
-    keep = np.ones(arr.size, dtype=bool)
+    if keep is None:
+        keep = np.empty(arr.size, dtype=bool)
+    keep[:1] = True
     np.not_equal(arr[1:], arr[:-1], out=keep[1:])
-    return arr[keep]
+    if out is None:
+        return arr[keep]
+    return np.compress(keep, arr, out=out[: np.count_nonzero(keep)])
 
 
 def _in_sorted(level: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -205,26 +225,35 @@ def _in_sorted(level: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return level[pos] == keys
 
 
-def _pair_sumset(a: Sequence[int], b: Sequence[int]) -> np.ndarray:
+def _pair_sumset(a: Sequence[int], b: Sequence[int], buffers=None) -> np.ndarray:
     """Sorted distinct {x + y} of two sorted nonempty sequences or arrays: an
     int64 array from a numpy outer sum when the guard admits both inputs, an
     object array of exact Python ints otherwise.
 
     On the int64 path, at least _OFFSET_MIN_PAIRS pairs whose sums span
     less than 2^32 are summed, sorted and deduplicated as uint32 offsets from
-    a[0] + b[0], which sorts about twice as fast as int64, and the base is
-    added back in int64; the output is the same either way."""
+    a[0] + b[0], which sorts about twice as fast as int64, and one fused
+    pass casts the distinct offsets to int64 and adds the base back; the
+    output is the same either way. With a buffer provider (see the module
+    docstring) that path writes its outer sum, mask and distinct offsets to
+    the provider's "outer", "keep" and "offsets" buffers and its result to
+    "out", which it returns; every other path allocates."""
     if _int64_safe(a[0], a[-1]) and _int64_safe(b[0], b[-1]):
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        if len(a) * len(b) >= _OFFSET_MIN_PAIRS:
+        pairs = len(a) * len(b)
+        if pairs >= _OFFSET_MIN_PAIRS:
             base = int(a[0]) + int(b[0])
             if int(a[-1]) + int(b[-1]) - base < _OFFSET_SPAN:
-                offsets = np.add.outer(
-                    (a - a[0]).astype(np.uint32), (b - b[0]).astype(np.uint32)
-                )
-                out = _sorted_distinct(offsets).astype(np.int64)
-                out += base
-                return out
+                ao, bo = (a - a[0]).astype(np.uint32), (b - b[0]).astype(np.uint32)
+                if buffers is None:
+                    offsets, out = _sorted_distinct(np.add.outer(ao, bo)), None
+                else:
+                    outer = buffers("outer", np.uint32, pairs).reshape(len(a), len(b))
+                    np.add.outer(ao, bo, out=outer)
+                    keep = buffers("keep", np.bool_, pairs)
+                    offsets = _sorted_distinct(outer, keep, buffers("offsets", np.uint32, pairs))
+                    out = buffers("out", np.int64, len(offsets))
+                return np.add(offsets, np.int64(base), out=out, dtype=np.int64)
         return _sorted_distinct(np.add.outer(a, b))
     # object arrays iterate as Python ints, so no sum can wrap
     a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
@@ -261,23 +290,26 @@ def _conv_support(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, size)[:n] > 0.5
 
 
-def _fft_sumset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _fft_sumset(a: np.ndarray, b: np.ndarray, buffers=None) -> np.ndarray:
     """Sorted distinct {x + y} of two sorted nonempty arrays whose combined
     range the int64 guard admits, as an int64 array, by convolving their
     indicator vectors; cost is the transform length over that range.
-    Squaring (b is a) builds one indicator and one transform."""
+    Squaring (b is a) builds one indicator and one transform. With a buffer
+    provider the sums are written to its "out" buffer."""
     x = _indicator(a)
     hit = np.flatnonzero(_conv_support(x, x if b is a else _indicator(b)))
-    return hit + (a[0] + b[0])
+    out = None if buffers is None else buffers("out", np.int64, len(hit))
+    return np.add(hit, a[0] + b[0], out=out)
 
 
-def _fold(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str, int]:
+def _fold(a: np.ndarray, b: np.ndarray, buffers=None) -> tuple[np.ndarray, str, int]:
     """Sorted distinct {x + y} of two sorted nonempty arrays, the backend
     that ran and its work, by the one fold rule: "fft" exactly when both
     operands pass the int64 guard and the transform length over the span of
     the sums is below the pair count, "hash" (the pairwise kernel)
     otherwise. The work is the smaller of the two, and a fold whose work
-    exceeds DEFAULT_FOLD_CAP, read at call time, is refused."""
+    exceeds DEFAULT_FOLD_CAP, read at call time, is refused. An optional
+    buffer provider goes to the backend that runs."""
     backend, work = "hash", len(a) * len(b)
     if _int64_safe(a[0], a[-1]) and _int64_safe(b[0], b[-1]):
         size = _transform_size(int(a[-1]) + int(b[-1]) - int(a[0]) - int(b[0]) + 1)
@@ -285,7 +317,7 @@ def _fold(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str, int]:
             backend, work = "fft", size
     if work > DEFAULT_FOLD_CAP:
         raise EnumerationCapError(f"{backend} fold work {work} above cap {DEFAULT_FOLD_CAP}")
-    return (_fft_sumset if backend == "fft" else _pair_sumset)(a, b), backend, work
+    return (_fft_sumset if backend == "fft" else _pair_sumset)(a, b, buffers), backend, work
 
 
 def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:

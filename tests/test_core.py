@@ -142,9 +142,9 @@ class TestPairSumset:
         seen = []
         sorted_distinct = core._sorted_distinct
 
-        def spy(arr):
+        def spy(arr, *args, **kwargs):
             seen.append(arr.dtype)
-            return sorted_distinct(arr)
+            return sorted_distinct(arr, *args, **kwargs)
 
         monkeypatch.setattr(core, "_sorted_distinct", spy)
         rng = random.Random(130)
@@ -182,6 +182,10 @@ class TestPairSumset:
                     wide = sorted_distinct(np.add.outer(a64, b64))
                     assert got.tobytes() == wide.tobytes()
                     assert core._pair_sumset(a64, b64).tobytes() == wide.tobytes()
+                    # a buffer provider takes the same path and gives the same bytes
+                    seen.clear()
+                    assert core._pair_sumset(a, b, KeptBuffers()).tobytes() == wide.tobytes()
+                    assert seen == [np.uint32 if narrow else np.int64]
                     paths.add(seen[0])
         assert paths == {np.dtype(np.uint32), np.dtype(np.int64)}
 
@@ -251,6 +255,62 @@ class TestFold:
             monkeypatch.setattr(core, "DEFAULT_FOLD_CAP", work - 1)
             with pytest.raises(core.EnumerationCapError, match=f"{backend} fold work {work} above"):
                 core._fold(x, x)
+
+
+class KeptBuffers:
+    """A buffer provider after core's contract: one byte buffer per name,
+    grown when short and never shrunk, whose head it hands out."""
+
+    def __init__(self):
+        self.bufs = {}
+
+    def __call__(self, name, dtype, n):
+        size = n * np.dtype(dtype).itemsize
+        buf = self.bufs.get(name, np.empty(0, np.uint8))
+        if buf.nbytes < size:
+            buf = self.bufs[name] = np.empty(max(size, 2 * buf.nbytes), np.uint8)
+        return buf[:size].view(dtype)
+
+
+class TestFoldBuffers:
+    """`_fold` with a buffer provider against `_fold` without one."""
+
+    @staticmethod
+    def _operands(rng, size, dense):
+        """Two sorted int64 operands of `size` values: dense ones convolve,
+        sparse ones (from a span of 10^7) go to the uint32 pair path."""
+        span = 2 * size if dense else 10**7
+        return [np.array(sorted(rng.sample(range(span), size)), dtype=np.int64) for _ in range(2)]
+
+    @pytest.mark.parametrize("dense, backend", [(True, "fft"), (False, "hash")])
+    def test_same_bytes_growing_then_shrinking(self, dense, backend):
+        rng = random.Random(150 + dense)
+        buffers = KeptBuffers()
+        kept = []
+        for size in (50, 120, 300, 700, 300, 120, 50):
+            a, b = self._operands(rng, size, dense)
+            want = core._fold(a, b)
+            got = core._fold(a, b, buffers)
+            assert want[1] == backend and got[1:] == want[1:]
+            assert got[0].dtype == want[0].dtype == np.int64
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.shares_memory(got[0], buffers.bufs["out"])
+            # a provider-less result is its own memory
+            assert not any(np.shares_memory(want[0], buf) for buf in buffers.bufs.values())
+            kept.append((want[0], want[0].tobytes()))
+        # earlier results are unchanged by the later folds
+        assert all(arr.tobytes() == saved for arr, saved in kept)
+        names = {"out"} if dense else {"outer", "keep", "offsets", "out"}
+        assert set(buffers.bufs) == names
+
+    def test_object_and_narrow_paths_allocate(self):
+        """Past the guard, and below _OFFSET_MIN_PAIRS, the provider is not asked."""
+        buffers = KeptBuffers()
+        big = np.array([1 << 70, (1 << 70) + 3], dtype=object)
+        small = np.array([0, 1000, 5000], dtype=np.int64)
+        for x in (big, small):
+            assert core._fold(x, x, buffers)[0].tolist() == core._fold(x, x)[0].tolist()
+        assert buffers.bufs == {}
 
 
 class TestGap:

@@ -93,9 +93,9 @@ class TestIteratedSupport:
         calls = {"pair": 0, "fft": 0}
 
         def counted(name, fn):
-            def wrapped(x, y):
+            def wrapped(x, y, *rest):
                 calls[name] += 1
-                return fn(x, y)
+                return fn(x, y, *rest)
 
             return wrapped
 

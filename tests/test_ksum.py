@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from gapsolve.ksum import (
     splitter_family,
     splitter_plan,
 )
-from gapsolve.instances import ap_set, random_dense_set
+from gapsolve.instances import ap_set, random_dense_set, sidon_set
 from gapsolve.oracles import brute_ksum
 
 # the package exports the function ksum under the module's name
@@ -644,3 +645,122 @@ class TestNormalization:
             idx = res.witness.payload
             assert len(set(idx)) == k and sum(z.elements[i] for i in idx) == t
             assert want is not None
+
+
+class TestFoldBuffers:
+    """The per-thread buffer set that keeps the folds' big arrays mapped
+    between queries changes no answer, no work count and no backend."""
+
+    @staticmethod
+    def _queries(seed):
+        """A seeded mix of planted queries on the coloring path: heavy
+        uint32 pair folds (Sidon and random sets, n = 2048), smaller ones, an
+        AP whose folds convolve, and k = 5 with three right levels."""
+        rng = random.Random(seed)
+        sets = [
+            (sidon_set(2048), 4),
+            (random_dense_set(rng, 300, 10**6), 4),
+            (ap_set(1024, 3, 7), 4),
+            (random_dense_set(rng, 2048, 10**7), 4),
+            (random_dense_set(rng, 400, 10**6), 5),
+            (sidon_set(700), 4),
+            # 4-sums spread over 2^32, so few solutions: several colorings
+            # fold into the same slots before one isolates a solution
+            (random_dense_set(rng, 400, 1 << 30), 4),
+        ]
+        return [(z, sum(rng.sample(z.elements, k)), k, rng.randrange(2**30)) for z, k in sets]
+
+    @staticmethod
+    def _answers(queries):
+        out = []
+        for z, t, k, seed in queries:
+            res = ksum(z, t, k, random.Random(seed))
+            assert res.witness is not None and sum(z.elements[i] for i in res.witness.payload) == t
+            out.append((res.witness, res.work, res.partitions_tried, res.exhaustive, res.meta))
+        return out
+
+    def test_back_to_back_queries_unchanged(self, monkeypatch):
+        """One seeded sequence twice in one process (the first run fills the
+        buffers, the second reuses them) and once with no buffer set."""
+        queries = self._queries(912)
+        first = self._answers(queries)
+        maps = ksum_module._BUFFERS.maps
+        assert {"outer", "keep", "offsets", (0, 2), (1, 2), (1, 3)} <= set(maps)
+        kept = {key: id(buf) for key, buf in maps.items()}
+        second = self._answers(queries)
+        assert second == first
+        # the second run needed no larger buffer
+        assert {key: id(buf) for key, buf in maps.items()} == kept
+
+        class Unbuffered:
+            def provider(self, slot):
+                return None
+
+        monkeypatch.setattr(ksum_module, "_BUFFERS", Unbuffered())
+        assert self._answers(queries) == first
+        assert sum(tried for _, _, tried, _, _ in first) > len(queries)
+        assert {name for *_, meta in first for name in meta["backends"]} == {"hash", "fft"}
+
+    def test_threads_keep_their_own_buffers(self):
+        """Two threads on different inputs give the single-threaded answers."""
+        inputs = [self._queries(920), self._queries(921)]
+        want = [self._answers(q) for q in inputs]
+        barrier = threading.Barrier(2)
+        got, owners, errors = [None, None], [None, None], []
+
+        def work(i):
+            try:
+                barrier.wait()
+                got[i] = [self._answers(inputs[i]) for _ in range(3)]
+                owners[i] = id(ksum_module._BUFFERS.maps)
+            except Exception as exc:  # re-raised in the main thread below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        assert errors == []
+        assert got == [[want[0]] * 3, [want[1]] * 3]
+        assert len({owners[0], owners[1], id(ksum_module._BUFFERS.maps)}) == 3
+
+    def test_growth_is_geometric_and_never_shrinks(self):
+        buffers = ksum_module._FoldBuffers()
+        page, limit = ksum_module.mmap.PAGESIZE, ksum_module._KEEP_ITEMS
+
+        def mapped(n):
+            arr = buffers.view("x", np.int64, n)
+            assert arr.shape == (n,) and arr.flags.writeable
+            return len(buffers.maps["x"])
+
+        first = mapped(10)
+        assert first == page
+        assert mapped(first // 8 + 1) == 2 * first  # one entry past the map doubles it
+        assert mapped(3) == 2 * first
+        big = mapped(100_000)  # past double: the need, rounded up to pages
+        assert big == -(-800_000 // page) * page and mapped(5) == big
+        mapped(limit // 2 + 1)
+        assert mapped(limit) == limit * 8  # doubling stops at the limit
+
+    def test_folds_past_the_limit_are_not_kept(self):
+        """A fold past _KEEP_ITEMS gives the provider-less bytes, and the
+        kept buffers stay as they were, each at most the limit in bytes."""
+        limit = ksum_module._KEEP_ITEMS
+        buffers = ksum_module._FoldBuffers()
+        rng = random.Random(930)
+        small = [np.array(sorted(rng.sample(range(10**7), 600)), dtype=np.int64) for _ in range(2)]
+        sparse_sumset(*small, _buffers=buffers.provider((0, 1)))
+        kept = {key: len(buf) for key, buf in buffers.maps.items()}
+        assert {"outer", "keep", "offsets", (0, 1)} <= set(kept)
+        big = [np.array(sorted(rng.sample(range(10**8), 800)), dtype=np.int64) for _ in range(2)]
+        assert len(big[0]) * len(big[1]) > limit
+        fold = sparse_sumset(*big, _buffers=buffers.provider((0, 1)))
+        want = sparse_sumset(*big)
+        assert (fold.backend, fold.work) == (want.backend, want.work) == ("hash", 640_000)
+        assert fold.sums.tobytes() == want.sums.tobytes()
+        assert {key: len(buf) for key, buf in buffers.maps.items()} == kept
+        assert max(kept.values()) <= limit * np.dtype(np.int64).itemsize
+        for buf in buffers.maps.values():
+            held = np.frombuffer(buf, np.uint8)
+            assert not np.shares_memory(fold.sums, held) and not np.shares_memory(want.sums, held)
