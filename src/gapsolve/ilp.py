@@ -33,10 +33,11 @@ z and t alone), and `gapsolve verify witness` only dispatches to it.
 
 Unbounded reachability has one engine: big-int bitset closures of
 nonnegative column combinations in a box [0, B]^m by doubling passes, for
-the candidate supports here (B = n * Delta) and for the per-support coin
-step of unbounded subset sum (one row, B = the remainder). The candidate
-supports are those of the least solutions for binary column-sum targets,
-which are all the supports any target in the box can need.
+the candidate supports here (B = n * Delta) and for the whole coin problem
+of unbounded subset sum (one row over every coin, B = the target over the
+gcd of the coins). The candidate supports are those of the least solutions
+for binary column-sum targets, which are all the supports any target in
+the box can need.
 
 All arithmetic is exact on Python ints of any size, so no program is
 refused for the size of its values; numpy int64 keys are used only where
@@ -834,6 +835,12 @@ def binary_image_supports(a: Matrix) -> tuple[tuple[int, ...], ...]:
     shift-or per column; a binary partial sum never exceeds n*Delta in any
     digit, so no shift carries between digits. Each support size is
     asserted against m * log2(2*n*Delta + 1).
+
+    Unbounded subset sum does not call it: on the identity cover every
+    subset is a support, and one coin box over all the coins answers the
+    same question. It stays for the small-support lemma, which acceptance
+    criterion 6 checks on it, and for a support route over covers that
+    carry structure.
     """
     _validate_nonneg_no_zero_col(a)
     bound = a.num_cols * a.infinity_norm()

@@ -406,11 +406,13 @@ def ksum(z: IntegerSet, t: int, k: int, rng) -> KsumResult:
 
     The values and the target are first normalized by x -> (x - c) / g
     (see `_normalized`), t -> (t - k*c) / g. When g does not divide
-    t - k*c, no k of the values reach t, and the answer is an exact "no"
-    with no pair table and no fold. Otherwise the plan runs on the
-    normalized values, so its cost and its int64 arrays depend on the
-    spread of the values over their gcd, not on their size; indices carry
-    over unchanged, and the witness is re-evaluated on the raw values.
+    t - k*c, or t lies outside [sum of the k least values, sum of the k
+    largest] (compared on the exact values), no k of the values reach t,
+    and the answer is an exact "no" with no pair table and no fold.
+    Otherwise the plan runs on the normalized values, so its cost and its
+    int64 arrays depend on the spread of the values over their gcd, not on
+    their size; indices carry over unchanged, and the witness is
+    re-evaluated on the raw values.
 
     Exhaustive plans (see `splitter_plan`) are settled from capped pair
     representatives, and a None witness then proves infeasibility. Other
@@ -428,7 +430,7 @@ def ksum(z: IntegerSet, t: int, k: int, rng) -> KsumResult:
     values = z.elements
     c, g, arr = _normalized(values)
     shifted = t - k * c
-    if shifted % g:
+    if shifted % g or not sum(values[:k]) <= t <= sum(values[-k:]):
         return KsumResult(None, 0, 0, True, {"backends": {}})
     target = shifted // g
     if splitter_plan(n, k).exhaustive:

@@ -4,13 +4,12 @@ The binary solver is the one-row specialization of the reachable-sum DP;
 its cost follows the number of distinct reachable sums that can still hit
 the target, at most what the doubling-sensitive analysis bounds, and a
 table cap turns the densest inputs into a clean failure. The unbounded
-solver goes the long way around: encode elements as progression
-coordinates, enumerate the few supports a lexicographically-least solution
-can use (those of the least solutions for binary column-sum targets, one
-walk per target), then solve coin reachability per support whose gcd
-divides the remainder; both steps run the box engine of `ilp` (big-int
-closures by doubling passes), on the elements and target divided by
-gcd(z), so a target that gcd does not divide is an exact "no" at once.
+solver divides elements and target by g = gcd(z), so a target that g does
+not divide is an exact "no" at once, and then runs one one-row box of the
+box engine of `ilp` (big-int closures by doubling passes) over all the
+quotient coins on [0, t / g]. Its suffix walk gives the lexicographically
+least multiplicity vector, the witness `oracles.brute_unbounded_subset_sum`
+returns.
 
 `SubsetSumInstance.solved_by` is the one validity rule for a subset-sum
 witness: both solvers re-check their witness through it before returning,
@@ -32,16 +31,11 @@ from gapsolve.core import (
     SolveWitness,
     _exact_int,
 )
-from gapsolve.ilp import (
-    BilpInstance,
-    _BoxReachability,
-    bilp_feasibility_dp,
-    binary_image_supports,
-    ss_to_hbilp,
-)
+from gapsolve.ilp import BilpInstance, _BoxReachability, bilp_feasibility_dp
 
 SS_MODES = ("binary", "unbounded")
-# the unbounded solver's coin reachability keeps one state per value 0..target
+# the unbounded solver's coin box keeps one bit per value 0..target in each of
+# its n + 1 closures
 UNBOUNDED_TARGET_CAP = 2_000_000
 
 
@@ -113,20 +107,19 @@ def subset_sum_doubling(
 
 
 def unbounded_subset_sum(z: IntegerSet, t: int, rng) -> Optional[SolveWitness]:
-    """Unbounded subset sum via progression structure of the element set.
+    """Unbounded subset sum as coin reachability in one box.
 
     Every nonnegative combination of z is a multiple of g = gcd(z), so a
     target that g does not divide is an exact "no"; otherwise elements and
-    target are divided by g, which keeps every multiplicity vector, and the
-    rest runs on the quotients. Elements become columns of coordinates in a
-    covering progression, and the lexicographically-least multiplicity
-    vector for any reachable coordinate target has a support that also
-    shows up for some binary column-sum target. Those supports are
-    enumerable, and within a fixed support the problem is ordinary coin
-    reachability. The coordinate box grows quickly with set size; this is a
-    small-n solver by design, and the box cap of `ilp` and
-    UNBOUNDED_TARGET_CAP (on t / g), read at call time, say so rather than
-    letting it thrash.
+    target are divided by g, which keeps every multiplicity vector. One
+    one-row `_BoxReachability` over all the quotient coins on [0, t / g]
+    marks the values each suffix of the coins reaches, and its walk returns
+    the lexicographically least multiplicity vector in element order, the
+    one `oracles.brute_unbounded_subset_sum` returns. The box keeps n + 1
+    closures of t / g + 1 bits each, so a query is refused when t / g passes
+    UNBOUNDED_TARGET_CAP or those closures pass 8 * UNBOUNDED_TARGET_CAP
+    bits (2 MB at the default), both read at call time. rng stays in the
+    signature for its callers; nothing is drawn from it.
     """
     if z.min() < 1:
         raise ValueError("elements must be positive")
@@ -144,28 +137,20 @@ def unbounded_subset_sum(z: IntegerSet, t: int, rng) -> Optional[SolveWitness]:
             f"target {goal} above cap {UNBOUNDED_TARGET_CAP}: "
             f"coin reachability keeps target + 1 = {goal + 1} states"
         )
-    values = tuple(v // g for v in z.elements)
-    enc = ss_to_hbilp(IntegerSet(values), goal, rng)
-    supports = binary_image_supports(enc.instance.a)
-    for sigma in supports:
-        if not sigma:
-            continue
-        rem = goal - sum(values[j] for j in sigma)
-        if rem < 0 or rem % math.gcd(*(values[j] for j in sigma)):
-            continue  # every coin sum over sigma is a multiple of that gcd
-        # a one-row box [0, rem]; the target cap already bounds its states
-        coins = _BoxReachability([(values[j],) for j in sigma], rem, UNBOUNDED_TARGET_CAP + 1)
-        extras = coins.lexmin((rem,))
-        if extras is None:
-            continue
-        x = [0] * n
-        for j, e in zip(sigma, extras):
-            x[j] = 1 + e
-        w = SolveWitness("multiplicity-vector", tuple(x))
-        if not SubsetSumInstance(z, t, "unbounded").solved_by(w):
-            raise InvariantError("multiplicity witness failed re-evaluation")
-        return w
-    return None
+    bits = (n + 1) * (goal + 1)
+    if bits > 8 * UNBOUNDED_TARGET_CAP:
+        raise EnumerationCapError(
+            f"coin box keeps {n + 1} closures of {goal + 1} bits, "
+            f"{bits} above cap {8 * UNBOUNDED_TARGET_CAP}"
+        )
+    coins = _BoxReachability([(v // g,) for v in z.elements], goal, UNBOUNDED_TARGET_CAP + 1)
+    x = coins.lexmin((goal,))
+    if x is None:
+        return None
+    w = SolveWitness("multiplicity-vector", x)
+    if not SubsetSumInstance(z, t, "unbounded").solved_by(w):
+        raise InvariantError("multiplicity witness failed re-evaluation")
+    return w
 
 
 def solve_subset_sum(

@@ -534,6 +534,213 @@ class TestBench:
         assert out.read_text() == "sentinel\n"
 
 
+# ---------------------------------------------------------------------------
+# frozen seeded stdout: the commands of acceptance criterion 8
+
+# criterion 8's input files, by the name its commands give them
+FROZEN_INPUTS = {
+    "ap": {"elements": list(range(0, 96, 3))},
+    "ss": {"elements": [3, 7, 12, 19, 31], "target": 22},
+    "un": {"elements": [3, 5], "target": 47, "mode": "unbounded"},
+    "bilp": {"A": [[2, -3], [1, 1]], "b": [-1, 2]},
+    "hb": {"A": [[1, -2, 1]], "s": [3], "t": 6},
+    "wit": {"kind": "subset-of-indices", "values": [0, 3]},
+}
+
+# (command, exit code, exact stdout)
+FROZEN_STDOUT = [
+    (
+        'generate --kind ap --n 40 --seed 5',
+        0,
+        (
+            '{"elements":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,'
+            '26,27,28,29,30,31,32,33,34,35,36,37,38,39]}\n'
+        ),
+    ),
+    (
+        'generate --kind sidon --n 40 --seed 5',
+        0,
+        (
+            '{"elements":[0,83,168,255,344,435,528,582,679,778,838,941,1005,1071,1180,1250,'
+            '1322,1396,1513,1591,1671,1753,1837,1923,1970,2060,2152,2246,2301,2399,2499,2560,'
+            '2664,2729,2796,2906,2977,3050,3125,3202]}\n'
+        ),
+    ),
+    (
+        'generate --kind random --n 40 --seed 5',
+        0,
+        (
+            '{"elements":[232,696,1718,3801,6796,9428,13365,14838,16606,17333,18188,20558,'
+            '20919,21739,21821,23811,23865,25805,26068,26840,27453,28243,28407,32318,32643,'
+            '32680,33481,36632,37919,39162,41110,46993,48731,49906,50229,51044,53497,58305,'
+            '61030,61481]}\n'
+        ),
+    ),
+    (
+        'generate --kind gap --n 40 --seed 5',
+        0,
+        (
+            '{"elements":[29,31,35,37,41,43,129,131,135,137,139,223,227,235,317,321,327,329,'
+            '331,415,417,421,425,509,511,515,517,519,523,605,607,609,611,615,617,703,707,709,'
+            '711,715]}\n'
+        ),
+    ),
+    (
+        'generate --kind union-aps --n 40 --seed 5',
+        0,
+        (
+            '{"elements":[23,30,37,44,51,58,65,72,79,86,93,100,107,114,121,128,135,142,149,156,'
+            '158,161,164,167,170,173,176,179,182,185,188,191,194,197,200,203,206,209,212,'
+            '215]}\n'
+        ),
+    ),
+    (
+        'freiman --input {ap} --seed 3 --split',
+        0,
+        (
+            '{"gap":{"base":0,"generators":[0,3,6,9,12,15,18,21,24,27,30,33,36,39,42,45,48,51,'
+            '54,57,60,63,66,69,72,75,78,81,84,87,90,93],"lengths":[2,2,2,2,2,2,2,2,2,2,2,2,2,2,'
+            '2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2]},"metrics":{"aprime_size":5,"attempts":1,'
+            '"bohr_frequencies":1794,"cover_dimension":32,"cover_volume":4294967296,'
+            '"kept_dims":0,"m":1993,"modeling_failures":[],"n":32,"q":751,"q_volume":1,'
+            '"strict_checked":true,"x_size":32},"split":{"base":0,"generators":[0,3,6,9,12,15,'
+            '18,21,24,27,30,33,36,39,42,45,48,51,54,57,60,63,66,69,72,75,78,81,84,87,90,93],'
+            '"lengths":[2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2]},'
+            '"threshold":2}\n'
+        ),
+    ),
+    (
+        'subset-sum solve --input {ss} --seed 2',
+        0,
+        '{"feasible":true,"witness":{"kind":"subset-of-indices","values":[0,1,2]}}\n',
+    ),
+    (
+        'subset-sum solve --input {un} --seed 2',
+        0,
+        '{"feasible":true,"witness":{"kind":"multiplicity-vector","values":[4,7]}}\n',
+    ),
+    (
+        'ilp solve --input {bilp}',
+        0,
+        '{"feasible":true,"witness":{"kind":"binary-vector","values":[1,1]}}\n',
+    ),
+    (
+        'ilp solve --input {hb}',
+        0,
+        '{"feasible":true,"witness":{"kind":"binary-vector","values":[1,0,1]}}\n',
+    ),
+    (
+        'ilp reduce --from bilp --to ss --input {bilp} --seed 3',
+        0,
+        (
+            '{"instance":{"elements":[161606,50965122,101768625,152410563,152572146,203214084,'
+            '203375160,254017605,254178681,304821126,304982202,355624647,355785723,406428168,'
+            '457231689,508035210],"mode":"binary","target":2032786199},"meta":{"from":"bilp",'
+            '"guard_tripped":false,"k":1,"m":50803521,"padded":0,"radix":10,"support":4,'
+            '"support_target":2,"to":"ss","trivial":false}}\n'
+        ),
+    ),
+    (
+        'ilp reduce --from hbilp --to ss --input {hb} --seed 3',
+        0,
+        (
+            '{"instance":{"elements":[118,4040,11884,15815,19625,23550,23668,27590,31400,35325,'
+            '43175,47100],"mode":"binary","target":141651},"meta":{"from":"hbilp",'
+            '"guard_tripped":false,"k":2,"m":3925,"padded":0,"radix":3,"support":3,"to":"ss",'
+            '"trivial":false}}\n'
+        ),
+    ),
+    (
+        'ilp reduce --from ss --to hbilp --input {ss} --seed 4',
+        0,
+        (
+            '{"instance":{"A":[[1,0,0,0,0],[0,1,0,0,0],[0,0,1,0,0],[0,0,0,1,0],[0,0,0,0,1]],'
+            '"s":[3,7,12,19,31],"t":22},"meta":{"cover_volume":32,"delta":1,"dimension":5,'
+            '"from":"ss","threshold":2,"to":"hbilp"}}\n'
+        ),
+    ),
+    (
+        'ksum --input {ap} --k 4 --target 66 --seed 6',
+        0,
+        (
+            '{"exhaustive":true,"feasible":true,"partitions":1,'
+            '"witness":{"kind":"subset-of-indices","values":[0,1,2,19]},"work":497}\n'
+        ),
+    ),
+    (
+        'ksum --input {ap} --k 3 --target 66 --seed 6',
+        0,
+        (
+            '{"exhaustive":true,"feasible":true,"partitions":1,'
+            '"witness":{"kind":"subset-of-indices","values":[0,1,21]},"work":497}\n'
+        ),
+    ),
+    (
+        'ksum --input {ap} --k 5 --target 100 --seed 6',
+        1,
+        '{"exhaustive":true,"feasible":false,"partitions":0,"work":0}\n',
+    ),
+    (
+        'ksum --input {ap} --k 30 --target 1413 --seed 6',
+        0,
+        (
+            '{"exhaustive":true,"feasible":true,"partitions":1,'
+            '"witness":{"kind":"subset-of-indices","values":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,'
+            '15,16,17,18,19,20,21,22,23,24,26,27,28,29,30,31]},"work":1}\n'
+        ),
+    ),
+    ('verify witness --input {ss} --witness {wit}', 0, '{"ok":true}\n'),
+
+]
+
+FROZEN_BENCH_STDOUT = (
+    '{"family":"ap","fitted_exponent":2.042}\n'
+    '{"family":"sidon","fitted_exponent":2.0032}\n'
+)
+
+FROZEN_BENCH_FILE = (
+    b'{"c":"31/16","c_source":"measured","family":"ap",'
+    b'"feasible":true,"kind":"foursum-bench","n":16,"partitions":1,"trial":0,"v":1,"work":121}\n'
+    b'{"c":"63/32","c_source":"measured","family":"ap",'
+    b'"feasible":true,"kind":"foursum-bench","n":32,"partitions":1,"trial":0,"v":1,"work":497}\n'
+    b'{"c":"127/64","c_source":"measured","family":"ap",'
+    b'"feasible":true,"kind":"foursum-bench","n":64,"partitions":1,"trial":0,"v":1,"work":2052}\n'
+    b'{"exponent":2.042,"family":"ap","kind":"fit","points":3,"v":1}\n'
+    b'{"c":"17/2","c_source":"measured","family":"sidon",'
+    b'"feasible":true,"kind":"foursum-bench","n":16,"partitions":1,"trial":0,"v":1,"work":126}\n'
+    b'{"c":"33/2","c_source":"measured","family":"sidon",'
+    b'"feasible":true,"kind":"foursum-bench","n":32,"partitions":1,"trial":0,"v":1,"work":522}\n'
+    b'{"c":"65/2","c_source":"measured","family":"sidon",'
+    b'"feasible":true,"kind":"foursum-bench","n":64,"partitions":1,"trial":0,"v":1,"work":2025}\n'
+    b'{"exponent":2.0032,"family":"sidon","kind":"fit","points":3,"v":1}\n'
+)
+
+
+class TestFrozenSeededStdout:
+    """Criterion 8 checks that two runs of one tree print the same bytes;
+    these pin the bytes themselves, so a change that moves seeded output
+    shows here."""
+
+    @pytest.mark.parametrize(
+        "command, code, stdout", FROZEN_STDOUT, ids=[row[0] for row in FROZEN_STDOUT]
+    )
+    def test_command(self, tmp_path, command, code, stdout):
+        paths = {
+            name: write_json(tmp_path / f"{name}.json", obj) for name, obj in FROZEN_INPUTS.items()
+        }
+        proc = run_cli(*command.format(**paths).split())
+        assert (proc.returncode, proc.stdout) == (code, stdout)
+
+    def test_bench_file(self, tmp_path):
+        out = tmp_path / "bench.jsonl"
+        proc = run_cli(
+            "bench", "foursum-scaling", "--out", str(out),
+            "--trials", "1", "--min-exp", "4", "--max-exp", "6", "--seed", "9",
+        )
+        assert (proc.returncode, proc.stdout) == (0, FROZEN_BENCH_STDOUT)
+        assert out.read_bytes() == FROZEN_BENCH_FILE
+
+
 class TestInProcess:
     def test_one_parser_serves_every_call(self, tmp_path, capsys):
         """main builds its parser once per process; a flag given to one call

@@ -39,6 +39,13 @@ def cut_cap(monkeypatch):
     return lambda value: monkeypatch.setattr(ksum_module, "DEFAULT_CUT_CAP", value)
 
 
+def _lattice_and_one(n):
+    """1 and the n - 1 multiples of 3 from 0: every sum of k distinct ones
+    is 0 or 1 mod 3, so a target of residue 2 inside the range of k-sums is
+    unreachable, and the plan has to run to answer it."""
+    return IntegerSet.from_iterable([1, *range(0, 3 * (n - 1), 3)])
+
+
 def _randrange_family(n, k, rng):
     """Reference colorings: one rng.randrange(k) per element."""
     for _ in range(splitter_plan(n, k).planned):
@@ -536,11 +543,11 @@ class TestPairRepresentatives:
 
     def test_exhaustive_matches_plan_at_the_cap(self, cut_cap):
         # at the default cap: C(316, 2) = 49,770 and C(317, 2) = 50,086
+        assert brute_ksum(_lattice_and_one(30).elements, 3 * 30 + 2, 3) is None
         for n, want in ((317, True), (318, False)):
             assert splitter_plan(n, 3).exhaustive == want
-            z = IntegerSet.from_iterable(range(0, 3 * n, 3))
-            # a multiple of 3 above every sum of three, so the plan runs
-            res = ksum(z, 9 * n, 3, random.Random(4))
+            # 3n + 2 has residue 2 and lies between the least and greatest sums of three
+            res = ksum(_lattice_and_one(n), 3 * n + 2, 3, random.Random(4))
             assert res.exhaustive == want
             assert res.witness is None
         z = IntegerSet.from_iterable(range(0, 60, 3))
@@ -561,10 +568,11 @@ class TestPairRepresentatives:
         assert not ksum(z, 9, 3, random.Random(0)).exhaustive
 
     def test_counters(self):
-        z = IntegerSet.from_iterable(range(0, 30, 3))  # n = 10, 45 pairs
-        # multiples of 3 below every sum of three and of five
-        assert ksum(z, 6, 3, random.Random(0)).partitions_tried == 1
-        res = ksum(z, 27, 5, random.Random(0))
+        z = _lattice_and_one(10)  # 45 pairs
+        # residue 2, inside the ranges [4, 63] of three and [19, 90] of five
+        assert brute_ksum(z.elements, 14, 3) is None and brute_ksum(z.elements, 41, 5) is None
+        assert ksum(z, 14, 3, random.Random(0)).partitions_tried == 1
+        res = ksum(z, 41, 5, random.Random(0))
         assert res.partitions_tried == 10  # one fixed index per tuple
         assert res.work > 45
 
@@ -577,18 +585,37 @@ class TestNormalization:
     def test_foursum_on_ap_is_value_independent(self):
         # n = 256: C(255, 3) is past the cut cap, so colorings are folded
         picks = random.Random(256).sample(range(256), 4)
+        assert brute_ksum(_lattice_and_one(30).elements, 3 * 30 + 2, 4) is None
         results = []
         for start, step in ((5, 1), (-(10**9), 10**6), ((1 << 75) + 1, 1 << 70)):
             z = ap_set(256, start, step)
             planted = foursum(z, sum(z.elements[i] for i in picks), random.Random(7))
-            # a multiple of step past the largest sum of four: a full sweep
-            above = foursum(z, 4 * start + 1020 * step, random.Random(7))
-            assert planted.witness is not None and above.witness is None
-            assert not planted.exhaustive and not above.exhaustive
-            results.append([(r.witness, r.work, r.partitions_tried, r.meta) for r in (planted, above)])
+            # an AP reaches every in-range sum of its residue, so the miss runs
+            # on an image of _lattice_and_one: 1022 has residue 2, a full sweep
+            off = IntegerSet.from_iterable(start + step * v for v in _lattice_and_one(256).elements)
+            miss = foursum(off, 4 * start + 1022 * step, random.Random(7))
+            assert planted.witness is not None and miss.witness is None
+            assert not planted.exhaustive and not miss.exhaustive
+            results.append([(r.witness, r.work, r.partitions_tried, r.meta) for r in (planted, miss)])
         assert results[0] == results[1] == results[2]
         assert results[0][0][1:] == (2114, 1, {"backends": {"hash": 2, "fft": 2}})
-        assert results[0][1][1:] == (5122273, 2423, {"backends": {"hash": 4846, "fft": 4846}})
+        assert results[0][1][1:] == (12710427, 2423, {"backends": {"hash": 4846, "fft": 4846}})
+
+    def test_out_of_range_builds_nothing(self, monkeypatch):
+        def no_fold(*args):
+            raise AssertionError("a refused query folded")
+
+        monkeypatch.setattr(ksum_module, "_fold_blocks", no_fold)
+        monkeypatch.setattr(ksum_module, "_pair_ksum", no_fold)
+        refused = ksum_module.KsumResult(None, 0, 0, True, {"backends": {}})
+        # colorings past the cut cap; the second AP is compared past int64
+        for start, step in ((7, 1), ((1 << 75) + 1, 1 << 70)):
+            z = ap_set(1024, start, step)
+            for k in (1, 2, 4, 6):
+                least, most = sum(z.elements[:k]), sum(z.elements[-k:])
+                # the right residue, one step past either end of the range
+                for t in (least - step, most + step):
+                    assert ksum(z, t, k, random.Random(0)) == refused
 
     def test_wrong_residue_builds_nothing(self, monkeypatch):
         def no_fold(*args):

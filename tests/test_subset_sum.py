@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from gapsolve import ilp, subset_sum
+from gapsolve import freiman, ilp, subset_sum
 from gapsolve.core import EnumerationCapError, IntegerSet, TableCapError
 from gapsolve.ilp import _BoxReachability
 from gapsolve.instances import ap_set
@@ -126,30 +126,66 @@ class TestUnbounded:
             want = brute_unbounded_subset_sum(z.elements, t)
             assert (got is None) == (want is None), (z.elements, t)
             if got is not None:
-                assert sum(v * m for v, m in zip(z.elements, got.payload)) == t
-                assert all(m >= 0 for m in got.payload)
+                # the box walk and the oracle both return the lexicographically least vector
+                assert got.payload == want, (z.elements, t)
 
-    def test_support_gcd_skips_closures(self, monkeypatch):
-        # every element is even, so an odd target builds no coin closure, and
-        # a support whose gcd does not divide the remainder builds none either
+    def test_gcd_skips_the_box(self, monkeypatch):
+        # every element is even, so an odd target builds no box, and an even
+        # one builds the single box over all the coins
         z = ap_set(4, 6, 4)
         built = []
         real = subset_sum._BoxReachability
         monkeypatch.setattr(
             subset_sum, "_BoxReachability", lambda *args: built.append(args) or real(*args)
         )
-        odd = 0
         for t in range(1, 200):
             before = len(built)
             got = unbounded_subset_sum(z, t, random.Random(t))
-            if t % 2:
-                odd += len(built) - before
+            assert len(built) - before == 1 - t % 2, t
             want = brute_unbounded_subset_sum(z.elements, t)
             assert (got is None) == (want is None), t
             if got is not None:
-                assert sum(v * m for v, m in zip(z.elements, got.payload)) == t
-        assert odd == 0
-        assert len(built) == 97  # 1,470 without the gcd test
+                assert got.payload == want, t
+        assert len(built) == 99
+
+    @pytest.mark.parametrize(
+        "n, start, step, t",
+        [(7, 1, 1, 10**6), (7, 1000, 7, 1_999_993), (50, 1000, 7, 100_003), (6, 7, 3, 1_999_999)],
+    )
+    def test_many_coins_match_the_oracle(self, n, start, step, t):
+        # the box follows n * t / g, so n = 7 and n = 50 solve as n = 6 does
+        z = ap_set(n, start, step)
+        got = unbounded_subset_sum(z, t, random.Random(0))
+        assert got is not None and got.payload == brute_unbounded_subset_sum(z.elements, t)
+
+    def test_no_cover_no_supports(self, monkeypatch):
+        # a coin question needs no cover; freiman_gap's modeling fails on this one
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the unbounded solver left its coin box")
+
+        monkeypatch.setattr(freiman, "freiman_gap", forbidden)
+        monkeypatch.setattr(ilp, "freiman_gap", forbidden)
+        monkeypatch.setattr(ilp, "ss_to_hbilp", forbidden)
+        monkeypatch.setattr(ilp, "binary_image_supports", forbidden)
+        z = IntegerSet((21, 58))
+        got = unbounded_subset_sum(z, 252, random.Random(548))
+        assert got.payload == brute_unbounded_subset_sum(z.elements, 252) == (12, 0)
+
+    def test_box_memory_cap(self, monkeypatch):
+        # (n + 1) * (t / g + 1) bits above 8 * UNBOUNDED_TARGET_CAP is refused
+        # before any closure is built; 8 * 2,000,000 = 16,000,000 is admitted
+        z = ap_set(7, 1, 1)
+        got = unbounded_subset_sum(z, 1_999_999, random.Random(0))
+        assert got.payload == brute_unbounded_subset_sum(z.elements, 1_999_999)
+
+        def no_box(*args):
+            raise AssertionError("a refused query built a box")
+
+        monkeypatch.setattr(subset_sum, "_BoxReachability", no_box)
+        with pytest.raises(EnumerationCapError, match="16000008 above cap 16000000"):
+            unbounded_subset_sum(z, 2_000_000, random.Random(0))
+        with pytest.raises(EnumerationCapError, match="101 closures of 200001 bits"):
+            unbounded_subset_sum(ap_set(100, 3, 3), 600_000, random.Random(0))
 
     def test_divides_by_the_gcd(self):
         # gcd 10^6: the target 2.1 * 10^7 is 21 in units of it, far below the
@@ -181,7 +217,7 @@ class TestDispatch:
 
 
 class TestCoinStep:
-    """The coin step of the unbounded solver: a one-row box [0, bound]."""
+    """The unbounded solver's box: one row on [0, bound] over every coin."""
 
     def test_one_row_box_vs_brute(self):
         rng = random.Random(202)
