@@ -129,9 +129,9 @@ class TestUnbounded:
                 # the box walk and the oracle both return the lexicographically least vector
                 assert got.payload == want, (z.elements, t)
 
-    def test_gcd_skips_the_box(self, monkeypatch):
-        # every element is even, so an odd target builds no box, and an even
-        # one builds the single box over all the coins
+    def test_support_gcd_skips_closures(self, monkeypatch):
+        # the box's support is every coin; every element is even, so an odd
+        # target builds no box, and an even one builds the single box
         z = ap_set(4, 6, 4)
         built = []
         real = subset_sum._BoxReachability
