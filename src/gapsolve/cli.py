@@ -20,13 +20,7 @@ import json
 import random
 import sys
 
-from gapsolve.core import (
-    DEFAULT_TABLE_CAP,
-    Gap,
-    IntegerSet,
-    SolveWitness,
-    gap_enumerate,
-)
+from gapsolve.core import Gap, IntegerSet, SolveWitness, gap_enumerate
 from gapsolve.freiman import freiman_gap, split_dimensions
 from gapsolve.ilp import (
     BilpInstance,
@@ -93,11 +87,11 @@ def _cmd_ilp_solve(args) -> int:
     d = _read_json(args.input)
     inst = _detect_ilp(d)
     if isinstance(inst, HbilpInstance):
-        w = hbilp_feasibility(inst, table_cap=args.cap_table)
+        w = hbilp_feasibility(inst)
     elif inst.is_binary:
-        w = bilp_feasibility_dp(inst, table_cap=args.cap_table)
+        w = bilp_feasibility_dp(inst)
     else:
-        w = bounded_ilp_feasibility(inst, table_cap=args.cap_table)
+        w = bounded_ilp_feasibility(inst)
     if w is None:
         _emit({"feasible": False})
         return 1
@@ -196,7 +190,7 @@ def _cmd_ilp_decode(args) -> int:
 
 def _cmd_subset_sum(args) -> int:
     inst = SubsetSumInstance.from_json_dict(_read_json(args.input))
-    w = solve_subset_sum(inst, _rng(args.seed), table_cap=args.cap_table)
+    w = solve_subset_sum(inst, _rng(args.seed))
     if w is None:
         _emit({"feasible": False})
         return 1
@@ -332,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = ilp_sub.add_parser("solve")
     q.add_argument("--input", required=True)
-    q.add_argument("--cap-table", type=int, default=DEFAULT_TABLE_CAP)
     q.set_defaults(func=_cmd_ilp_solve)
 
     q = ilp_sub.add_parser("reduce")
@@ -354,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     ss_sub = p.add_subparsers(dest="ss_command", required=True)
     q = ss_sub.add_parser("solve")
     q.add_argument("--input", required=True)
-    q.add_argument("--cap-table", type=int, default=DEFAULT_TABLE_CAP)
     _add_common(q)
     q.set_defaults(func=_cmd_subset_sum)
 

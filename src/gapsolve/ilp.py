@@ -35,9 +35,12 @@ Unbounded reachability has one engine: big-int bitset closures of
 nonnegative column combinations in a box [0, B]^m by doubling passes, for
 the candidate supports here (B = n * Delta) and for the whole coin problem
 of unbounded subset sum (one row over every coin, B = the target over the
-gcd of the coins). The candidate supports are those of the least solutions
-for binary column-sum targets, which are all the supports any target in
-the box can need.
+gcd of the coins). The closures stay big ints, and the walk back to the
+lexicographically least solution reads each column's multiple off one
+masked shift of the next closure. The engine takes no cap; each caller
+bounds its own box. The candidate supports are those of the least
+solutions for binary column-sum targets, which are all the supports any
+target in the box can need.
 
 All arithmetic is exact on Python ints of any size, so no program is
 refused for the size of its values; numpy int64 keys are used only where
@@ -749,20 +752,13 @@ class _BoxReachability:
     the pass for k leaves every x + t*c with t < 2k that fits the box. If a
     pass adds nothing, the set is closed under +k*c, and so under +2k*c
     (x + k*c fits whenever x + 2k*c does), so no later pass adds anything
-    and the column is done after about log2(bound / c) passes. The finished
-    closures are kept as their little-endian bytes, so that testing one
-    state does not shift a whole big int.
+    and the column is done after about log2(bound / c) passes.
     """
 
-    def __init__(self, cols: Sequence[Sequence[int]], bound: int, state_cap: int):
-        self.n = len(cols)
+    def __init__(self, cols: Sequence[Sequence[int]], bound: int):
         self.bound = bound
-        self.radix = bound + 1
         m = len(cols[0]) if cols else 0
-        states = self.radix**m
-        if states > state_cap:
-            raise EnumerationCapError(f"support box has {states} states, above cap {state_cap}")
-        self.strides = [self.radix**i for i in range(m)]
+        self.strides = [(bound + 1) ** i for i in range(m)]
         self.deltas = [sum(c * st for c, st in zip(col, self.strides)) for col in cols]
         reach = 1  # the origin
         closures = [reach]
@@ -774,8 +770,7 @@ class _BoxReachability:
                     break
                 reach, k = grown, 2 * k
             closures.append(reach)
-        size = (states + 7) // 8
-        self.suffix = [r.to_bytes(size, "little") for r in reversed(closures)]
+        self.suffix = closures[::-1]
 
     def _room(self, col: Sequence[int], k: int) -> int:
         """Mask of the states whose every digit i stays <= bound - k*col[i]."""
@@ -787,32 +782,42 @@ class _BoxReachability:
             mask = _repeat(mask, limit + 1, stride)
         return mask
 
-    def _has(self, j: int, idx: int) -> int:
-        return self.suffix[j][idx >> 3] >> (idx & 7) & 1
-
     def encode(self, b: Sequence[int]) -> Optional[int]:
         if any(not 0 <= v <= self.bound for v in b):
             return None
         return sum(v * st for v, st in zip(b, self.strides))
 
     def lexmin(self, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-        """Lexicographically least nonnegative solution of sum_j x_j col_j = b,
-        walking suffix feasibility column by column; None when unreachable."""
+        """Lexicographically least nonnegative solution of sum_j x_j col_j = b;
+        None when unreachable."""
         idx = self.encode(b)
-        if idx is None or not self._has(0, idx):
+        if idx is None or not self.suffix[0] >> idx & 1:
             return None
+        return self._walk(idx)
+
+    def _walk(self, idx: int) -> tuple[int, ...]:
+        """The least solution for the reachable state idx, column by column.
+
+        Column j takes the least k with idx - k*delta_j marked in
+        suffix[j + 1]. Those candidates are the bits r + i*delta_j,
+        r = idx mod delta_j, i <= (idx - r) / delta_j, so the highest
+        candidate bit set gives k at once. No borrow between digits can make
+        an earlier hit: the least solution's k* keeps every digit of
+        b - k*c nonnegative for k <= k*, as c >= 0, so each of those
+        candidates is the true state b - k*c. A zero column takes 0.
+        """
         xs = []
         for j, delta in enumerate(self.deltas):
-            mult = 0
-            if j == self.n - 1 and delta:
-                # suffix[n] holds the origin alone, so the last multiple is forced
-                mult, idx = divmod(idx, delta)
-            while not self._has(j + 1, idx):
-                idx -= delta
-                mult += 1
-                if idx < 0 or mult > self.bound:
-                    raise InvariantError("suffix walk escaped the box")
-            xs.append(mult)
+            if not delta:
+                xs.append(0)
+                continue
+            r = idx % delta
+            hits = self.suffix[j + 1] >> r & _repeat(1, (idx - r) // delta + 1, delta)
+            if not hits:
+                raise InvariantError("suffix walk escaped the box")
+            k = (idx - r - hits.bit_length() + 1) // delta
+            xs.append(k)
+            idx -= k * delta
         return tuple(xs)
 
 
@@ -844,7 +849,12 @@ def binary_image_supports(a: Matrix) -> tuple[tuple[int, ...], ...]:
     """
     _validate_nonneg_no_zero_col(a)
     bound = a.num_cols * a.infinity_norm()
-    box = _BoxReachability(a.columns(), bound, SUPPORT_STATE_CAP)
+    states = (bound + 1) ** a.num_rows
+    if states > SUPPORT_STATE_CAP:
+        raise EnumerationCapError(
+            f"support box has {states} states, above cap {SUPPORT_STATE_CAP}"
+        )
+    box = _BoxReachability(a.columns(), bound)
     binary = 1  # the empty sum
     for delta in box.deltas:
         binary |= binary << delta
@@ -855,7 +865,7 @@ def binary_image_supports(a: Matrix) -> tuple[tuple[int, ...], ...]:
     supports = set()
     limit_sq = (2 * bound + 1) ** a.num_rows
     for idx in np.flatnonzero(marked).tolist():
-        x = box.lexmin([idx // st % box.radix for st in box.strides])
+        x = box._walk(idx)
         supp = tuple(j for j, v in enumerate(x) if v)
         if 2 ** len(supp) > limit_sq:
             raise InvariantError("support exceeds the logarithmic bound")

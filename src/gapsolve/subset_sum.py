@@ -7,9 +7,11 @@ table cap turns the densest inputs into a clean failure. The unbounded
 solver divides elements and target by g = gcd(z), so a target that g does
 not divide is an exact "no" at once, and then runs one one-row box of the
 box engine of `ilp` (big-int closures by doubling passes) over all the
-quotient coins on [0, t / g]. Its suffix walk gives the lexicographically
-least multiplicity vector, the witness `oracles.brute_unbounded_subset_sum`
-returns.
+quotient coins on [0, t / g]. Its suffix walk takes each coin's multiple
+in one step and gives the lexicographically least multiplicity vector, the
+witness `oracles.brute_unbounded_subset_sum` returns. The solver's one
+refusal bounds what that box keeps: n + 1 closures of t / g + 1 bits, at
+most `UNBOUNDED_BOX_BITS` in all.
 
 `SubsetSumInstance.solved_by` is the one validity rule for a subset-sum
 witness: both solvers re-check their witness through it before returning,
@@ -34,9 +36,9 @@ from gapsolve.core import (
 from gapsolve.ilp import BilpInstance, _BoxReachability, bilp_feasibility_dp
 
 SS_MODES = ("binary", "unbounded")
-# the unbounded solver's coin box keeps one bit per value 0..target in each of
-# its n + 1 closures
-UNBOUNDED_TARGET_CAP = 2_000_000
+# bits the unbounded solver's coin box may keep: n + 1 closures of
+# target / g + 1 bits each (2 MB)
+UNBOUNDED_BOX_BITS = 16_000_000
 
 
 @dataclass(frozen=True)
@@ -115,35 +117,28 @@ def unbounded_subset_sum(z: IntegerSet, t: int, rng) -> Optional[SolveWitness]:
     one-row `_BoxReachability` over all the quotient coins on [0, t / g]
     marks the values each suffix of the coins reaches, and its walk returns
     the lexicographically least multiplicity vector in element order, the
-    one `oracles.brute_unbounded_subset_sum` returns. The box keeps n + 1
-    closures of t / g + 1 bits each, so a query is refused when t / g passes
-    UNBOUNDED_TARGET_CAP or those closures pass 8 * UNBOUNDED_TARGET_CAP
-    bits (2 MB at the default), both read at call time. rng stays in the
-    signature for its callers; nothing is drawn from it.
+    one `oracles.brute_unbounded_subset_sum` returns, the zero vector at
+    t = 0. The box keeps n + 1 closures of t / g + 1 bits each, so a query
+    whose closures pass UNBOUNDED_BOX_BITS (read at call time) is refused
+    before any is built. rng stays in the signature for its callers;
+    nothing is drawn from it.
     """
     if z.min() < 1:
         raise ValueError("elements must be positive")
     n = len(z)
     if t < 0:
         return None
-    if t == 0:
-        return SolveWitness("multiplicity-vector", (0,) * n)
     g = math.gcd(*z.elements)
     if t % g:
         return None
     goal = t // g
-    if goal > UNBOUNDED_TARGET_CAP:
-        raise EnumerationCapError(
-            f"target {goal} above cap {UNBOUNDED_TARGET_CAP}: "
-            f"coin reachability keeps target + 1 = {goal + 1} states"
-        )
     bits = (n + 1) * (goal + 1)
-    if bits > 8 * UNBOUNDED_TARGET_CAP:
+    if bits > UNBOUNDED_BOX_BITS:
         raise EnumerationCapError(
             f"coin box keeps {n + 1} closures of {goal + 1} bits, "
-            f"{bits} above cap {8 * UNBOUNDED_TARGET_CAP}"
+            f"{bits} above cap {UNBOUNDED_BOX_BITS}"
         )
-    coins = _BoxReachability([(v // g,) for v in z.elements], goal, UNBOUNDED_TARGET_CAP + 1)
+    coins = _BoxReachability([(v // g,) for v in z.elements], goal)
     x = coins.lexmin((goal,))
     if x is None:
         return None

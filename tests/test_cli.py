@@ -325,6 +325,14 @@ class TestFreimanAndVerify:
         assert proc.stdout == ""
         assert "unrecognized arguments: --cap-enum 10" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["ilp", "subset-sum"])
+    def test_cap_table_flag_is_gone(self, tmp_path, command):
+        inst = {"A": [[1, 2]], "b": [3]} if command == "ilp" else {"elements": [1, 2], "target": 3}
+        path = write_json(tmp_path / "inst.json", inst)
+        proc = run_cli(command, "solve", "--input", path, "--cap-table", "3", check=2)
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --cap-table 3" in proc.stderr
+
     @pytest.mark.parametrize(
         "gap,elements",
         [
@@ -750,12 +758,13 @@ class TestInProcess:
 
         assert cli.build_parser() is cli.build_parser()
         ss = write_json(tmp_path / "ss.json", {"elements": [2, 5, 9, 14], "target": 16})
-        # a cap of 3 refuses this program; the default cap answers it
         prog = write_json(tmp_path / "prog.json", {"A": [[1, 10, 100, 1000]], "b": [111]})
+        # --start 7 moves the progression; the next call must start at 0 again
         calls = [
             ("generate", "--kind", "random", "--n", "12", "--seed", "3"),
             ("subset-sum", "solve", "--input", ss),
-            ("ilp", "solve", "--input", prog, "--cap-table", "3"),
+            ("generate", "--kind", "ap", "--n", "4", "--start", "7"),
+            ("generate", "--kind", "ap", "--n", "4"),
             ("ilp", "solve", "--input", prog),
             ("generate", "--kind", "random", "--n", "12", "--seed", "3"),
         ]
@@ -768,7 +777,9 @@ class TestInProcess:
             code = cli.main(list(argv))
             got.append((code, capsys.readouterr().out))
         assert got == want
-        assert [code for code, _ in got] == [0, 0, 2, 0, 0]
+        assert [code for code, _ in got] == [0, 0, 0, 0, 0, 0]
+        assert got[2][1] == '{"elements":[7,8,9,10]}\n'
+        assert got[3][1] == '{"elements":[0,1,2,3]}\n'
 
 
 class TestErrors:

@@ -893,7 +893,7 @@ class TestSmallSupport:
     def test_seventeen_columns(self):
         # 2^17 binary targets collapse onto the 290 states of the one-row box
         a = Matrix.from_rows([list(range(1, 18))])
-        box = ilp._BoxReachability(a.columns(), 17 * 17, 10_000)
+        box = ilp._BoxReachability(a.columns(), 17 * 17)
         want = set()
         for b in range(17 * 17 + 1):
             x = box.lexmin((b,))
@@ -929,7 +929,7 @@ class TestBoxReachability:
         for _ in range(150):
             m, n, bound = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 5)
             cols = [tuple(rng.randint(0, 3) for _ in range(m)) for _ in range(n)]
-            box = ilp._BoxReachability(cols, bound, 10_000)
+            box = ilp._BoxReachability(cols, bound)
             want = _brute_lexmin_table(cols, m, bound)
             for b in itertools.product(range(bound + 1), repeat=m):
                 assert box.lexmin(b) == want.get(b), (cols, bound, b)
@@ -938,21 +938,24 @@ class TestBoxReachability:
     def test_doubling_leaves_box_in_one_row_only(self):
         # (1, 3, 0) fits once in [0, 4]^3; doubling it has room in row 0 but
         # not in row 1, where 2 * 3 would carry into row 2 as (2, 1, 1)
-        box = ilp._BoxReachability([(1, 3, 0)], 4, 10_000)
+        box = ilp._BoxReachability([(1, 3, 0)], 4)
         reached = {
             b for b in itertools.product(range(5), repeat=3) if box.lexmin(b) is not None
         }
         assert reached == {(0, 0, 0), (1, 3, 0)}
         # with a second column row 0 keeps growing after row 1 is full
         cols = [(1, 3, 0), (2, 0, 1)]
-        box = ilp._BoxReachability(cols, 4, 10_000)
+        box = ilp._BoxReachability(cols, 4)
         want = _brute_lexmin_table(cols, 3, 4)
         for b in itertools.product(range(5), repeat=3):
             assert box.lexmin(b) == want.get(b), b
         assert box.lexmin((3, 3, 1)) == (1, 1)
         assert box.lexmin((4, 3, 1)) is None
 
-    def test_state_cap(self):
-        with pytest.raises(EnumerationCapError, match="support box has 36 states, above cap 35"):
-            ilp._BoxReachability([(1, 1)], 5, 35)
-        assert ilp._BoxReachability([(1, 1)], 5, 36).lexmin((5, 5)) == (5,)
+    def test_long_multi_row_walk(self):
+        # (2000, 3) takes 1997 copies of (1, 0), the least multiple, found by
+        # one masked shift of the two-row closure; (3, 2000) needs more (1, 1)
+        # copies than row 0 allows
+        box = ilp._BoxReachability([(1, 0), (1, 1)], 2000)
+        assert box.lexmin((2000, 3)) == (1997, 3)
+        assert box.lexmin((3, 2000)) is None

@@ -111,10 +111,14 @@ class TestUnbounded:
         with pytest.raises(ValueError):
             unbounded_subset_sum(IntegerSet((-2, 3)), 5, random.Random(0))
 
-    def test_target_cap(self, monkeypatch):
-        monkeypatch.setattr(subset_sum, "UNBOUNDED_TARGET_CAP", 10**6)
-        with pytest.raises(EnumerationCapError, match="keeps target \\+ 1 = 10000001 states"):
-            unbounded_subset_sum(IntegerSet((3, 5)), 10**7, random.Random(0))
+    def test_target_past_two_million(self):
+        # the closures' bits are the one refusal: 6 * 2,000,004 bits fit, so a
+        # target past 2,000,000 is answered
+        z = ap_set(5, 10, 1)
+        t = 2_000_003
+        got = unbounded_subset_sum(z, t, random.Random(0))
+        assert got.payload == brute_unbounded_subset_sum(z.elements, t, cap=t)
+        assert got.payload == (0, 0, 0, 9, 142849)
 
     def test_vs_brute(self):
         rng = random.Random(201)
@@ -172,8 +176,8 @@ class TestUnbounded:
         assert got.payload == brute_unbounded_subset_sum(z.elements, 252) == (12, 0)
 
     def test_box_memory_cap(self, monkeypatch):
-        # (n + 1) * (t / g + 1) bits above 8 * UNBOUNDED_TARGET_CAP is refused
-        # before any closure is built; 8 * 2,000,000 = 16,000,000 is admitted
+        # (n + 1) * (t / g + 1) bits above UNBOUNDED_BOX_BITS is refused
+        # before any closure is built; 16,000,000 bits are admitted
         z = ap_set(7, 1, 1)
         got = unbounded_subset_sum(z, 1_999_999, random.Random(0))
         assert got.payload == brute_unbounded_subset_sum(z.elements, 1_999_999)
@@ -224,16 +228,26 @@ class TestCoinStep:
         for _ in range(300):
             coins = [rng.randint(1, 30) for _ in range(rng.randint(1, 5))]
             bound = rng.randint(0, 400)
-            box = _BoxReachability([(c,) for c in coins], bound, bound + 1)
+            box = _BoxReachability([(c,) for c in coins], bound)
             for t in {0, bound, rng.randint(0, bound), rng.randint(0, bound)}:
                 assert box.lexmin((t,)) == brute_unbounded_subset_sum(coins, t), (coins, t)
             assert box.lexmin((bound + 1,)) is None
 
     def test_unit_coin_large_bound(self):
         start = time.perf_counter()
-        box = _BoxReachability([(1,)], 2_000_000, 2_000_001)
+        box = _BoxReachability([(1,)], 2_000_000)
         assert box.lexmin((2_000_000,)) == (2_000_000,)
         assert box.lexmin((1_234_567,)) == (1_234_567,)
-        box = _BoxReachability([(2,), (1,)], 2_000_000, 2_000_001)
+        box = _BoxReachability([(2,), (1,)], 2_000_000)
         assert box.lexmin((1_999_999,)) == (0, 1_999_999)
         assert time.perf_counter() - start < 1.0
+
+    def test_large_multiple_in_one_step(self):
+        # the first coin's least multiple is close to t / g; the walk finds it
+        # without stepping through the multiples one at a time
+        cases = [((1, 1999999), (1999998, 0)), ((3, 1999999), (666666, 0))]
+        start = time.perf_counter()
+        got = [unbounded_subset_sum(IntegerSet(z), 1_999_998, random.Random(0)) for z, _ in cases]
+        assert time.perf_counter() - start < 0.25
+        for (z, want), w in zip(cases, got):
+            assert w.payload == want == brute_unbounded_subset_sum(z, 1_999_998)
