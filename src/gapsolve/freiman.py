@@ -541,29 +541,32 @@ class FreimanGapResult:
 def _psi2_inverter(model: FreimanModel):
     """Inversion oracle for the induced map on 2A' - 2A'.
 
-    Enumerates pairwise sums of the slice once; a query walks the sums in
-    ascending order and returns the first preimage, which the isomorphism
-    guarantees is the unique one.
+    The map is psi(d) = (lam * d mod q, centred into (-q/2, q/2]) mod m on
+    the sorted d of 2A' - 2A'. Every a in A' has lam * a mod q in one slice
+    of width ceil(q/s), so for d = u + v - u' - v' the signed sum of the
+    four residues lies strictly inside (-q/2, q/2) when s >= 4, and that sum
+    is the centred value; psi(d) is thus the image difference
+    psi(u) + psi(v) - psi(u') - psi(v') mod m. A query returns the one d
+    whose image is the target, which the isomorphism guarantees, and any
+    other count is an InvariantError. The products lam * d are int64 under
+    the guard (below 2^45 under the span cap) and exact object ints past it.
     """
-    ap = model.a_prime.elements
-    pair_img: dict[int, int] = {}
-    for i, u in enumerate(ap):
-        for v in ap[i:]:
-            key = u + v
-            if key not in pair_img:
-                pair_img[key] = (model.apply(u) + model.apply(v)) % model.m
-    sums = sorted(pair_img)
-    img_to_sum: dict[int, int] = {}
-    for u in sums:
-        img_to_sum.setdefault(pair_img[u], u)
+    if model.s < 4:
+        raise ValueError("the centred pull-back needs a model of order >= 4")
+    off, diffs = iterated_support(model.a_prime, 2, 2)
+    ds = diffs + off
+    lam, q, m = model.multiplier, model.q, model.m
+    reach = (q - 1) * int(ds[-1])  # 2A' - 2A' is symmetric about 0
+    if not _int64_safe(-reach, reach):
+        ds = ds.astype(object)
+    r = lam * ds % q
+    images = np.where(2 * r <= q, r, r - q) % m
 
     def invert(target: int) -> int:
-        target %= model.m
-        for u in sums:
-            need = (pair_img[u] - target) % model.m
-            if need in img_to_sum:
-                return u - img_to_sum[need]
-        raise InvariantError(f"residue {target} has no preimage in 2A'-2A'")
+        hits = np.flatnonzero(images == target % m)
+        if len(hits) != 1:
+            raise InvariantError(f"residue {target} has {len(hits)} preimages in 2A'-2A'")
+        return int(ds[hits[0]])
 
     return invert
 

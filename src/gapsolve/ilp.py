@@ -38,9 +38,9 @@ of unbounded subset sum (one row over every coin, B = the target over the
 gcd of the coins). The closures stay big ints, and the walk back to the
 lexicographically least solution reads each column's multiple off one
 masked shift of the next closure. The engine takes no cap; each caller
-bounds its own box. The candidate supports are those of the least
-solutions for binary column-sum targets, which are all the supports any
-target in the box can need.
+bounds its own box. The candidate supports, all that any target in the box
+can need, are the sets sigma whose 1_sigma is its own least solution; one
+pass from the last column to the first grows them with no walk.
 
 All arithmetic is exact on Python ints of any size, so no program is
 refused for the size of its values; numpy int64 keys are used only where
@@ -511,9 +511,8 @@ def hbilp_nonnegative(inst: HbilpInstance) -> HbilpNonnegative:
     top_target = t + n * delta * sum(s)
     if abs(top_target) > span:
         return HbilpNonnegative(_GUARD_HBILP, n, True)
-    rows = [[v + delta for v in row] + [delta] * n for row in a.rows]
-    rows.append([1] * (2 * n))
-    out = HbilpInstance(Matrix.from_rows(rows), s + (big,), top_target + n * big)
+    shifted = bilp_nonnegative(a, (0,) * m).matrix  # its right-hand side is unused
+    out = HbilpInstance(shifted, s + (big,), top_target + n * big)
     return HbilpNonnegative(out, n, False)
 
 
@@ -606,7 +605,8 @@ def hbilp_to_ss(inst: HbilpInstance) -> SubsetSumFromHbilp:
     a2, s2, t2 = norm.instance.a, norm.instance.s, norm.instance.t
     n2, m2 = a2.num_cols, a2.num_rows
     delta2 = a2.infinity_norm()
-    if delta2 < 2:
+    padded = delta2 < 2
+    if padded:
         # reached when every nonzero kept entry is -1: the shifted entries are
         # then 0 or 1, but the digit argument needs radix >= 2, so a row with
         # step 0 lifts the norm to 2 without changing any aggregated sum
@@ -652,7 +652,7 @@ def hbilp_to_ss(inst: HbilpInstance) -> SubsetSumFromHbilp:
         "k": k,
         "radix": delta2,
         "support": support,
-        "padded": 0,
+        "padded": int(padded),
     }
     return SubsetSumFromHbilp(
         IntegerSet(tuple(dots[j] for j in order)), target, inst, origin, False, False, meta
@@ -752,7 +752,9 @@ class _BoxReachability:
     the pass for k leaves every x + t*c with t < 2k that fits the box. If a
     pass adds nothing, the set is closed under +k*c, and so under +2k*c
     (x + k*c fits whenever x + 2k*c does), so no later pass adds anything
-    and the column is done after about log2(bound / c) passes.
+    and the column is done after about log2(bound / c) passes. `lexmin`
+    walks the closures back to a least solution; `binary_image_supports`
+    only tests single bits of them.
     """
 
     def __init__(self, cols: Sequence[Sequence[int]], bound: int):
@@ -789,23 +791,20 @@ class _BoxReachability:
 
     def lexmin(self, b: Sequence[int]) -> Optional[tuple[int, ...]]:
         """Lexicographically least nonnegative solution of sum_j x_j col_j = b;
-        None when unreachable."""
+        None when unreachable.
+
+        The walk goes column by column from the state idx of b: column j
+        takes the least k with idx - k*delta_j marked in suffix[j + 1]. Those
+        candidates are the bits r + i*delta_j, r = idx mod delta_j,
+        i <= (idx - r) / delta_j, so the highest candidate bit set gives k at
+        once. No borrow between digits can make an earlier hit: the least
+        solution's k* keeps every digit of b - k*c nonnegative for k <= k*,
+        as c >= 0, so each of those candidates is the true state b - k*c. A
+        zero column takes 0.
+        """
         idx = self.encode(b)
         if idx is None or not self.suffix[0] >> idx & 1:
             return None
-        return self._walk(idx)
-
-    def _walk(self, idx: int) -> tuple[int, ...]:
-        """The least solution for the reachable state idx, column by column.
-
-        Column j takes the least k with idx - k*delta_j marked in
-        suffix[j + 1]. Those candidates are the bits r + i*delta_j,
-        r = idx mod delta_j, i <= (idx - r) / delta_j, so the highest
-        candidate bit set gives k at once. No borrow between digits can make
-        an earlier hit: the least solution's k* keeps every digit of
-        b - k*c nonnegative for k <= k*, as c >= 0, so each of those
-        candidates is the true state b - k*c. A zero column takes 0.
-        """
         xs = []
         for j, delta in enumerate(self.deltas):
             if not delta:
@@ -829,17 +828,25 @@ def binary_image_supports(a: Matrix) -> tuple[tuple[int, ...], ...]:
     """Supports of lexicographically-least solutions across every target in
     the box [0, n*Delta]^m, deduplicated and sorted.
 
-    Requires nonnegative entries and no zero column. Only binary column sums
-    need a walk. Let x be the least solution for a box target b and sigma
-    its support. Then 1_sigma is the least solution for A * 1_sigma: a
-    solution y <lex 1_sigma there would make x - 1_sigma + y, nonnegative
-    as x >= 1 on sigma, a solution for b below x. And A * 1_sigma <=
-    n*Delta in every row, so it lies in the box. The supports over all box
-    targets are therefore exactly the supports over binary column sums, at
-    most min(2^n, box) of them. Those sums are marked on one big int by one
-    shift-or per column; a binary partial sum never exceeds n*Delta in any
-    digit, so no shift carries between digits. Each support size is
-    asserted against m * log2(2*n*Delta + 1).
+    Requires nonnegative entries and no zero column. Let x be the least
+    solution for a box target b and sigma its support. Then 1_sigma is the
+    least solution for A * 1_sigma: a solution y <lex 1_sigma there would
+    make x - 1_sigma + y, nonnegative as x >= 1 on sigma, a solution for b
+    below x. And A * 1_sigma <= n*Delta in every row, so it lies in the box.
+    The supports are therefore exactly the sets sigma whose 1_sigma is its
+    own least solution, at most min(2^n, box) of them, as two of them never
+    share a sum.
+
+    They are built in one pass over the columns, from the last to the
+    first, on the family itself. Let sigma be a member whose columns all
+    lie after j. The least solution for A * 1_sigma + c_j takes 0 before j,
+    as that sum is reachable from column j on; at j it takes 1 exactly when
+    the sum is not reachable by the later columns, and 1_sigma after j. So
+    {j} + sigma is a member exactly when A * 1_sigma + c_j is not marked in
+    suffix[j + 1], and every member arises so from its own tail. A binary
+    sum never exceeds n*Delta in any digit, so its state is the sum of its
+    columns' states, and each test reads one bit of a byte copy of that
+    closure. Each support size is asserted against m * log2(2*n*Delta + 1).
 
     Unbounded subset sum does not call it: on the identity cover every
     subset is a support, and one coin box over all the coins answers the
@@ -847,7 +854,11 @@ def binary_image_supports(a: Matrix) -> tuple[tuple[int, ...], ...]:
     criterion 6 checks on it, and for a support route over covers that
     carry structure.
     """
-    _validate_nonneg_no_zero_col(a)
+    if any(v < 0 for row in a.rows for v in row):
+        raise ValueError("entries must be nonnegative")
+    for j, col in enumerate(a.columns()):
+        if not any(col):
+            raise ValueError(f"column {j} is zero")
     bound = a.num_cols * a.infinity_norm()
     states = (bound + 1) ** a.num_rows
     if states > SUPPORT_STATE_CAP:
@@ -855,27 +866,15 @@ def binary_image_supports(a: Matrix) -> tuple[tuple[int, ...], ...]:
             f"support box has {states} states, above cap {SUPPORT_STATE_CAP}"
         )
     box = _BoxReachability(a.columns(), bound)
-    binary = 1  # the empty sum
-    for delta in box.deltas:
-        binary |= binary << delta
-    marked = np.unpackbits(
-        np.frombuffer(binary.to_bytes((binary.bit_length() + 7) // 8, "little"), dtype=np.uint8),
-        bitorder="little",
-    )
-    supports = set()
-    limit_sq = (2 * bound + 1) ** a.num_rows
-    for idx in np.flatnonzero(marked).tolist():
-        x = box._walk(idx)
-        supp = tuple(j for j, v in enumerate(x) if v)
-        if 2 ** len(supp) > limit_sq:
-            raise InvariantError("support exceeds the logarithmic bound")
-        supports.add(supp)
-    return tuple(sorted(supports))
-
-
-def _validate_nonneg_no_zero_col(a: Matrix) -> None:
-    if any(v < 0 for row in a.rows for v in row):
-        raise ValueError("entries must be nonnegative")
-    for j in range(a.num_cols):
-        if all(a.rows[i][j] == 0 for i in range(a.num_rows)):
-            raise ValueError(f"column {j} is zero")
+    family = [(0, ())]  # (state of A * 1_sigma, sigma)
+    for j in reversed(range(a.num_cols)):
+        delta = box.deltas[j]
+        marked = box.suffix[j + 1].to_bytes((states + 7) // 8, "little")
+        family += [
+            (idx + delta, (j,) + sigma)
+            for idx, sigma in family
+            if not marked[idx + delta >> 3] >> (idx + delta & 7) & 1
+        ]
+    if 2 ** max(len(sigma) for _, sigma in family) > (2 * bound + 1) ** a.num_rows:
+        raise InvariantError("support exceeds the logarithmic bound")
+    return tuple(sorted(sigma for _, sigma in family))

@@ -10,6 +10,7 @@ sampling variants are separate functions with "sampled" in the name.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -272,13 +273,6 @@ def brute_ksum(z, t: int, k: int, mode: str = "first", cap: int = 1_000_000):
 # structural oracles
 
 
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n + i) // (i + 1)
-    return out
-
-
 def verify_freiman_iso(
     phi: Callable[[int], int], domain, s: int, cap: int = 2_000_000,
     modulus: Optional[int] = None,
@@ -295,7 +289,7 @@ def verify_freiman_iso(
     """
     elems = _as_values(domain)
     n = len(elems)
-    if _binom(n + s - 1, s) > cap:
+    if math.comb(n + s - 1, s) > cap:
         raise EnumerationCapError("tuple space exceeds cap")
     images = {x: phi(x) for x in elems}
     seen_img: dict = {}

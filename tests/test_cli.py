@@ -160,6 +160,16 @@ class TestIlp:
         elements = out["instance"]["elements"]
         assert len(set(elements)) == len(elements)
 
+    def test_reduce_reports_padded_row(self, tmp_path):
+        # every entry -1: the shifted matrix has norm 1, so a zero-step row
+        # lifts the radix to 2, and the meta says so
+        inst = write_json(tmp_path / "h.json", {"A": [[-1, -1]], "s": [1], "t": -1})
+        red = run_cli(
+            "ilp", "reduce", "--from", "hbilp", "--to", "ss", "--input", inst, check=0
+        )
+        meta = last_json(red)["meta"]
+        assert (meta["radix"], meta["padded"]) == (2, 1)
+
     def test_reduce_rejects_bad_pair(self, tmp_path):
         inst = write_json(tmp_path / "h.json", {"A": [[1]], "s": [1], "t": 1})
         proc = run_cli(

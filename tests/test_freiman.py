@@ -196,6 +196,46 @@ def _iterated_set(a, s):
     return iterated_sumset(a, s, s).elements
 
 
+class TestPullBack:
+    @pytest.mark.parametrize("exact_ints", [False, True], ids=["int64", "object"])
+    def test_inverter_matches_brute_force(self, monkeypatch, exact_ints):
+        """Real models of the pipeline's order 8: every d = u + v - u' - v'
+        over A'^4 has a distinct image under the model, and the inverter
+        returns d for it; a residue outside the image is refused. The object
+        run answers every int64 guard "no"."""
+        if exact_ints:
+            monkeypatch.setattr(freiman, "_int64_safe", lambda lo, hi: False)
+        rng = random.Random(11)
+        checks = 0
+        for _ in range(40):
+            a = IntegerSet.from_iterable(rng.sample(range(-200, 200), rng.randint(2, 12)))
+            m = next_prime(4 * support_size(iterated_support(a, 8, 8)) + 1)
+            model = modeling_lemma(a, 8, m, rng)
+            if isinstance(model, ModelingFailure):
+                continue
+            image = {}
+            for u, v, u2, v2 in itertools.product(model.a_prime, repeat=4):
+                d = u + v - u2 - v2
+                psi = sum(map(model.apply, (u, v))) - sum(map(model.apply, (u2, v2)))
+                assert image.setdefault(psi % m, d) == d, (a.elements, d)
+            assert len(set(image.values())) == len(image)
+            invert = freiman._psi2_inverter(model)
+            for residue, d in image.items():
+                assert invert(residue) == d
+                checks += 1
+            missing = next(r for r in range(m) if r not in image)
+            with pytest.raises(InvariantError, match="has 0 preimages"):
+                invert(missing)
+        assert checks == 536
+
+    def test_inverter_needs_order_four(self):
+        # below order 4 the four residues of a difference can wrap past q/2
+        a = IntegerSet(tuple(range(8)))
+        model = modeling_lemma(a, 2, next_prime(4 * len(_iterated_set(a, 2)) + 1), random.Random(1))
+        with pytest.raises(ValueError, match="order >= 4"):
+            freiman._psi2_inverter(model)
+
+
 class TestBogolyubov:
     def test_singleton_keeps_everything(self):
         spec = bogolyubov(IntegerSet((0,)), 5)

@@ -903,6 +903,22 @@ class TestSmallSupport:
         assert got == tuple(sorted(want))
         assert len(got) == 26
 
+    def test_large_box_matches_lexmin(self):
+        # 231,361 states: the supports equal those of the least solutions
+        # the box walks for every binary column sum
+        r = random.Random(5)
+        a = Matrix.from_rows([[r.randint(1, 49) for _ in range(10)] for _ in range(2)])
+        bound = a.num_cols * a.infinity_norm()
+        assert (bound + 1) ** 2 == 231_361
+        box = ilp._BoxReachability(a.columns(), bound)
+        want = set()
+        for x in itertools.product((0, 1), repeat=a.num_cols):
+            least = box.lexmin(a.matvec(x))
+            want.add(tuple(j for j, v in enumerate(least) if v))
+        got = binary_image_supports(a)
+        assert got == tuple(sorted(want))
+        assert len(got) == 701
+
     def test_box_cap(self):
         a = Matrix.from_rows([[100, 1, 1, 1, 1], [1, 1, 1, 1, 1]])
         with pytest.raises(

@@ -190,6 +190,13 @@ class TestFreimanIsoOracle:
         )
         assert not ok
 
+    def test_cap_counts_multisets(self):
+        # {1, 2, 3} has C(4, 2) = 6 two-element multisets
+        ok, _ = verify_freiman_iso(lambda x: x, IntegerSet((1, 2, 3)), 2, cap=6)
+        assert ok
+        with pytest.raises(EnumerationCapError, match="tuple space exceeds cap"):
+            verify_freiman_iso(lambda x: x, IntegerSet((1, 2, 3)), 2, cap=5)
+
     def test_bijection_failure(self):
         ok, witness = verify_freiman_iso(lambda x: 0, IntegerSet((1, 2)), 2)
         assert not ok and len(witness[0]) == 1
