@@ -8,7 +8,8 @@ errors (bad input, caps, pipeline failure).
 The CLI holds no validity rule of its own: `verify witness` and `ilp
 decode` ask the instance type's `solved_by` (`SubsetSumInstance`,
 `BilpInstance`, `HbilpInstance`), the same check every solver runs on its
-witness.
+witness; a subset-sum refusal carries the condition that
+`SubsetSumInstance.violation` names.
 """
 
 from __future__ import annotations

@@ -57,6 +57,11 @@ table and the Bohr-fit check all read it; membership gives the
 lexicographically least coefficient vector of a value. The one enumeration
 cap, `DEFAULT_ENUM_CAP`, is checked there and nowhere else, so no caller
 sets or skips it.
+
+Witnesses: `SolveWitness` is every solver's certificate. The subset-sum
+rule sits beside it, `SubsetSumInstance.violation`, which names the first
+condition a witness fails; k-SUM, the subset-sum solvers, the `ilp` subset
+decoders and `verify witness` all ask it.
 """
 
 from __future__ import annotations
@@ -521,7 +526,7 @@ class SolveWitness:
             if len(set(self.payload)) != len(self.payload):
                 raise ValueError("indices must be distinct")
         if self.kind == "binary-vector" and any(v not in (0, 1) for v in self.payload):
-            raise ValueError("binary witness entries must be 0 or 1")
+            raise ValueError("assignment entries must be 0 or 1")
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "values": list(self.payload)}
@@ -529,3 +534,55 @@ class SolveWitness:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SolveWitness":
         return cls(d["kind"], tuple(map(_exact_int, d["values"])))
+
+
+SS_MODES = ("binary", "unbounded")
+
+
+@dataclass(frozen=True)
+class SubsetSumInstance:
+    """Subset sum over `elements` with `target`: binary (each element at
+    most once) or unbounded (any nonnegative multiplicity)."""
+
+    elements: IntegerSet
+    target: int
+    mode: str = "binary"
+
+    def __post_init__(self):
+        if self.mode not in SS_MODES:
+            raise ValueError(f"mode must be one of {SS_MODES}")
+
+    def violation(self, w: SolveWitness) -> Optional[str]:
+        """The first condition w fails as a solution, or None: the one
+        validity rule for a subset-sum witness. A subset-of-indices witness
+        needs indices in range, a multiplicity-vector one entry per element,
+        each 0 or 1 in binary mode and nonnegative in unbounded mode; both
+        must sum to the target, and every other kind is refused."""
+        vals = self.elements.elements
+        if w.kind == "subset-of-indices":
+            bad = next((i for i in w.payload if not 0 <= i < len(vals)), None)
+            if bad is not None:
+                return f"index {bad} out of range for {len(vals)} elements"
+            total = sum(vals[i] for i in w.payload)
+        elif w.kind == "multiplicity-vector":
+            if len(w.payload) != len(vals):
+                return f"assignment has {len(w.payload)} entries for {len(vals)} elements"
+            if self.mode == "binary" and any(v not in (0, 1) for v in w.payload):
+                return "assignment entries must be 0 or 1"
+            if any(v < 0 for v in w.payload):
+                return "assignment entries must be nonnegative"
+            total = sum(v * m for v, m in zip(vals, w.payload))
+        else:
+            return f"a {w.kind} witness does not solve subset sum"
+        return None if total == self.target else "sum misses the target"
+
+    def solved_by(self, w: SolveWitness) -> bool:
+        return self.violation(w) is None
+
+    def to_json_dict(self) -> dict:
+        return {"elements": list(self.elements.elements), "target": self.target, "mode": self.mode}
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "SubsetSumInstance":
+        z = IntegerSet.from_iterable(d["elements"])
+        return cls(z, _exact_int(d["target"]), d.get("mode", "binary"))

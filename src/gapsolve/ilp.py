@@ -28,8 +28,9 @@ original variables. Each instance type writes its validity rule once, as
 `solved_by` (`BilpInstance`: one integer per variable within its bounds and
 A x = b; `HbilpInstance`: a 0/1 vector with <Ax, s> = t). The three solvers
 share one tail that calls it on every witness, the decoders to and from the
-aggregated form check with it (`_decode_subset` makes the same checks from
-z and t alone), and `gapsolve verify witness` only dispatches to it.
+aggregated form check with it, and `gapsolve verify witness` only
+dispatches to it. The two subset decoders write no check of their own: they
+raise the condition that `core.SubsetSumInstance.violation` names.
 
 Unbounded reachability has one engine: big-int bitset closures of
 nonnegative column combinations in a box [0, B]^m by doubling passes, for
@@ -64,6 +65,7 @@ from gapsolve.core import (
     InvariantError,
     Matrix,
     SolveWitness,
+    SubsetSumInstance,
     TableCapError,
     _exact_int,
     _in_sorted,
@@ -102,10 +104,6 @@ class BilpInstance:
     @property
     def is_binary(self) -> bool:
         return all(x == (0, 1) for x in self.bounds)
-
-    @property
-    def delta(self) -> int:
-        return self.a.infinity_norm()
 
     def solved_by(self, x: Sequence[int]) -> bool:
         """Whether x has one integer per variable, each within its bounds,
@@ -540,18 +538,12 @@ class SubsetSumFromHbilp:
     meta: dict = field(default_factory=dict)
 
     def decode(self, indices: Sequence[int]) -> SolveWitness:
-        """Raises ValueError for indices that are not a solution of the
-        reduced instance, InvariantError if a solution fails to decode."""
-        elems = self.elements.elements
-        seen = set()
-        for i in indices:
-            if not 0 <= i < len(elems):
-                raise ValueError(f"index {i} out of range for {len(elems)} elements")
-            if i in seen:
-                raise ValueError(f"index {i} repeated")
-            seen.add(i)
-        if sum(elems[i] for i in indices) != self.target:
-            raise ValueError("subset misses the reduced target")
+        """Raises ValueError naming the condition of the reduced instance's
+        rule that the indices fail, InvariantError if a solution fails to
+        decode."""
+        w = SolveWitness("subset-of-indices", tuple(indices))
+        if reason := SubsetSumInstance(self.elements, self.target).violation(w):
+            raise ValueError(reason)
         x = [0] * self.original.a.num_cols
         for i in indices:
             if self.origin[i] is not None:
@@ -677,17 +669,12 @@ class HbilpFromSubsetSum:
 def _decode_subset(z: IntegerSet, t: int, y: Sequence[int]) -> SolveWitness:
     """Subset witness from an assignment of the encoding of (z, t). The
     encoding keeps one column per element in order, with dot product z_j, so
-    its `solved_by` holds exactly for a 0/1 vector with one entry per element
-    whose subset sums to t; these checks need only z and t. Raises
-    ValueError for any other y."""
-    if len(y) != len(z):
-        raise ValueError(f"assignment has {len(y)} entries for {len(z)} elements")
-    if any(v not in (0, 1) for v in y):
-        raise ValueError("assignment entries must be 0 or 1")
-    indices = tuple(j for j, v in enumerate(y) if v)
-    if sum(z.elements[j] for j in indices) != t:
-        raise ValueError("decoded subset misses the target")
-    return SolveWitness("subset-of-indices", indices)
+    its `solved_by` holds exactly when y, read as a multiplicity vector,
+    solves the binary instance (z, t); that rule needs only z and t. Raises
+    ValueError with the condition it names for any other y."""
+    if reason := SubsetSumInstance(z, t).violation(SolveWitness("multiplicity-vector", tuple(y))):
+        raise ValueError(reason)
+    return SolveWitness("subset-of-indices", tuple(j for j, v in enumerate(y) if v))
 
 
 def ss_to_hbilp(z: IntegerSet, t: int, rng) -> HbilpFromSubsetSum:

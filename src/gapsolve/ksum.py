@@ -53,6 +53,7 @@ from gapsolve.core import (
     IntegerSet,
     InvariantError,
     SolveWitness,
+    SubsetSumInstance,
     _fold,
     _in_sorted,
     _int64_safe,
@@ -82,8 +83,6 @@ class SplitterPlan:
 def splitter_plan(n: int, k: int) -> SplitterPlan:
     """Exhaustive while C(n-1, k-1) is within DEFAULT_CUT_CAP, read at call
     time; otherwise e^k * k * 2 * ln n random colorings."""
-    if k == 1:
-        return SplitterPlan(True, 1)
     if math.comb(n - 1, k - 1) <= DEFAULT_CUT_CAP:
         return SplitterPlan(True, math.comb(n - 1, k - 1))
     return SplitterPlan(False, math.ceil(math.e**k * k * 2 * math.log(n)))
@@ -299,13 +298,15 @@ def _pair_ksum(values: Sequence[int], t: int, k: int) -> tuple[Optional[tuple[in
     return None, work, tried
 
 
-def _checked(values: Sequence[int], indices: tuple[int, ...], t: int, k: int) -> SolveWitness:
-    """Re-evaluate a witness against the instance before it leaves ksum."""
+def _checked(z: IntegerSet, indices: tuple[int, ...], t: int, k: int) -> SolveWitness:
+    """Re-evaluate a witness against the instance before it leaves ksum: k
+    distinct positions, then the subset-sum rule of `SubsetSumInstance`."""
     if len(indices) != k or len(set(indices)) != k:
         raise InvariantError("witness indices are not k distinct positions")
-    if sum(values[i] for i in indices) != t:
-        raise InvariantError("k-sum witness failed re-evaluation")
-    return SolveWitness("subset-of-indices", indices)
+    w = SolveWitness("subset-of-indices", indices)
+    if reason := SubsetSumInstance(z, t).violation(w):
+        raise InvariantError(f"k-sum witness failed re-evaluation: {reason}")
+    return w
 
 
 def _fold_blocks(
@@ -435,7 +436,7 @@ def ksum(z: IntegerSet, t: int, k: int, rng) -> KsumResult:
     target = shifted // g
     if splitter_plan(n, k).exhaustive:
         indices, work, tried = _pair_ksum(arr.tolist(), target, k)
-        witness = None if indices is None else _checked(values, indices, t, k)
+        witness = None if indices is None else _checked(z, indices, t, k)
         return KsumResult(witness, work, tried, True, {"backends": {}})
     work = 0
     tried = 0
@@ -454,7 +455,7 @@ def ksum(z: IntegerSet, t: int, k: int, rng) -> KsumResult:
             continue
         picks = _unfold(llevels, lblocks, hit) + _unfold(rlevels, rblocks, target - hit)
         indices = tuple(sorted(bisect_left(arr, v) for v in picks))
-        witness = _checked(values, indices, t, k)
+        witness = _checked(z, indices, t, k)
         return KsumResult(witness, work, tried, False, {"backends": backends})
     return KsumResult(None, work, tried, False, {"backends": backends})
 

@@ -250,19 +250,13 @@ def brute_hbilp_feasibility(a: Matrix, s: Sequence[int], t: int, cap: int = _MIT
     return tuple(x)
 
 
-def brute_ksum(z, t: int, k: int, mode: str = "first", cap: int = 1_000_000):
-    """k-subset sums by direct combination scan in lexicographic index order."""
+def brute_ksum(z, t: int, k: int, cap: int = 1_000_000):
+    """The first k indices (lexicographic order) whose values sum to t, or
+    None, by direct combination scan."""
     values = _as_values(z)
     n = len(values)
-    total = 1
-    for i in range(k):
-        total = total * (n - i) // (i + 1)
-    if total > cap:
+    if math.comb(n, k) > cap:
         raise EnumerationCapError(f"k-sum oracle: C({n},{k}) exceeds cap {cap}")
-    if mode == "all":
-        return [c for c in itertools.combinations(range(n), k) if sum(values[i] for i in c) == t]
-    if mode == "count":
-        return sum(1 for c in itertools.combinations(range(n), k) if sum(values[i] for i in c) == t)
     for combo in itertools.combinations(range(n), k):
         if sum(values[i] for i in combo) == t:
             return combo

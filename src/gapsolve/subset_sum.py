@@ -13,15 +13,16 @@ witness `oracles.brute_unbounded_subset_sum` returns. The solver's one
 refusal bounds what that box keeps: n + 1 closures of t / g + 1 bits, at
 most `UNBOUNDED_BOX_BITS` in all.
 
-`SubsetSumInstance.solved_by` is the one validity rule for a subset-sum
-witness: both solvers re-check their witness through it before returning,
-and `gapsolve verify witness` calls it for subset-sum instances.
+`SubsetSumInstance` and `SS_MODES` live in `core` and are re-exported
+here. The instance's `violation` is the one validity rule for a subset-sum
+witness, and `solved_by` asks it: both solvers re-check their witness
+through it before returning, `ksum` and the two subset decoders of `ilp`
+call it, and `gapsolve verify witness` calls it for subset-sum instances.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from gapsolve.core import (
@@ -30,59 +31,15 @@ from gapsolve.core import (
     IntegerSet,
     InvariantError,
     Matrix,
+    SS_MODES,  # noqa: F401  re-exported
     SolveWitness,
-    _exact_int,
+    SubsetSumInstance,
 )
 from gapsolve.ilp import BilpInstance, _BoxReachability, bilp_feasibility_dp
 
-SS_MODES = ("binary", "unbounded")
 # bits the unbounded solver's coin box may keep: n + 1 closures of
 # target / g + 1 bits each (2 MB)
 UNBOUNDED_BOX_BITS = 16_000_000
-
-
-@dataclass(frozen=True)
-class SubsetSumInstance:
-    elements: IntegerSet
-    target: int
-    mode: str = "binary"
-
-    def __post_init__(self):
-        if self.mode not in SS_MODES:
-            raise ValueError(f"mode must be one of {SS_MODES}")
-
-    def solved_by(self, w: SolveWitness) -> bool:
-        """Whether w solves (elements, target): in-range indices whose
-        elements sum to the target, or one nonnegative multiplicity per
-        element (at most 1 in binary mode) with that sum. Every other
-        witness kind is refused."""
-        vals = self.elements.elements
-        if w.kind == "subset-of-indices":
-            if any(not 0 <= i < len(vals) for i in w.payload):
-                return False
-            return sum(vals[i] for i in w.payload) == self.target
-        if w.kind == "multiplicity-vector":
-            if len(w.payload) != len(vals) or any(v < 0 for v in w.payload):
-                return False
-            if self.mode == "binary" and any(v > 1 for v in w.payload):
-                return False
-            return sum(v * m for v, m in zip(vals, w.payload)) == self.target
-        return False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "elements": list(self.elements.elements),
-            "target": self.target,
-            "mode": self.mode,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SubsetSumInstance":
-        return cls(
-            IntegerSet.from_iterable(d["elements"]),
-            _exact_int(d["target"]),
-            d.get("mode", "binary"),
-        )
 
 
 def subset_sum_doubling(

@@ -194,7 +194,7 @@ class TestIlp:
         assert out == {"witness": {"kind": "subset-of-indices", "values": [0, 1, 2]}}
         miss = write_json(tmp_path / "miss.json", {"kind": "binary-vector", "values": [0, 1, 0, 1]})
         assert cli.main([*route, "--witness", miss]) == 2
-        assert "decoded subset misses the target" in capsys.readouterr().err
+        assert "sum misses the target" in capsys.readouterr().err
         # reduce still builds the reduction, so the patch is live
         reduce = ["ilp", "reduce", "--from", "ss", "--to", "hbilp", "--input", inst]
         assert cli.main(reduce) == 2
@@ -230,7 +230,7 @@ class TestIlp:
         miss = write_json(tmp_path / "m.json", {"kind": "subset-of-indices", "values": [0, 7]})
         route = ["ilp", "decode", "--from", "hbilp", "--to", "ss", "--input", hb]
         assert cli.main([*route, "--witness", miss]) == 2
-        assert "subset misses the reduced target" in capsys.readouterr().err
+        assert "sum misses the target" in capsys.readouterr().err
 
     def test_decode_to_hbilp_checks_the_reduced_assignment(self, tmp_path, capsys):
         from gapsolve import cli

@@ -1,5 +1,6 @@
 """Bounded-ILP solvers and the reduction chain down to subset sum."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -12,6 +13,7 @@ from gapsolve.core import (
     DuplicateColumnError,
     EnumerationCapError,
     IntegerSet,
+    InvariantError,
     Matrix,
     TableCapError,
 )
@@ -611,6 +613,43 @@ class TestWitnessRule:
         assert w.payload == (1, 1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
+class TestRechecksFire:
+    """A corrupted engine answer is caught by the re-check before it leaves."""
+
+    @pytest.mark.parametrize(
+        "solve,inst",
+        [
+            (bilp_feasibility_dp, BilpInstance.binary(Matrix.from_rows([[1, 2, 4]]), (3,))),
+            (
+                bounded_ilp_feasibility,
+                BilpInstance(Matrix.from_rows([[1, 2, 4]]), (3,), ((0, 2),) * 3),
+            ),
+            (hbilp_feasibility, HbilpInstance(Matrix.from_rows([[1, 2, 4]]), (1,), 3)),
+        ],
+        ids=["bilp", "bounded", "hbilp"],
+    )
+    def test_certified(self, solve, inst, monkeypatch):
+        engine = ilp._solve_bounded
+
+        def corrupted(*args):
+            x = engine(*args)
+            return [x[0] + 1] + x[1:]
+
+        assert solve(inst) is not None
+        monkeypatch.setattr(ilp, "_solve_bounded", corrupted)
+        with pytest.raises(InvariantError, match="witness failed re-evaluation"):
+            solve(inst)
+
+    def test_subset_decode_checks_the_original(self):
+        res = hbilp_to_ss(HbilpInstance(Matrix.from_rows([[1, 2]]), (1,), 2))
+        w = subset_sum_doubling(res.elements, res.target)
+        assert res.decode(w.payload).payload == (0, 1)
+        # an origin map that drops every variable decodes to x = 0, which misses t = 2
+        lost = dataclasses.replace(res, origin=(None,) * len(res.origin))
+        with pytest.raises(InvariantError, match="decoded assignment failed re-evaluation"):
+            lost.decode(w.payload)
+
+
 class TestBilpNonnegative:
     def test_frozen(self):
         a = Matrix.from_rows([[1, -2], [0, 3]])
@@ -732,9 +771,9 @@ class TestHbilpToSs:
         n = len(res.elements)
         for indices, msg in (
             ((0, n), f"index {n} out of range for {n} elements"),
-            ((-1,), f"index -1 out of range for {n} elements"),
-            ((1, 1), "index 1 repeated"),
-            ((0, n - 1), "subset misses the reduced target"),
+            ((-1,), "indices must be nonnegative"),
+            ((1, 1), "indices must be distinct"),
+            ((0, n - 1), "sum misses the target"),
         ):
             with pytest.raises(ValueError, match=msg):
                 res.decode(indices)
@@ -801,7 +840,7 @@ class TestSsToHbilp:
 
     def test_decode_rejects_a_miss(self):
         res = ss_to_hbilp(IntegerSet((2, 7, 11)), 13, random.Random(110))
-        with pytest.raises(ValueError, match="decoded subset misses the target"):
+        with pytest.raises(ValueError, match="sum misses the target"):
             res.decode((1, 1, 0))
         with pytest.raises(ValueError, match="assignment has 2 entries for 3 elements"):
             res.decode((1, 1))

@@ -12,8 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapsolve import core
-from gapsolve.core import EnumerationCapError, IntegerSet, _fft_sumset, _pair_sumset, sumset
+from gapsolve.core import (
+    EnumerationCapError,
+    IntegerSet,
+    InvariantError,
+    _fft_sumset,
+    _pair_sumset,
+    sumset,
+)
 from gapsolve.ksum import (
+    SplitterPlan,
     foursum,
     ksum,
     sparse_sumset,
@@ -62,6 +70,8 @@ class TestSplitters:
     def test_plan_small_exhaustive(self):
         plan = splitter_plan(10, 3)
         assert plan.exhaustive and plan.planned == 36
+        # k = 1 needs no branch of its own: C(n - 1, 0) = 1 is within the cap
+        assert all(splitter_plan(n, 1) == SplitterPlan(True, 1) for n in range(1, 65))
 
     def test_plan_large_randomized(self, cut_cap):
         cut_cap(100)
@@ -222,6 +232,28 @@ class TestKsum:
                 idx = res.witness.payload
                 assert len(set(idx)) == k
                 assert sum(z.elements[i] for i in idx) == t
+
+    def test_recheck_fires(self, monkeypatch):
+        z = IntegerSet((1, 2, 3, 4, 5))
+        for indices, msg in (
+            ((0, 1), "not k distinct positions"),
+            ((0, 1, 2), "failed re-evaluation: sum misses the target"),
+        ):
+            with monkeypatch.context() as m:
+                m.setattr(ksum_module, "_pair_ksum", lambda *args, i=indices: (i, 0, 1))
+                with pytest.raises(InvariantError, match=msg):
+                    ksum(z, 12, 3, random.Random(0))
+
+    def test_recheck_fires_on_the_color_path(self, cut_cap, monkeypatch):
+        cut_cap(10)
+        z = IntegerSet.from_iterable(random.Random(301).sample(range(10**6), 60))
+        t = sum(z.elements[i] for i in (3, 17, 31, 44))
+        # each block's least value in place of the walked-back ones
+        monkeypatch.setattr(
+            ksum_module, "_unfold", lambda levels, blocks, total: [int(b[0]) for b in blocks]
+        )
+        with pytest.raises(InvariantError, match="sum misses the target"):
+            ksum(z, t, 4, random.Random(302))
 
     def test_randomized_path_finds_planted(self, cut_cap):
         cut_cap(10)

@@ -1,5 +1,6 @@
 """Binary and unbounded subset-sum solvers against the brute oracles."""
 
+import json
 import random
 import time
 
@@ -7,7 +8,13 @@ import numpy as np
 import pytest
 
 from gapsolve import freiman, ilp, subset_sum
-from gapsolve.core import EnumerationCapError, IntegerSet, TableCapError
+from gapsolve.core import (
+    EnumerationCapError,
+    IntegerSet,
+    InvariantError,
+    SolveWitness,
+    TableCapError,
+)
 from gapsolve.ilp import _BoxReachability
 from gapsolve.instances import ap_set
 from gapsolve.oracles import brute_subset_sum, brute_unbounded_subset_sum
@@ -251,3 +258,92 @@ class TestCoinStep:
         assert time.perf_counter() - start < 0.25
         for (z, want), w in zip(cases, got):
             assert w.payload == want == brute_unbounded_subset_sum(z, 1_999_998)
+
+
+class TestRechecksFire:
+    """A corrupted engine answer is caught by the re-check before it leaves."""
+
+    def test_binary(self, monkeypatch):
+        # {3} misses 8, which {3, 5} hits
+        assert subset_sum_doubling(IntegerSet((3, 5, 7)), 8).payload == (0, 1)
+        monkeypatch.setattr(
+            subset_sum,
+            "bilp_feasibility_dp",
+            lambda inst, table_cap: SolveWitness("binary-vector", (1, 0, 0)),
+        )
+        with pytest.raises(InvariantError, match="subset witness failed re-evaluation"):
+            subset_sum_doubling(IntegerSet((3, 5, 7)), 8)
+
+    def test_unbounded(self, monkeypatch):
+        lexmin = _BoxReachability.lexmin
+        assert unbounded_subset_sum(IntegerSet((3, 5)), 11, random.Random(0)).payload == (2, 1)
+        monkeypatch.setattr(
+            _BoxReachability, "lexmin", lambda self, b: tuple(v + 1 for v in lexmin(self, b))
+        )
+        with pytest.raises(InvariantError, match="multiplicity witness failed re-evaluation"):
+            unbounded_subset_sum(IntegerSet((3, 5)), 11, random.Random(0))
+
+
+_HBILP = {"A": [[1, 2]], "s": [1], "t": 2}
+_SS = {"elements": [3, 5, 7], "target": 5}
+# (kind, payload, the condition named): index witnesses are read against
+# hbilp_to_ss of _HBILP, 8 elements, and vectors against _SS
+BAD_WITNESSES = [
+    ("subset-of-indices", (0, 8), "index 8 out of range for 8 elements"),
+    ("subset-of-indices", (0, 7), "sum misses the target"),
+    ("multiplicity-vector", (0, 1), "assignment has 2 entries for 3 elements"),
+    ("multiplicity-vector", (0, 1, 2), "assignment entries must be 0 or 1"),
+    ("multiplicity-vector", (1, -1, 1), "assignment entries must be 0 or 1"),
+    ("multiplicity-vector", (1, 0, 1), "sum misses the target"),
+]
+
+
+class TestOneWitnessRule:
+    """`SubsetSumInstance.violation` names the condition, and both subset
+    decoders and `gapsolve ilp decode` refuse with the same text."""
+
+    @pytest.mark.parametrize("kind,payload,text", BAD_WITNESSES)
+    def test_rule_decoders_and_cli_agree(self, kind, payload, text, tmp_path, capsys):
+        from gapsolve import cli
+
+        if kind == "subset-of-indices":
+            red = ilp.hbilp_to_ss(ilp.HbilpInstance.from_json_dict(_HBILP))
+            inst, decode = SubsetSumInstance(red.elements, red.target), red.decode
+            route, d = ["--from", "hbilp", "--to", "ss"], _HBILP
+        else:
+            inst = SubsetSumInstance.from_json_dict(_SS)
+            decode = ilp.ss_to_hbilp(inst.elements, inst.target, random.Random(0)).decode
+            route, d = ["--from", "ss", "--to", "hbilp"], _SS
+        assert inst.violation(SolveWitness(kind, payload)) == text
+        assert not inst.solved_by(SolveWitness(kind, payload))
+        with pytest.raises(ValueError) as exc:
+            decode(payload)
+        assert str(exc.value) == text
+        src, wit = tmp_path / "inst.json", tmp_path / "wit.json"
+        src.write_text(json.dumps(d))
+        reduced_kind = "subset-of-indices" if kind == "subset-of-indices" else "binary-vector"
+        wit.write_text(json.dumps({"kind": reduced_kind, "values": list(payload)}))
+        argv = ["ilp", "decode", *route, "--input", str(src), "--witness", str(wit)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"gapsolve: error: {text}\n"
+
+    def test_modes_and_kinds(self):
+        z = IntegerSet((3, 5, 7))
+        twice = SolveWitness("multiplicity-vector", (0, 2, 0))
+        assert SubsetSumInstance(z, 10, "unbounded").violation(twice) is None
+        assert SubsetSumInstance(z, 10).violation(twice) == "assignment entries must be 0 or 1"
+        negative = SolveWitness("multiplicity-vector", (5, -1, 0))
+        assert SubsetSumInstance(z, 10, "unbounded").violation(negative) == (
+            "assignment entries must be nonnegative"
+        )
+        assert SubsetSumInstance(z, 10).violation(SolveWitness("subset-of-indices", (0, 2))) is None
+        for mode in SS_MODES:
+            assert SubsetSumInstance(z, 10, mode).violation(
+                SolveWitness("binary-vector", (1, 0, 1))
+            ) == "a binary-vector witness does not solve subset sum"
+
+    def test_names_resolve_to_core(self):
+        from gapsolve import core
+
+        assert SubsetSumInstance is core.SubsetSumInstance
+        assert SS_MODES is core.SS_MODES
