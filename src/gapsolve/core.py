@@ -39,9 +39,11 @@ in and a sorted int64 array out, convolves indicator vectors (exact: counts
 stay far inside float64's integer range); its cost is the transform length
 over the span of the sums.
 
-One fold rule, `_fold`, serves the k-SUM folds and the Freiman supports: the
-FFT when its transform length is below the pair count, pairs otherwise, at
-the smaller work, which one cap, `DEFAULT_FOLD_CAP`, bounds.
+One fold rule, `_fold_plan`, serves the k-SUM folds and the Freiman supports
+through `_fold`: the FFT when its transform length is below the pair count,
+pairs otherwise, at the smaller work, which one cap, `DEFAULT_FOLD_CAP`,
+bounds. k-SUM's head scan asks the same rule whether a fold it may skip
+would enumerate pairs.
 
 GAP convention: coefficient boxes are zero-based and half-open, so a
 generalized arithmetic progression is {base + sum(l_i * y_i) : 0 <= l_i < L_i}.
@@ -226,8 +228,7 @@ def _sorted_distinct(arr: np.ndarray, keep=None, out=None) -> np.ndarray:
 
 def _in_sorted(level: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Boolean mask of the keys that occur in a sorted nonempty array."""
-    pos = np.minimum(np.searchsorted(level, keys), len(level) - 1)
-    return level[pos] == keys
+    return level.take(np.searchsorted(level, keys), mode="clip") == keys
 
 
 def _pair_sumset(a: Sequence[int], b: Sequence[int], buffers=None) -> np.ndarray:
@@ -307,14 +308,12 @@ def _fft_sumset(a: np.ndarray, b: np.ndarray, buffers=None) -> np.ndarray:
     return np.add(hit, a[0] + b[0], out=out)
 
 
-def _fold(a: np.ndarray, b: np.ndarray, buffers=None) -> tuple[np.ndarray, str, int]:
-    """Sorted distinct {x + y} of two sorted nonempty arrays, the backend
-    that ran and its work, by the one fold rule: "fft" exactly when both
-    operands pass the int64 guard and the transform length over the span of
-    the sums is below the pair count, "hash" (the pairwise kernel)
-    otherwise. The work is the smaller of the two, and a fold whose work
-    exceeds DEFAULT_FOLD_CAP, read at call time, is refused. An optional
-    buffer provider goes to the backend that runs."""
+def _fold_plan(a: np.ndarray, b: np.ndarray) -> tuple[str, int]:
+    """The one fold rule for two sorted nonempty arrays: (backend, work).
+    "fft" exactly when both operands pass the int64 guard and the transform
+    length over the span of the sums is below the pair count, "hash" (the
+    pairwise kernel) otherwise; the work is the smaller of the two, and a
+    fold whose work exceeds DEFAULT_FOLD_CAP, read at call time, is refused."""
     backend, work = "hash", len(a) * len(b)
     if _int64_safe(a[0], a[-1]) and _int64_safe(b[0], b[-1]):
         size = _transform_size(int(a[-1]) + int(b[-1]) - int(a[0]) - int(b[0]) + 1)
@@ -322,6 +321,14 @@ def _fold(a: np.ndarray, b: np.ndarray, buffers=None) -> tuple[np.ndarray, str, 
             backend, work = "fft", size
     if work > DEFAULT_FOLD_CAP:
         raise EnumerationCapError(f"{backend} fold work {work} above cap {DEFAULT_FOLD_CAP}")
+    return backend, work
+
+
+def _fold(a: np.ndarray, b: np.ndarray, buffers=None) -> tuple[np.ndarray, str, int]:
+    """Sorted distinct {x + y} of two sorted nonempty arrays, the backend
+    that ran and its work, as `_fold_plan` chooses them. An optional buffer
+    provider goes to the backend that runs."""
+    backend, work = _fold_plan(a, b)
     return (_fft_sumset if backend == "fft" else _pair_sumset)(a, b, buffers), backend, work
 
 

@@ -9,7 +9,20 @@ color block; each half of the blocks is folded into a sumset whose
 representation cost depends on the additive structure of the input, and
 the two halves meet in the middle: the left values whose complement can
 lie in the right level's range are searched in ascending slices of doubling
-width, up to the first hit. Each fold takes the backend with less work,
+width, up to the first hit.
+
+Large colorings first meet the left top level against the head of the
+right product. The right half is folded up to its last block B, to the
+level R'; when the fold rule (`core._fold_plan`) would enumerate the pairs
+of R' + B and they number at least _HEAD_MIN_PAIRS, t - b - r' is looked up
+on the left level over the head rows of B x R' (b ascending, then r'
+ascending), in row slices of doubling size from one row, up to
+1/_HEAD_SHARE of the pairs. The first hit gives the witness: the left walk
+of t - b - r', the right walk of r', then b. On planted heavy queries the
+first row usually hits, and the right top fold, half of the query's cost,
+is never built. A miss, an FFT plan or a smaller product folds R' + B and
+meets as above; the skipped fold's cap check runs before the scan, so a
+refusal is the fold's own. Each fold takes the backend with less work,
 and its work is accounted in units native to that backend (transform
 length for convolution, pair count for hashing), so structured and
 unstructured inputs separate honestly in benchmarks.
@@ -55,6 +68,7 @@ from gapsolve.core import (
     SolveWitness,
     SubsetSumInstance,
     _fold,
+    _fold_plan,
     _in_sorted,
     _int64_safe,
 )
@@ -62,6 +76,11 @@ from gapsolve.core import (
 DEFAULT_CUT_CAP = 50_000
 # left values in the meet's first search; later searches double it
 _MEET_SLICE = 64
+# a right top fold that would enumerate at least this many pairs is first
+# scanned at its head against the left level
+_HEAD_MIN_PAIRS = 1 << 12
+# the head scan looks up at most 1/_HEAD_SHARE of those pairs before the fold
+_HEAD_SHARE = 32
 # A fold buffer of more than this many entries is allocated for its fold
 # alone and not kept: a kept buffer's touched pages stay resident for the
 # life of its thread, so keeping the buffers of one huge fold would pin its
@@ -208,7 +227,10 @@ class KsumResult:
     scanned (a value lookup counts as one scanned sum), and
     `partitions_tried` the fixed (k-4)-tuples scanned, which is 1 for
     k <= 4. Random colorings: `work` is the folds' backend work plus the
-    sizes of the met sumsets, and `partitions_tried` the colorings folded.
+    sizes of the met sumsets plus the head keys looked up (see `ksum`), and
+    `partitions_tried` the colorings folded; the right top fold's work and
+    size count only when that fold runs, and `meta["backends"]` counts only
+    the folds that ran.
     A target of the wrong residue (g does not divide t - k*c, see `ksum`)
     and k > n are refused exactly: no witness, `exhaustive` True, `work`
     and `partitions_tried` both 0, and no backends.
@@ -310,17 +332,18 @@ def _checked(z: IntegerSet, indices: tuple[int, ...], t: int, k: int) -> SolveWi
 
 
 def _fold_blocks(
-    block_values: list[np.ndarray], used: dict, side: int
+    block_values: list[np.ndarray], used: dict, side: int, levels: Optional[list] = None
 ) -> tuple[list[np.ndarray], int]:
     """Left-fold the blocks, keeping every intermediate level's support so
     witnesses can be walked back later without storing pair maps; counts
-    each backend's folds into `used`. A kernel that takes a buffer provider
-    writes level d to this thread's slot (side, d), where it lasts until the
-    side's next fold of that depth."""
-    levels = [np.zeros(1, dtype=np.int64)]
+    each backend's folds into `used`. Folding starts from {0}, or continues
+    on top of given `levels`. A kernel that takes a buffer provider writes
+    level d to this thread's slot (side, d), where it lasts until the side's
+    next fold of that depth."""
+    levels = [np.zeros(1, dtype=np.int64)] if levels is None else list(levels)
     work = 0
-    for depth, bv in enumerate(block_values, 1):
-        fold = sparse_sumset(levels[-1], bv, _buffers=_BUFFERS.provider((side, depth)))
+    for bv in block_values:
+        fold = sparse_sumset(levels[-1], bv, _buffers=_BUFFERS.provider((side, len(levels))))
         levels.append(fold.sums)
         work += fold.work
         used[fold.backend] = used.get(fold.backend, 0) + 1
@@ -380,6 +403,38 @@ def _meet(lvals: np.ndarray, rvals: np.ndarray, t: int) -> Optional[int]:
     return None
 
 
+def _head_scan(
+    lvals: np.ndarray, rvals: np.ndarray, last: np.ndarray, t: int
+) -> tuple[Optional[tuple[int, int]], int]:
+    """The first pair (b, r) of last x rvals, b ascending, then r ascending,
+    whose complement t - b - r is on the left level, and the number of keys
+    looked up. Rows (one b each) are searched in slices of doubling size
+    from one row, and at most len(last) // _HEAD_SHARE rows in all, so a
+    miss looks up at most 1/_HEAD_SHARE of the pairs of the fold it
+    precedes; the last slice takes what remains of the head.
+    Keys are int64 when t - b and rvals pass the guard, exact Python ints
+    otherwise."""
+    width, head = len(rvals), len(last) // _HEAD_SHARE
+    # each row's keys ascend, which makes the sorted search cache-friendly
+    rest, cols = _minus(t, last), rvals[::-1]
+    if not (_int64_safe(rest[-1], rest[0]) and _int64_safe(cols[-1], cols[0])):
+        rest, cols = rest.astype(object), cols.astype(object)
+    row, rows = 0, 1
+    while row < head:
+        # a slice that would leave less than the next one takes the rest
+        take = rows if head - row >= 3 * rows else head - row
+        keys = np.subtract.outer(rest[row : row + take], cols).ravel()
+        hits = np.flatnonzero(_in_sorted(lvals, keys))
+        if len(hits):
+            # the first row with a hit, and its least r: that row's last hit
+            i = int(hits[0]) // width
+            j = int(hits[np.searchsorted(hits, (i + 1) * width) - 1]) % width
+            return (int(last[row + i]), int(rvals[width - 1 - j])), (row + take) * width
+        row += take
+        rows *= 2
+    return None, row * width
+
+
 def _normalized(values: Sequence[int]) -> tuple[int, int, np.ndarray]:
     """(c, g, (A - c) / g) for sorted distinct values: c = min A and
     g = gcd(A - c), 1 for a single value. The map x -> (x - c) / g is a
@@ -418,8 +473,10 @@ def ksum(z: IntegerSet, t: int, k: int, rng) -> KsumResult:
     Exhaustive plans (see `splitter_plan`) are settled from capped pair
     representatives, and a None witness then proves infeasibility. Other
     plans fold each random coloring: the first floor(k/2) blocks into the
-    left sumset and the rest into the right, meeting by complement lookup;
-    a None witness there is probabilistic (`exhaustive` is False). On
+    left sumset and the rest into the right, meeting by complement lookup,
+    first against the head of the right top product when that is large
+    (see the module docstring); a None witness there is probabilistic
+    (`exhaustive` is False). On
     exhaustive plans the witness does not depend on rng, and on every plan
     it is re-evaluated before it is returned.
     """
@@ -446,14 +503,26 @@ def ksum(z: IntegerSet, t: int, k: int, rng) -> KsumResult:
         tried += 1
         # blocks list indices ascending, so indexing the sorted values keeps them sorted
         lblocks = [arr[list(b)] for b in blocks[:split_at]]
-        rblocks = [arr[list(b)] for b in blocks[split_at:]]
+        *rblocks, last = [arr[list(b)] for b in blocks[split_at:]]
         llevels, lwork = _fold_blocks(lblocks, backends, 0)
         rlevels, rwork = _fold_blocks(rblocks, backends, 1)
-        work += lwork + rwork + len(llevels[-1]) + len(rlevels[-1])
-        hit = _meet(llevels[-1], rlevels[-1], target)
-        if hit is None:
-            continue
-        picks = _unfold(llevels, lblocks, hit) + _unfold(rlevels, rblocks, target - hit)
+        work += lwork + rwork + len(llevels[-1])
+        head = None
+        backend, pairs = _fold_plan(rlevels[-1], last)
+        if backend == "hash" and pairs >= _HEAD_MIN_PAIRS:
+            head, looked = _head_scan(llevels[-1], rlevels[-1], last, target)
+            work += looked
+        if head is not None:
+            b, r = head
+            picks = _unfold(llevels, lblocks, target - b - r) + _unfold(rlevels, rblocks, r) + [b]
+        else:
+            rlevels, rwork = _fold_blocks([last], backends, 1, rlevels)
+            work += rwork + len(rlevels[-1])
+            hit = _meet(llevels[-1], rlevels[-1], target)
+            if hit is None:
+                continue
+            rblocks.append(last)
+            picks = _unfold(llevels, lblocks, hit) + _unfold(rlevels, rblocks, target - hit)
         indices = tuple(sorted(bisect_left(arr, v) for v in picks))
         witness = _checked(z, indices, t, k)
         return KsumResult(witness, work, tried, False, {"backends": backends})

@@ -223,6 +223,7 @@ class TestFold:
             safe = core._int64_safe(a[0], a[-1]) and core._int64_safe(b[0], b[-1])
             x, y = (np.array(v, dtype=np.int64 if safe else object) for v in (a, b))
             sums, backend, work = core._fold(x, y)
+            assert core._fold_plan(x, y) == (backend, work)
             assert tuple(sums.tolist()) == want
             pairs = len(a) * len(b)
             if not safe:
@@ -253,8 +254,10 @@ class TestFold:
             monkeypatch.setattr(core, "DEFAULT_FOLD_CAP", work)
             assert core._fold(x, x)[1:] == (backend, work)
             monkeypatch.setattr(core, "DEFAULT_FOLD_CAP", work - 1)
-            with pytest.raises(core.EnumerationCapError, match=f"{backend} fold work {work} above"):
-                core._fold(x, x)
+            message = f"{backend} fold work {work} above"
+            for refused in (core._fold, core._fold_plan):
+                with pytest.raises(core.EnumerationCapError, match=message):
+                    refused(x, x)
 
 
 class KeptBuffers:

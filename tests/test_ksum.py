@@ -426,35 +426,233 @@ class TestEarlyExitMeet:
         # even t: every value is in the window and none meets an odd right value
         assert ksum_module._meet(lvals, rvals, 2 * n) is None
 
-    def test_planted_queries_search_few_left_values(self, monkeypatch):
-        searched, left = [], []
-        in_sorted, meet = ksum_module._in_sorted, ksum_module._meet
-        inside = []
+    def test_planted_queries_hit_in_the_head(self, monkeypatch):
+        """Heavy planted queries (n = 2048, right top folds of about 2^18
+        pairs) find their witness in the head of the right product: a small
+        share of its pairs looked up, and that fold never run."""
+        scans, looked = [], []
+        in_sorted, head_scan = ksum_module._in_sorted, ksum_module._head_scan
 
         def in_sorted_spy(level, keys):
-            if inside:
-                searched.append(len(keys))
+            if scans and scans[-1] is None:
+                looked.append(len(keys))
             return in_sorted(level, keys)
 
-        def meet_spy(lvals, rvals, t):
-            left.append(len(lvals))
-            inside.append(True)
-            try:
-                return meet(lvals, rvals, t)
-            finally:
-                inside.pop()
+        def head_scan_spy(lvals, rvals, last, t):
+            scans.append(None)
+            head, count = head_scan(lvals, rvals, last, t)
+            scans[-1] = (head, count, len(rvals) * len(last))
+            return head, count
+
+        def no_meet(*args):
+            raise AssertionError("a heavy planted query met the right top fold")
 
         monkeypatch.setattr(ksum_module, "_in_sorted", in_sorted_spy)
-        monkeypatch.setattr(ksum_module, "_meet", meet_spy)
+        monkeypatch.setattr(ksum_module, "_head_scan", head_scan_spy)
+        monkeypatch.setattr(ksum_module, "_meet", no_meet)
         for seed in range(721, 725):
-            searched.clear()
-            left.clear()
+            scans.clear()
+            looked.clear()
             rng = random.Random(seed)
             z = random_dense_set(rng, 2048, 1 << 20)
             t = sum(rng.sample(z.elements, 4))
             res = ksum(z, t, 4, random.Random(seed + 1))
             assert res.witness is not None and not res.exhaustive
-            assert left and sum(searched) < 0.01 * sum(left)
+            assert len(scans) == res.partitions_tried and scans[-1][0] is not None
+            keys, pairs = sum(c for _, c, _ in scans), sum(p for *_, p in scans)
+            assert sum(looked) == keys and keys < 0.01 * pairs
+            assert sum(res.meta["backends"].values()) == 3 * res.partitions_tried
+
+
+def _blowup_set(n, s):
+    """B + P with B = sidon_set(s) and P = {0, M, ..., (n/s - 1) M} for
+    M = 8 (max B + 1): a k-sum for k <= 8 splits into a B-part and a
+    P-part, and its doubling is about s + 1. Returns (set, B, M)."""
+    parts = sidon_set(s).elements
+    step = 8 * (max(parts) + 1)
+    return IntegerSet.from_iterable(b + step * j for b in parts for j in range(n // s)), parts, step
+
+
+class TestHeadScan:
+    """Before the right top fold of a large coloring, the random path looks
+    up t - b - r on the left level over the head rows of last x right level;
+    a hit gives the witness, a miss falls back to the fold and the meet."""
+
+    REGIMES = TestRandomPathValueRegimes.REGIMES
+
+    def test_first_pair_in_head_order(self, monkeypatch):
+        """The scan returns the first (b, r), b ascending and then r
+        ascending, whose complement is on the left, within the head rows,
+        and counts whole rows looked up, in every value regime."""
+        rng = random.Random(741)
+        regimes = ((0, np.int64), (1 << 61, np.int64), (-(1 << 61), np.int64), (1 << 66, object))
+
+        def level():
+            base, dtype = rng.choice(regimes)
+            size = rng.randint(1, 70)
+            if rng.random() < 0.5:
+                return TestEarlyExitMeet._level(rng, base, size, dtype)
+            # dense: rows with several hits, whose least r must be the one returned
+            return np.array(sorted(base + v for v in rng.sample(range(2 * size), size)), dtype=dtype)
+
+        for draw in range(400):
+            share = rng.choice((1, 2, 3, 32))
+            monkeypatch.setattr(ksum_module, "_HEAD_SHARE", share)
+            lvals, rvals, last = level(), level(), level()
+            pairs = [(b, r) for b in last.tolist() for r in rvals.tolist()]
+            b, r = rng.choice(pairs)
+            t = int(rng.choice(lvals.tolist())) + b + r + rng.choice((0, 0, 3))
+            head = len(last) // share
+            left = set(lvals.tolist())
+            want = next(((b, r) for b, r in pairs[: head * len(rvals)] if t - b - r in left), None)
+            got, looked = ksum_module._head_scan(lvals, rvals, last, t)
+            assert got == want
+            assert looked % len(rvals) == 0 and looked <= head * len(rvals)
+            if want is None:
+                assert looked == head * len(rvals)
+            else:
+                assert looked > pairs.index(want)
+
+    def test_equivalent_to_fold_and_meet(self, monkeypatch, cut_cap):
+        """With the threshold down to one pair, every coloring of small
+        queries scans its head first. The scan hits only where the fold and
+        meet would, a full head (share 1) hits exactly where they do,
+        every witness passes the re-check inside ksum, and planted targets
+        are found as the brute-force oracle finds them."""
+        cut_cap(2)
+        monkeypatch.setattr(ksum_module, "_HEAD_MIN_PAIRS", 1)
+        head_scan, plan = ksum_module._head_scan, ksum_module.splitter_plan
+        share, seen = [1], {name: [0, 0] for name in self.REGIMES}
+        regime = [None]
+
+        def head_scan_spy(lvals, rvals, last, t):
+            head, count = head_scan(lvals, rvals, last, t)
+            meet = ksum_module._meet(lvals, sparse_sumset(rvals, last).sums, t)
+            assert (head is not None or meet is not None) == (meet is not None)
+            if share[0] == 1:
+                assert (head is None) == (meet is None)
+            if head is not None:
+                b, r = head
+                assert b in last.tolist() and r in rvals.tolist()
+                assert t - b - r in lvals.tolist()
+            seen[regime[0]][head is None] += 1
+            return head, count
+
+        monkeypatch.setattr(ksum_module, "_head_scan", head_scan_spy)
+        rng = random.Random(740)
+        for draw in range(2100):
+            regime[0] = name = list(self.REGIMES)[draw % 3]
+            spread = self.REGIMES[name]
+            k = rng.randint(3, 6)
+            share[0] = rng.choice((1, 2))
+            monkeypatch.setattr(ksum_module, "_HEAD_SHARE", share[0])
+            offset = rng.randrange(-(1 << 70), 1 << 70)
+            size = rng.randint(k + 3, 16)
+            z = IntegerSet.from_iterable(
+                [offset] + [offset + rng.randrange(1, spread) for _ in range(size - 1)]
+            )
+            planted = draw % 2 == 0
+            t = sum(rng.sample(z.elements, k)) + (0 if planted else rng.choice((-1, 1)))
+            # an unplanted target keeps a short plan: a full sweep at k = 6
+            # folds over 13,000 colorings
+            short = lambda n, k: SplitterPlan(False, min(plan(n, k).planned, 12))
+            monkeypatch.setattr(ksum_module, "splitter_plan", plan if planted else short)
+            res = ksum(z, t, k, random.Random(rng.randrange(2**30)))
+            want = brute_ksum(z.elements, t, k)
+            if planted:
+                assert res.witness is not None and want is not None
+            elif res.witness is not None:
+                assert want is not None
+            if res.witness is not None:
+                assert sum(z.elements[i] for i in res.witness.payload) == t
+        # every regime took hits in the head and fell back after misses
+        assert all(hits and misses for hits, misses in seen.values()), seen
+
+    def test_misses_fold_as_before(self, monkeypatch):
+        """Blow-up negatives (B-part outside 4B) miss in every coloring: each
+        looks up at most 1/_HEAD_SHARE of the skipped fold's pairs before it
+        folds, and the answer is the one without the scan but for its work."""
+        z, parts, step = _blowup_set(1024, 8)
+        fourfold = {sum(c) for c in itertools.combinations_with_replacement(parts, 4)}
+        t = next(v for v in range(4 * max(parts)) if v not in fourfold) + 10 * step
+        monkeypatch.setattr(ksum_module, "splitter_plan", lambda n, k: SplitterPlan(False, 3))
+        events = []
+        in_sorted, fold = ksum_module._in_sorted, ksum_module.sparse_sumset
+
+        def in_sorted_spy(level, keys):
+            events.append(("keys", len(keys)))
+            return in_sorted(level, keys)
+
+        def fold_spy(a, b, **kw):
+            events.append(("fold", len(a) * len(b)))
+            return fold(a, b, **kw)
+
+        monkeypatch.setattr(ksum_module, "_in_sorted", in_sorted_spy)
+        monkeypatch.setattr(ksum_module, "sparse_sumset", fold_spy)
+        res = ksum(z, t, 4, random.Random(8))
+        folds = [i for i, (kind, _) in enumerate(events) if kind == "fold"]
+        assert len(folds) == 4 * res.partitions_tried
+        looked = 0
+        for third, fourth in zip(folds[2::4], folds[3::4]):
+            head = sum(n for _, n in events[third + 1 : fourth])
+            assert 0 < head <= events[fourth][1] // ksum_module._HEAD_SHARE
+            looked += head
+        monkeypatch.setattr(ksum_module, "_HEAD_MIN_PAIRS", math.inf)
+        before = ksum(z, t, 4, random.Random(8))
+        assert (res.witness, res.partitions_tried, res.exhaustive, res.meta) == (
+            None, 3, False, {"backends": {"hash": 12}}
+        )
+        # the answer of the code before the head scan, work included
+        assert (before.witness, before.work, before.partitions_tried, before.meta) == (
+            None, 445627, 3, res.meta
+        )
+        assert res.work == before.work + looked
+
+    def test_convolved_folds_are_not_scanned(self, monkeypatch):
+        """A right top fold that the rule convolves is built and met as
+        before, however many pairs it has: planted queries on an AP of
+        2,048 values (right products of about 2^18 pairs) give the answer
+        of the code without the scan."""
+        z = ap_set(2048, 3, 7)
+        rng = random.Random(752)
+        queries = [(sum(rng.sample(z.elements, 4)), rng.randrange(2**30)) for _ in range(3)]
+
+        def answers():
+            out = []
+            for t, seed in queries:
+                res = ksum(z, t, 4, random.Random(seed))
+                assert res.witness is not None
+                out.append((res.witness, res.work, res.partitions_tried, res.meta))
+            return out
+
+        def no_scan(*args):
+            raise AssertionError("a convolved fold was scanned")
+
+        monkeypatch.setattr(ksum_module, "_head_scan", no_scan)
+        got = answers()
+        monkeypatch.setattr(ksum_module, "_HEAD_MIN_PAIRS", math.inf)
+        assert got == answers()
+        assert all(meta["backends"].get("fft", 0) >= 2 for *_, meta in got)
+
+    def test_skipped_fold_is_refused_first(self, monkeypatch, cut_cap):
+        """The fold cap refuses the right top fold before its head is
+        scanned, with the message the fold itself gives."""
+        rng = random.Random(750)
+        z = random_dense_set(rng, 400, 10**9)
+        t = sum(rng.sample(z.elements, 3))
+        blocks = next(splitter_family(len(z), 3, random.Random(5)))
+        pairs = len(blocks[1]) * len(blocks[2])
+        assert pairs >= ksum_module._HEAD_MIN_PAIRS
+        monkeypatch.setattr(core, "DEFAULT_FOLD_CAP", pairs - 1)
+        scans = []
+        monkeypatch.setattr(ksum_module, "_head_scan", lambda *args: scans.append(args))
+        message = f"hash fold work {pairs} above cap {pairs - 1}"
+        with pytest.raises(EnumerationCapError, match=message):
+            ksum(z, t, 3, random.Random(5))
+        assert scans == []
+        monkeypatch.setattr(ksum_module, "_HEAD_MIN_PAIRS", math.inf)
+        with pytest.raises(EnumerationCapError, match=message):
+            ksum(z, t, 3, random.Random(5))
 
 
 class TestFrozenRandomPath:
