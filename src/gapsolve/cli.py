@@ -142,8 +142,6 @@ def _run_reduction(src: str, dst: str, d: dict, seed: int):
     ss = hbilp_to_ss(hinst)
     stages["ss"] = ss
     meta.update(ss.meta)
-    meta["trivial"] = ss.trivial
-    meta["guard_tripped"] = meta.get("guard_tripped", False) or ss.guard_tripped
     return (
         SubsetSumInstance(ss.elements, ss.target, "binary").to_json_dict(),
         meta,

@@ -11,10 +11,11 @@ Every key written lies in the first window; when that window is at most
 `DEFAULT_TABLE_CAP` keys wide, a bitmap over it marks each key written and
 drops a repeat in one lookup. A wider window binary-searches the array, and
 there the DP also drops every key whose residue mod 2^12 the later
-variables cannot carry to the target's, so the sparse sums of the reduction
-chains keep hundreds of keys rather than tens of thousands. Both filters
-keep every key on a path to the target, so neither changes a witness or a
-None; on wide windows the table cap bounds the filtered table. The keys are
+variables cannot carry to the target's, so a sparse sum over a wide window
+keeps far fewer keys (24 elements spread over 10^10: at most 460 where the
+unfiltered table reaches 1,416). Both filters keep every key on a path to
+the target, so neither changes a witness or a None; on wide windows the
+table cap bounds the filtered table. The keys are
 int64 while the key range stays within 2^62 and exact Python ints in an
 object array past it. Cost and the table cap follow the number of distinct
 reachable vectors that can still hit the target, not the size of the
@@ -24,8 +25,12 @@ variable, the value of the sub-step that wrote the current key. A 0/1
 variable gives each new key one source, so a binary witness is the one that
 scanning an insertion-ordered table of every reachable vector gives.
 Reductions carry enough metadata to decode a downstream witness back to the
-original variables. Each instance type writes its validity rule once, as
-`solved_by` (`BilpInstance`: one integer per variable within its bounds and
+original variables. An aggregated program reduces to subset sum by
+multiplicity blocks, one interval of elements per distinct dot product, so
+the doubling constant of the set is bounded by the number K of distinct
+dots, not by the number of variables. Each instance type writes its
+validity rule once, as `solved_by` (`BilpInstance`: one integer per
+variable within its bounds and
 A x = b; `HbilpInstance`: a 0/1 vector with <Ax, s> = t). The three solvers
 share one tail that calls it on every witness, the decoders to and from the
 aggregated form check with it, and `gapsolve verify witness` only
@@ -228,8 +233,8 @@ def _array_engine(
     is in the table exactly when it was ever written. When that window is
     at most `DEFAULT_TABLE_CAP` keys wide, a bitmap `seen` over it marks the
     kept table and every candidate, and the duplicate check is one lookup
-    per candidate, at most the cap in bytes; a wider window (the chain DPs'
-    are 10^10 and more) binary-searches the table instead.
+    per candidate, at most the cap in bytes; a wider window (a sparse
+    subset sum's can be 10^10 and more) binary-searches the table instead.
 
     On a wide window the keys are also filtered by residue: `reach[j]`
     (`_residue_sets`, built once per DP, 4,096 booleans per variable until
@@ -469,51 +474,6 @@ def bilp_to_hbilp(a: Matrix, b: Sequence[int]) -> HbilpFromBilp:
     return HbilpFromBilp(HbilpInstance(a, s, t), q, False)
 
 
-@dataclass(frozen=True)
-class HbilpNonnegative:
-    """Entrywise-nonnegative aggregated instance over twice the variables.
-
-    The appended row's step dwarfs everything else, pinning solution support
-    to exactly n_original; restriction to the first block then decodes."""
-
-    instance: HbilpInstance
-    n_original: int
-    guard_tripped: bool
-
-    def decode(self, y: Sequence[int]) -> tuple[int, ...]:
-        return tuple(int(v) for v in y[: self.n_original])
-
-
-_GUARD_HBILP = HbilpInstance(Matrix.from_rows([[1]]), (1,), -1)
-
-
-def hbilp_nonnegative(inst: HbilpInstance) -> HbilpNonnegative:
-    """Same shift-and-pin trick as bilp_nonnegative, done in aggregated form.
-
-    The shift adds n * Delta * sum(s) to the target -- the signed sum, since
-    each row's shift contribution scales by that row's step. Shifted row
-    values live in [0, 3*n*Delta], so aggregated sums stay within
-    B = 3*n*Delta*m*max|s| of zero; the support pin's step is 2B + 1, which
-    no difference of two achievable sums can bridge, so the support count is
-    forced exactly. Feasible targets satisfy |shifted target| <= B; anything
-    larger maps to a canonically infeasible output (necessary: targets in
-    (B, 2B] would otherwise alias with support n +- 1).
-    """
-    a, s, t = inst.a, inst.s, inst.t
-    n, m, delta = a.num_cols, a.num_rows, a.infinity_norm()
-    if delta == 0:
-        raise ValueError("zero matrix; delete zero columns first")
-    smax = max(abs(v) for v in s) if s else 0
-    span = 3 * n * delta * m * smax
-    big = 2 * span + 1
-    top_target = t + n * delta * sum(s)
-    if abs(top_target) > span:
-        return HbilpNonnegative(_GUARD_HBILP, n, True)
-    shifted = bilp_nonnegative(a, (0,) * m).matrix  # its right-hand side is unused
-    out = HbilpInstance(shifted, s + (big,), top_target + n * big)
-    return HbilpNonnegative(out, n, False)
-
-
 # ---------------------------------------------------------------------------
 # subset-sum bridge
 
@@ -522,19 +482,21 @@ def hbilp_nonnegative(inst: HbilpInstance) -> HbilpNonnegative:
 class SubsetSumFromHbilp:
     """Subset-sum instance equivalent to an aggregated ILP.
 
-    `origin` holds one entry per sorted element: the original variable that
-    element's column stands for, or None for a column that carries no
-    variable (a pin or complement column, or the placeholder of a trivial
-    instance); `decode` maps a subset of indices into the sorted element set
-    back to a binary assignment of the original variables and re-verifies it.
+    `origin` holds one entry per sorted element: the variable that element
+    stands for, or None for a slack element (or the placeholder of an
+    instance where no variable moves the sum). `complemented` lists the
+    variables with a negative dot product, which the encoding reads as
+    1 - x_j. `decode` maps a subset of indices into the sorted element set
+    back to a binary assignment of the original variables, starting from 1
+    on the complemented ones and flipping the variable of each chosen
+    element, and re-verifies it.
     """
 
     elements: IntegerSet
     target: int
     original: HbilpInstance
     origin: tuple[Optional[int], ...]
-    trivial: bool
-    guard_tripped: bool
+    complemented: tuple[int, ...]
     meta: dict = field(default_factory=dict)
 
     def decode(self, indices: Sequence[int]) -> SolveWitness:
@@ -545,110 +507,65 @@ class SubsetSumFromHbilp:
         if reason := SubsetSumInstance(self.elements, self.target).violation(w):
             raise ValueError(reason)
         x = [0] * self.original.a.num_cols
+        for j in self.complemented:
+            x[j] = 1
         for i in indices:
             if self.origin[i] is not None:
-                x[self.origin[i]] = 1
+                x[self.origin[i]] ^= 1
         if not self.original.solved_by(x):
             raise InvariantError("decoded assignment failed re-evaluation")
         return SolveWitness("binary-vector", tuple(x))
 
 
-def _digit_columns(count: int, radix: int, k: int) -> list[list[int]]:
-    """First `count` base-radix vectors of length k in lexicographic order,
-    as columns (most significant digit first)."""
-    cols = []
-    for j in range(count):
-        digits = []
-        v = j
-        for _ in range(k):
-            digits.append(v % radix)
-            v //= radix
-        cols.append(list(reversed(digits)))
-    return cols
-
-
 def hbilp_to_ss(inst: HbilpInstance) -> SubsetSumFromHbilp:
     """Encode aggregated-ILP feasibility as subset sum over distinct
-    positive elements.
+    positive elements, by multiplicity blocks.
 
-    After dropping zero columns and normalizing to nonnegative entries, the
-    system is doubled: fresh columns receive complementary digit rows whose
-    steps are multiples of M, a value strictly larger than any achievable
-    aggregated sum. Digits force the two copies to select complementary
-    column sets, so subset choices correspond exactly to assignments. All
-    2n column elements are distinct (asserted on every build) and positive.
+    With d_j = <A[:, j], s>, each variable with d_j < 0 is complemented
+    (x_j -> 1 - x_j, t -> t - d_j), and a variable with d_j = 0 is free and
+    gets no element. The program then asks for counts r_v <= mu_v, where
+    mu_v variables have |d_j| = v, with sum_v r_v * v = t. Value v becomes
+    the block v*M + i for i < mu_v, beside the slack {1, ..., L}, where
+    R = sum_v mu_v (mu_v - 1) / 2, L is the least integer with
+    L(L + 1)/2 >= R and M = R + L(L + 1)/2 + 1; the target is t*M + R.
+
+    The encoding is exact for every integer t. The low parts (the i of each
+    chosen block element and the chosen slack) sum to at most M - 1, so
+    they never carry into the multiples of M: a subset hits t*M + R exactly
+    when its block counts solve sum_v r_v * v = t and its low parts sum to
+    R. Counts that solve it take the first r_v copies of each block, whose
+    low parts sum to at most R, and the slack's subsets make up every
+    remainder in [0, L(L + 1)/2]. Copy i of block v stands for the i-th
+    variable with |d_j| = v; any r_v of them serve alike.
+
+    The set is the union of K + 1 intervals, one block per distinct nonzero
+    |d_j| and the slack, so |Z + Z| <= sum over pairs of intervals of
+    |I| + |I'| = (K + 2)|Z|: the doubling constant is at most K + 2,
+    whatever n. After `bilp_nonnegative` the columns lie in
+    [0, 2*Delta]^m with a last row of ones, so K <= (2*Delta + 1)^m. When
+    no variable moves the sum, the set is the placeholder {1}, since a set
+    is nonempty, with target 0 when t = 0 and -1 otherwise.
     """
-    a, s, t = inst.a, inst.s, inst.t
-    kept = tuple(
-        j for j in range(a.num_cols) if any(a.rows[i][j] != 0 for i in range(a.num_rows))
-    )
-    if not kept:
-        elems = IntegerSet((1,))
-        target = 0 if t == 0 else -1
-        return SubsetSumFromHbilp(
-            elems, target, inst, (None,), True, False, {"reason": "all columns zero"}
-        )
-    a1 = Matrix.from_rows([[row[j] for j in kept] for row in a.rows])
-    norm = hbilp_nonnegative(HbilpInstance(a1, s, t))
-    if norm.guard_tripped:
-        return SubsetSumFromHbilp(
-            IntegerSet((1,)), -1, inst, (None,), True, True, {"reason": "target out of range"}
-        )
-    a2, s2, t2 = norm.instance.a, norm.instance.s, norm.instance.t
-    n2, m2 = a2.num_cols, a2.num_rows
-    delta2 = a2.infinity_norm()
-    padded = delta2 < 2
-    if padded:
-        # reached when every nonzero kept entry is -1: the shifted entries are
-        # then 0 or 1, but the digit argument needs radix >= 2, so a row with
-        # step 0 lifts the norm to 2 without changing any aggregated sum
-        rows = [list(r) for r in a2.rows]
-        extra = [0] * n2
-        extra[0] = 2
-        rows.append(extra)
-        a2 = Matrix.from_rows(rows)
-        s2 = s2 + (0,)
-        m2 += 1
-        delta2 = 2
-
-    smax = max(abs(v) for v in s2)
-    big_m = n2 * m2 * delta2 * smax + 1
-    if not -big_m < t2 < big_m:
-        raise InvariantError("normalized target escaped the aliasing guard")
-    k = 1
-    while delta2**k < n2:
-        k += 1
-    digits = _digit_columns(n2, delta2, k)
-    comp = [[delta2 - d for d in col] for col in digits]
-    v_steps = tuple(big_m * delta2**i for i in range(k))
-
-    columns = []
-    for j in range(n2):
-        columns.append([a2.rows[i][j] for i in range(m2)] + digits[j])
-    for j in range(n2):
-        columns.append([0] * m2 + comp[j])
-    full_s = s2 + v_steps
-    dots = tuple(sum(c * sv for c, sv in zip(col, full_s)) for col in columns)
-    if len(set(dots)) != len(dots):
-        raise InvariantError("column elements collide")
-    if any(d <= 0 for d in dots):
-        raise InvariantError("column element not positive")
-
-    support = len(kept)
-    target = t2 + support * delta2 * sum(v_steps)
-    # column j < support stands for original variable kept[j]
-    order = sorted(range(len(dots)), key=dots.__getitem__)
-    origin = tuple(kept[j] if j < support else None for j in order)
-    meta = {
-        "m": big_m,
-        "k": k,
-        "radix": delta2,
-        "support": support,
-        "padded": int(padded),
-    }
-    return SubsetSumFromHbilp(
-        IntegerSet(tuple(dots[j] for j in order)), target, inst, origin, False, False, meta
-    )
+    dots, t = inst.dots(), inst.t
+    complemented = tuple(j for j, d in enumerate(dots) if d < 0)
+    t -= sum(dots[j] for j in complemented)
+    blocks: dict[int, list[int]] = {}
+    for j, d in enumerate(dots):
+        if d:
+            blocks.setdefault(abs(d), []).append(j)
+    r = sum(len(js) * (len(js) - 1) // 2 for js in blocks.values())
+    slack = (math.isqrt(8 * r + 1) - 1) // 2  # the largest L with L(L + 1)/2 <= R
+    if slack * (slack + 1) // 2 < r:
+        slack += 1
+    big_m = r + slack * (slack + 1) // 2 + 1
+    pairs = [(v * big_m + i, j) for v, js in blocks.items() for i, j in enumerate(js)]
+    pairs += [(i, None) for i in range(1, slack + 1)]
+    target = t * big_m + r
+    if not pairs:
+        pairs, target = [(1, None)], 0 if t == 0 else -1
+    elements, origin = zip(*sorted(pairs))
+    meta = {"blocks": len(blocks), "m": big_m, "r": r, "slack": slack}
+    return SubsetSumFromHbilp(IntegerSet(elements), target, inst, origin, complemented, meta)
 
 
 @dataclass(frozen=True)

@@ -160,15 +160,25 @@ class TestIlp:
         elements = out["instance"]["elements"]
         assert len(set(elements)) == len(elements)
 
-    def test_reduce_reports_padded_row(self, tmp_path):
-        # every entry -1: the shifted matrix has norm 1, so a zero-step row
-        # lifts the radix to 2, and the meta says so
+    def test_reduce_complements_every_variable(self, tmp_path):
+        # every dot product is -1, so both variables are complemented and the
+        # target becomes 1: the block {3, 4} for |d_j| = 1 and the slack {1}
         inst = write_json(tmp_path / "h.json", {"A": [[-1, -1]], "s": [1], "t": -1})
         red = run_cli(
             "ilp", "reduce", "--from", "hbilp", "--to", "ss", "--input", inst, check=0
         )
-        meta = last_json(red)["meta"]
-        assert (meta["radix"], meta["padded"]) == (2, 1)
+        out = last_json(red)
+        assert out["instance"] == {"elements": [1, 3, 4], "mode": "binary", "target": 4}
+        assert (out["meta"]["blocks"], out["meta"]["m"], out["meta"]["slack"]) == (1, 3, 1)
+        ss_path = write_json(tmp_path / "ss.json", out["instance"])
+        sol = run_cli("subset-sum", "solve", "--input", ss_path, check=0)
+        wit = write_json(tmp_path / "wit.json", last_json(sol)["witness"])
+        dec = run_cli(
+            "ilp", "decode", "--from", "hbilp", "--to", "ss", "--input", inst, "--witness", wit,
+            check=0,
+        )
+        x = last_json(dec)["witness"]["values"]
+        assert x in ([1, 0], [0, 1])  # -x_0 - x_1 = -1
 
     def test_reduce_rejects_bad_pair(self, tmp_path):
         inst = write_json(tmp_path / "h.json", {"A": [[1]], "s": [1], "t": 1})
@@ -225,9 +235,10 @@ class TestIlp:
         every = write_json(tmp_path / "w.json", {"kind": "subset-of-indices", "values": list(range(20))})
         route = ["ilp", "decode", "--from", "bilp", "--to", "ss", "--input", bilp]
         assert cli.main([*route, "--witness", every]) == 2
-        assert "index 16 out of range for 16 elements" in capsys.readouterr().err
+        assert "index 5 out of range for 5 elements" in capsys.readouterr().err
+        # reduces to the elements (1, 2) with target 2
         hb = write_json(tmp_path / "hb.json", {"A": [[1, 2]], "s": [1], "t": 2})
-        miss = write_json(tmp_path / "m.json", {"kind": "subset-of-indices", "values": [0, 7]})
+        miss = write_json(tmp_path / "m.json", {"kind": "subset-of-indices", "values": [0, 1]})
         route = ["ilp", "decode", "--from", "hbilp", "--to", "ss", "--input", hb]
         assert cli.main([*route, "--witness", miss]) == 2
         assert "sum misses the target" in capsys.readouterr().err
@@ -651,21 +662,17 @@ FROZEN_STDOUT = [
         'ilp reduce --from bilp --to ss --input {bilp} --seed 3',
         0,
         (
-            '{"instance":{"elements":[161606,50965122,101768625,152410563,152572146,203214084,'
-            '203375160,254017605,254178681,304821126,304982202,355624647,355785723,406428168,'
-            '457231689,508035210],"mode":"binary","target":2032786199},"meta":{"from":"bilp",'
-            '"guard_tripped":false,"k":1,"m":50803521,"padded":0,"radix":10,"support":4,'
-            '"support_target":2,"to":"ss","trivial":false}}\n'
+            '{"instance":{"elements":[1,1521,1522,1575,1590],"mode":"binary","target":3166},'
+            '"meta":{"blocks":3,"from":"bilp","guard_tripped":false,"m":3,"r":1,"radix":21,'
+            '"slack":1,"support_target":2,"to":"ss"}}\n'
         ),
     ),
     (
         'ilp reduce --from hbilp --to ss --input {hb} --seed 3',
         0,
         (
-            '{"instance":{"elements":[118,4040,11884,15815,19625,23550,23668,27590,31400,35325,'
-            '43175,47100],"mode":"binary","target":141651},"meta":{"from":"hbilp",'
-            '"guard_tripped":false,"k":2,"m":3925,"padded":0,"radix":3,"support":3,"to":"ss",'
-            '"trivial":false}}\n'
+            '{"instance":{"elements":[1,9,10,18],"mode":"binary","target":37},"meta":{"blocks":2,'
+            '"from":"hbilp","m":3,"r":1,"slack":1,"to":"ss"}}\n'
         ),
     ),
     (

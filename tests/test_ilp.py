@@ -16,6 +16,7 @@ from gapsolve.core import (
     InvariantError,
     Matrix,
     TableCapError,
+    doubling_constant,
 )
 from gapsolve.ilp import (
     BilpInstance,
@@ -26,7 +27,6 @@ from gapsolve.ilp import (
     binary_image_supports,
     bounded_ilp_feasibility,
     hbilp_feasibility,
-    hbilp_nonnegative,
     hbilp_to_ss,
     ss_to_hbilp,
 )
@@ -555,6 +555,15 @@ class TestEngineEquivalence:
         assert widths == [object, np.int64]
 
 
+_WIDE = (
+    273281, 103952990, 829716364, 933396070, 1658886160, 1659159491, 1762839150, 2488329240,
+    2488602522, 2592282230, 3317772320, 3318045602, 4147215400, 4147488682, 4872978095,
+    4976658480, 4976931085, 5702421175, 5806101560, 5806374165, 6531864255, 6635544640,
+    7361307335, 7464987720,
+)
+_WIDE_ORIGIN = (0, None, 1, None, None, 2, None, None, 3, None, None, 4, None, 5) + (None,) * 10
+
+
 class TestWitnessRule:
     """A new key keeps the smallest value that reaches it; binary programs
     have one source per new key, so their witnesses follow from the step
@@ -580,28 +589,43 @@ class TestWitnessRule:
         nn = bilp_nonnegative(a, b)
         agg = bilp_to_hbilp(nn.matrix, nn.rhs)
         ss = hbilp_to_ss(agg.instance)
-        assert len(ss.elements) == 24
+        assert len(ss.elements) == 8
         w = subset_sum_doubling(ss.elements, ss.target)
-        assert w.payload == (0, 3, 4, 5, 6, 7, 8, 10, 12, 14, 15, 16, 17, 18)
+        assert w.payload == (0, 1, 2, 3, 6)
         assert nn.decode(agg.decode(ss.decode(w.payload).payload)) == (1, 0, 1)
 
     def test_bilp_to_ss_chain_small_cap(self):
-        """The chain's subset sums are sparse over a first window of about
-        9 * 10^10 keys, too wide for the bitmap, and without the residue
+        """Three sparse 24-element subset sums over a first window of about
+        9 * 10^10 keys, too wide for the bitmap: the set and targets that an
+        earlier digit encoding built for the chain of a = [[-1, 2, -1],
+        [0, 0, 2]] with b = (-2, 2), (1, 0) and (-2, 3), frozen here because
+        the chain no longer builds sets this sparse. Without the residue
         filter their kept table reaches 1,416 keys at variable 11. Keys
         whose residue mod 2^12 the later elements cannot carry to the
         target are dropped, so a cap of 1,000 holds and the witnesses are
-        the ones the unfiltered table gives."""
+        the ones the unfiltered table gives. `_WIDE_ORIGIN` maps each
+        element to the variable of `bilp_nonnegative`'s program it stood
+        for, so the witnesses still decode through the chain's other two
+        stages."""
         a = Matrix.from_rows([[-1, 2, -1], [0, 0, 2]])
-        for b, want in (((-2, 2), (1, 0, 1)), ((1, 0), (1, 1, 0)), ((-2, 3), None)):
+        z = IntegerSet(_WIDE)
+        for b, target, want in (
+            ((-2, 2), 44791564029, (1, 0, 1)),
+            ((1, 0), 44791563982, (1, 1, 0)),
+            ((-2, 3), 44791564054, None),
+        ):
             nn = bilp_nonnegative(a, b)
             agg = bilp_to_hbilp(nn.matrix, nn.rhs)
-            ss = hbilp_to_ss(agg.instance)
-            assert len(ss.elements) == 24
-            w = subset_sum_doubling(ss.elements, ss.target, table_cap=1000)
-            got = None if w is None else nn.decode(agg.decode(ss.decode(w.payload).payload))
+            w = subset_sum_doubling(z, target, table_cap=1000)
+            got = None
+            if w is not None:
+                y = [0] * nn.matrix.num_cols
+                for i in w.payload:
+                    if _WIDE_ORIGIN[i] is not None:
+                        y[_WIDE_ORIGIN[i]] = 1
+                got = nn.decode(agg.decode(y))
             assert got == want
-            assert w == subset_sum_doubling(ss.elements, ss.target)
+            assert w == subset_sum_doubling(z, target)
 
     def test_hbilp(self):
         g = random.Random(16)
@@ -714,57 +738,17 @@ class TestBilpToHbilp:
                 res.decode(y)
 
 
-class TestHbilpNonnegative:
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            hbilp_nonnegative(HbilpInstance(Matrix.from_rows([[0, 0]]), (1,), 0))
-
-    def test_aliasing_regression(self):
-        # signed steps once mapped this infeasible instance to a feasible
-        # reduced one: the pin step must exceed the full difference span
-        inst = HbilpInstance(Matrix.from_rows([[1, -1]]), (-1,), 6)
-        assert brute_hbilp_feasibility(inst.a, inst.s, inst.t) is None
-        res = hbilp_nonnegative(inst)
-        assert hbilp_feasibility(res.instance) is None
-
-    def test_guard_far_target(self):
-        inst = HbilpInstance(Matrix.from_rows([[1, 1]]), (1,), 10**6)
-        res = hbilp_nonnegative(inst)
-        assert res.guard_tripped
-        assert hbilp_feasibility(res.instance) is None
-
-    def test_equivalence_signed(self):
-        rng = random.Random(106)
-        for _ in range(400):
-            m, n = rng.randint(1, 2), rng.randint(1, 5)
-            a = _rand_matrix(rng, m, n)
-            if a.infinity_norm() == 0:
-                continue
-            s = tuple(rng.randint(-4, 4) for _ in range(m))
-            t = rng.randint(-15, 15)
-            inst = HbilpInstance(a, s, t)
-            res = hbilp_nonnegative(inst)
-            orig = brute_hbilp_feasibility(a, s, t)
-            lifted = hbilp_feasibility(res.instance)
-            assert (orig is None) == (lifted is None), (a.rows, s, t)
-            if lifted is not None:
-                x = res.decode(lifted.payload)
-                dots = inst.dots()
-                assert sum(d * v for d, v in zip(dots, x)) == t
-                assert res.instance.a.rows[0][0] >= 0
-
-
 class TestHbilpToSs:
     def test_trivial_zero_columns(self):
         inst = HbilpInstance(Matrix.from_rows([[0, 0]]), (5,), 0)
         res = hbilp_to_ss(inst)
-        assert res.trivial
         assert res.elements.elements == (1,)
         assert res.target == 0
+        assert res.meta == {"blocks": 0, "m": 1, "r": 0, "slack": 0}
         w = res.decode(())
         assert w.payload == (0, 0)
         bad = hbilp_to_ss(HbilpInstance(Matrix.from_rows([[0]]), (5,), 3))
-        assert bad.trivial and bad.target == -1
+        assert bad.target == -1
 
     def test_decode_rejects_non_solutions(self):
         res = hbilp_to_ss(HbilpInstance(Matrix.from_rows([[1, 2]]), (1,), 2))
@@ -785,10 +769,7 @@ class TestHbilpToSs:
             a = _rand_matrix(rng, m, n)
             s = tuple(rng.randint(-4, 4) for _ in range(m))
             t = rng.randint(-15, 15)
-            res = hbilp_to_ss(HbilpInstance(a, s, t))
-            if res.trivial or res.guard_tripped:
-                continue
-            els = res.elements.elements
+            els = hbilp_to_ss(HbilpInstance(a, s, t)).elements.elements
             assert len(set(els)) == len(els)
             assert all(v > 0 for v in els)
 
@@ -802,12 +783,24 @@ class TestHbilpToSs:
             a = _rand_matrix(rng, m, n)
             s = tuple(rng.randint(-3, 3) for _ in range(m))
             cases.append((a, s, rng.randint(-10, 10)))
-        # all nonzero entries -1: normalization leaves an infinity norm of 1,
-        # so the radix is lifted to 2
+        # all nonzero entries -1: every moving variable is complemented
         for rows in ([[-1]], [[-1, -1]], [[-1, 0], [0, -1]]):
             a = Matrix.from_rows(rows)
             for t in (-2, -1, 0, 1):
                 cases.append((a, (1,) * a.num_rows, t))
+        # signed steps once mapped this infeasible program to a feasible one
+        cases.append((Matrix.from_rows([[1, -1]]), (-1,), 6))
+        # a target far outside every subset sum
+        cases.append((Matrix.from_rows([[1, 1]]), (1,), 10**6))
+        # the column (1, 1) has nonzero entries and a zero dot, so it is free
+        for t in (-1, 0, 2, 3):
+            cases.append((Matrix.from_rows([[1, 1, 2], [1, 0, 1]]), (1, -1), t))
+        rng = random.Random(106)
+        for _ in range(400):
+            m, n = rng.randint(1, 2), rng.randint(1, 5)
+            a = _rand_matrix(rng, m, n)
+            cases.append((a, tuple(rng.randint(-4, 4) for _ in range(m)), rng.randint(-15, 15)))
+        feasible = 0
         for a, s, t in cases:
             inst = HbilpInstance(a, s, t)
             res = hbilp_to_ss(inst)
@@ -815,9 +808,23 @@ class TestHbilpToSs:
             got = brute_subset_sum(res.elements.elements, res.target)
             assert (got is None) == (want is None), (a.rows, s, t)
             if got is not None:
-                w = res.decode(got)
-                dots = inst.dots()
-                assert sum(d * v for d, v in zip(dots, w.payload)) == t
+                assert inst.solved_by(res.decode(got).payload)
+                feasible += 1
+        assert 50 < feasible < len(cases) - 50
+
+    def test_chain_doubling_does_not_grow_with_n(self):
+        """The bilp -> hbilp -> ss chain of a one-row program with entries
+        in [-2, 2] builds at most K = 5 blocks and the slack, so the
+        doubling constant of its set stays below K + 2 = 7 as n grows (the
+        digit encoding it replaced reached 14.2 at n = 64)."""
+        rng = random.Random(17)
+        for n in (64, 256, 1024):
+            a = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(n)]])
+            b = a.matvec([rng.randint(0, 1) for _ in range(n)])
+            nn = bilp_nonnegative(a, b)
+            ss = hbilp_to_ss(bilp_to_hbilp(nn.matrix, nn.rhs).instance)
+            assert doubling_constant(ss.elements) < 7, n
+            assert ss.meta["blocks"] <= 5
 
 
 class TestSsToHbilp:

@@ -912,7 +912,9 @@ class TestFoldBuffers:
     def _queries(seed):
         """A seeded mix of planted queries on the coloring path: heavy
         uint32 pair folds (Sidon and random sets, n = 2048), smaller ones, an
-        AP whose folds convolve, and k = 5 with three right levels."""
+        AP whose folds convolve, and k = 5 with three right levels: on a
+        random set, where the head scan of the right top product hits, and
+        on an AP, whose right top fold convolves and so fills slot (1, 3)."""
         rng = random.Random(seed)
         sets = [
             (sidon_set(2048), 4),
@@ -924,6 +926,7 @@ class TestFoldBuffers:
             # 4-sums spread over 2^32, so few solutions: several colorings
             # fold into the same slots before one isolates a solution
             (random_dense_set(rng, 400, 1 << 30), 4),
+            (ap_set(1024, 3, 7), 5),
         ]
         return [(z, sum(rng.sample(z.elements, k)), k, rng.randrange(2**30)) for z, k in sets]
 

@@ -287,10 +287,10 @@ class TestRechecksFire:
 _HBILP = {"A": [[1, 2]], "s": [1], "t": 2}
 _SS = {"elements": [3, 5, 7], "target": 5}
 # (kind, payload, the condition named): index witnesses are read against
-# hbilp_to_ss of _HBILP, 8 elements, and vectors against _SS
+# hbilp_to_ss of _HBILP, the elements (1, 2) with target 2, and vectors against _SS
 BAD_WITNESSES = [
-    ("subset-of-indices", (0, 8), "index 8 out of range for 8 elements"),
-    ("subset-of-indices", (0, 7), "sum misses the target"),
+    ("subset-of-indices", (0, 2), "index 2 out of range for 2 elements"),
+    ("subset-of-indices", (0, 1), "sum misses the target"),
     ("multiplicity-vector", (0, 1), "assignment has 2 entries for 3 elements"),
     ("multiplicity-vector", (0, 1, 2), "assignment entries must be 0 or 1"),
     ("multiplicity-vector", (1, -1, 1), "assignment entries must be 0 or 1"),
