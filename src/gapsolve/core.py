@@ -1,22 +1,16 @@
 """Exact integer-set arithmetic: sumsets, doubling, progressions.
 
 Foundational value types shared by the solver stack. Everything here is
-immutable and pure, apart from the buffers a caller may lend the sumset
-kernel (below); operations never mutate their inputs, so concurrent use
-needs no locking. Lookup tables attached to progressions are built once per
-object and are read-only afterwards.
+immutable and pure, apart from the sumset kernel's per-thread scratch
+(below), which no result ever shares memory with; operations never mutate
+their inputs, so concurrent use needs no locking. Lookup tables attached to
+progressions are built once per object and are read-only afterwards.
 
-Buffer providers: `_fold` and the two sumset backends take an optional
-provider, a callable `buffers(name, dtype, n)` that returns a writable
-array of exactly n entries of that dtype. With one, the uint32 pair path
-writes its outer sum, mask and distinct offsets to the "outer", "keep" and
-"offsets" buffers, and it and the FFT backend write their int64 result to
-"out" and return that array, a view of the caller's memory that stays
-valid until the caller hands the same buffer out again; the other pair
-paths allocate as without a provider. The caller owns the buffers
-and their lifetime; core keeps no state. Without a provider every array is
-allocated afresh, and `sumset`, the Freiman supports and every solver
-other than `ksum` pass none.
+Scratch: the uint32 pair path takes its outer sum, mask and distinct
+offsets from one private scratch set per thread, `_SCRATCH`, kept mapped
+between folds so that repeated heavy folds do not fault their pages in
+afresh each time, and returns a fresh int64 array. Nothing past
+_KEEP_ITEMS entries is kept, and every other path allocates.
 
 Integer discipline: values are exact Python ints everywhere, of any size.
 numpy int64 appears only where the one guard `_int64_safe` admits it, and
@@ -71,7 +65,9 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import mmap
 import operator
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -207,6 +203,46 @@ def _int64_safe(lo: int, hi: int) -> bool:
     return -_INT64_SAFE < lo and hi < _INT64_SAFE
 
 
+# A scratch buffer of more than this many entries is allocated for its fold
+# alone and not kept: a kept buffer's touched pages stay resident for the
+# life of its thread, so keeping the buffers of one huge fold would pin its
+# memory for good, while at that size the fold's sort costs far more than
+# faulting the pages in afresh. The k-SUM workload's heavy folds have about
+# 2^18 pairs.
+_KEEP_ITEMS = 1 << 19
+
+
+class _Scratch(threading.local):
+    """One thread's kept scratch buffers, by name.
+
+    Each buffer is an anonymous mmap viewed with np.frombuffer, private so
+    that a forked child never writes into its parent's buffers. It grows
+    geometrically and never shrinks; growth drops the old map, whose
+    pages go back to the OS as soon as no array views them, whatever
+    malloc's trim and mmap thresholds are. Pages are resident only once
+    touched, so unused capacity costs no memory."""
+
+    def __init__(self):
+        self.maps: dict = {}
+
+    def view(self, name: str, dtype, n: int) -> np.ndarray:
+        """n entries of dtype at the head of the buffer `name`, which grows
+        to hold them; a fresh array past _KEEP_ITEMS entries."""
+        dtype = np.dtype(dtype)
+        if n > _KEEP_ITEMS:
+            return np.empty(n, dtype)
+        buf = self.maps.get(name)
+        need, held = n * dtype.itemsize, 0 if buf is None else len(buf)
+        if held < need:
+            size = -(-max(need, 2 * held) // mmap.PAGESIZE) * mmap.PAGESIZE
+            size = min(size, _KEEP_ITEMS * dtype.itemsize)
+            buf = self.maps[name] = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        return np.frombuffer(buf, dtype, n)
+
+
+_SCRATCH = _Scratch()
+
+
 def _sorted_distinct(arr: np.ndarray, keep=None, out=None) -> np.ndarray:
     """Sorted distinct entries of an array in its own dtype, by a sort and an
     adjacent-difference mask, which on int64 and uint32 is far cheaper than
@@ -231,19 +267,17 @@ def _in_sorted(level: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return level.take(np.searchsorted(level, keys), mode="clip") == keys
 
 
-def _pair_sumset(a: Sequence[int], b: Sequence[int], buffers=None) -> np.ndarray:
+def _pair_sumset(a: Sequence[int], b: Sequence[int]) -> np.ndarray:
     """Sorted distinct {x + y} of two sorted nonempty sequences or arrays: an
     int64 array from a numpy outer sum when the guard admits both inputs, an
     object array of exact Python ints otherwise.
 
     On the int64 path, at least _OFFSET_MIN_PAIRS pairs whose sums span
     less than 2^32 are summed, sorted and deduplicated as uint32 offsets from
-    a[0] + b[0], which sorts about twice as fast as int64, and one fused
-    pass casts the distinct offsets to int64 and adds the base back; the
-    output is the same either way. With a buffer provider (see the module
-    docstring) that path writes its outer sum, mask and distinct offsets to
-    the provider's "outer", "keep" and "offsets" buffers and its result to
-    "out", which it returns; every other path allocates."""
+    a[0] + b[0] in this thread's "outer", "keep" and "offsets" scratch
+    buffers, which sorts about twice as fast as int64, and one fused pass
+    casts the distinct offsets to a fresh int64 array and adds the base
+    back; the output is the same either way."""
     if _int64_safe(a[0], a[-1]) and _int64_safe(b[0], b[-1]):
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         pairs = len(a) * len(b)
@@ -251,15 +285,11 @@ def _pair_sumset(a: Sequence[int], b: Sequence[int], buffers=None) -> np.ndarray
             base = int(a[0]) + int(b[0])
             if int(a[-1]) + int(b[-1]) - base < _OFFSET_SPAN:
                 ao, bo = (a - a[0]).astype(np.uint32), (b - b[0]).astype(np.uint32)
-                if buffers is None:
-                    offsets, out = _sorted_distinct(np.add.outer(ao, bo)), None
-                else:
-                    outer = buffers("outer", np.uint32, pairs).reshape(len(a), len(b))
-                    np.add.outer(ao, bo, out=outer)
-                    keep = buffers("keep", np.bool_, pairs)
-                    offsets = _sorted_distinct(outer, keep, buffers("offsets", np.uint32, pairs))
-                    out = buffers("out", np.int64, len(offsets))
-                return np.add(offsets, np.int64(base), out=out, dtype=np.int64)
+                outer = _SCRATCH.view("outer", np.uint32, pairs).reshape(len(a), len(b))
+                np.add.outer(ao, bo, out=outer)
+                keep = _SCRATCH.view("keep", np.bool_, pairs)
+                offsets = _sorted_distinct(outer, keep, _SCRATCH.view("offsets", np.uint32, pairs))
+                return np.add(offsets, np.int64(base), dtype=np.int64)
         return _sorted_distinct(np.add.outer(a, b))
     # object arrays iterate as Python ints, so no sum can wrap
     a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
@@ -296,16 +326,14 @@ def _conv_support(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, size)[:n] > 0.5
 
 
-def _fft_sumset(a: np.ndarray, b: np.ndarray, buffers=None) -> np.ndarray:
+def _fft_sumset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sorted distinct {x + y} of two sorted nonempty arrays whose combined
     range the int64 guard admits, as an int64 array, by convolving their
     indicator vectors; cost is the transform length over that range.
-    Squaring (b is a) builds one indicator and one transform. With a buffer
-    provider the sums are written to its "out" buffer."""
+    Squaring (b is a) builds one indicator and one transform."""
     x = _indicator(a)
     hit = np.flatnonzero(_conv_support(x, x if b is a else _indicator(b)))
-    out = None if buffers is None else buffers("out", np.int64, len(hit))
-    return np.add(hit, a[0] + b[0], out=out)
+    return np.add(hit, a[0] + b[0])
 
 
 def _fold_plan(a: np.ndarray, b: np.ndarray) -> tuple[str, int]:
@@ -324,12 +352,11 @@ def _fold_plan(a: np.ndarray, b: np.ndarray) -> tuple[str, int]:
     return backend, work
 
 
-def _fold(a: np.ndarray, b: np.ndarray, buffers=None) -> tuple[np.ndarray, str, int]:
+def _fold(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str, int]:
     """Sorted distinct {x + y} of two sorted nonempty arrays, the backend
-    that ran and its work, as `_fold_plan` chooses them. An optional buffer
-    provider goes to the backend that runs."""
+    that ran and its work, as `_fold_plan` chooses them."""
     backend, work = _fold_plan(a, b)
-    return (_fft_sumset if backend == "fft" else _pair_sumset)(a, b, buffers), backend, work
+    return (_fft_sumset if backend == "fft" else _pair_sumset)(a, b), backend, work
 
 
 def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:

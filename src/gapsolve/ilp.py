@@ -418,7 +418,11 @@ class BilpNonnegative:
     matrix: Matrix
     rhs: tuple[int, ...]
     n_original: int
-    support_target: int
+
+    @property
+    def support_target(self) -> int:
+        """The appended row's target: each original variable or its copy."""
+        return self.n_original
 
     def decode(self, y: Sequence[int]) -> tuple[int, ...]:
         return tuple(int(v) for v in y[: self.n_original])
@@ -438,7 +442,7 @@ def bilp_nonnegative(a: Matrix, b: Sequence[int]) -> BilpNonnegative:
     out = Matrix.from_rows(rows)
     if out.infinity_norm() > 2 * delta and delta > 0:
         raise InvariantError("normalized magnitude exceeded twice the input bound")
-    return BilpNonnegative(out, rhs, n, n)
+    return BilpNonnegative(out, rhs, n)
 
 
 @dataclass(frozen=True)

@@ -37,24 +37,16 @@ Freiman supports share. Each fold level is one sorted numpy array from the
 fold through the meet to the witness walk: int64 while the kernel's one
 guard admits the operands (all strictly inside +-2^62), exact Python ints
 in an object array past it. Pair folds of at least 2,048 pairs whose sums
-span less than 2^32 sort uint32 offsets inside the kernel and return the
-same int64 level. Python ints appear only in the k witness values; the
-pair table keys exact Python ints.
-
-The folds' big arrays live in one buffer set per thread (`_FoldBuffers`),
-kept mapped between queries so that heavy queries do not fault their pages
-in afresh each time: the pair kernel's temporaries, shared by every fold,
-and one output slot per (side, depth) for the int64 fold levels. A level is
-valid until the next coloring folds the same side and depth, and levels
-never leave `ksum`: a `KsumResult` holds only indices.
+span less than 2^32 sort uint32 offsets in the kernel's own scratch and
+return the same int64 level, a fresh array. Python ints appear only in the
+k witness values; the pair table keys exact Python ints. Levels never leave
+`ksum`: a `KsumResult` holds only indices.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import mmap
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -81,13 +73,6 @@ _MEET_SLICE = 64
 _HEAD_MIN_PAIRS = 1 << 12
 # the head scan looks up at most 1/_HEAD_SHARE of those pairs before the fold
 _HEAD_SHARE = 32
-# A fold buffer of more than this many entries is allocated for its fold
-# alone and not kept: a kept buffer's touched pages stay resident for the
-# life of its thread, so keeping the buffers of one huge fold would pin its
-# memory for good, while at that size the fold's sort costs far more than
-# faulting the pages in afresh. The workload's heavy folds have about 2^18
-# pairs.
-_KEEP_ITEMS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -157,44 +142,7 @@ class SumsetFold:
         return tuple(self.sums.tolist())
 
 
-class _FoldBuffers(threading.local):
-    """One thread's kept fold buffers, by key: a name of `core`'s buffer
-    contract for the shared temporaries, (side, depth) for the level slots.
-
-    Each buffer is an anonymous mmap viewed with np.frombuffer, private so
-    that a forked child never writes into its parent's buffers. It grows
-    geometrically and never shrinks; growth drops the old map, whose
-    pages go back to the OS as soon as no array views them, whatever
-    malloc's trim and mmap thresholds are. Pages are resident only once
-    touched, so unused capacity costs no memory."""
-
-    def __init__(self):
-        self.maps: dict = {}
-
-    def view(self, key, dtype, n: int) -> np.ndarray:
-        """n entries of dtype at the head of the buffer `key`, which grows
-        to hold them; a fresh array past _KEEP_ITEMS entries."""
-        dtype = np.dtype(dtype)
-        if n > _KEEP_ITEMS:
-            return np.empty(n, dtype)
-        buf = self.maps.get(key)
-        need, held = n * dtype.itemsize, 0 if buf is None else len(buf)
-        if held < need:
-            size = -(-max(need, 2 * held) // mmap.PAGESIZE) * mmap.PAGESIZE
-            size = min(size, _KEEP_ITEMS * dtype.itemsize)
-            buf = self.maps[key] = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        return np.frombuffer(buf, dtype, n)
-
-    def provider(self, slot):
-        """The buffer provider of one fold level: its result goes to the
-        slot, its temporaries to the shared buffers."""
-        return lambda name, dtype, n: self.view(slot if name == "out" else name, dtype, n)
-
-
-_BUFFERS = _FoldBuffers()
-
-
-def sparse_sumset(a: Sequence[int], b: Sequence[int], *, _buffers=None) -> SumsetFold:
+def sparse_sumset(a: Sequence[int], b: Sequence[int]) -> SumsetFold:
     """Pairwise sumset by the one fold rule of `core._fold`, which chooses
     the backend from the operands alone.
 
@@ -204,15 +152,14 @@ def sparse_sumset(a: Sequence[int], b: Sequence[int], *, _buffers=None) -> Sumse
     length is below the pair count, which is what separates structured from
     unstructured inputs; the work is the smaller of the two, refused past
     `core.DEFAULT_FOLD_CAP`. Arrays keep their dtype; other sequences enter
-    as exact Python ints. `_buffers` is for `ksum`'s own folds alone: a
-    level's buffer provider (see `_FoldBuffers`).
+    as exact Python ints. The sums are always an array of their own.
     """
     if not len(a) or not len(b):
         raise ValueError("sumset factors must be nonempty")
     a, b = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (a, b))
     # a stable sort is linear on the already sorted fold levels
     a, b = np.sort(a, kind="stable"), np.sort(b, kind="stable")
-    return SumsetFold(*_fold(a, b, _buffers))
+    return SumsetFold(*_fold(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +279,16 @@ def _checked(z: IntegerSet, indices: tuple[int, ...], t: int, k: int) -> SolveWi
 
 
 def _fold_blocks(
-    block_values: list[np.ndarray], used: dict, side: int, levels: Optional[list] = None
+    block_values: list[np.ndarray], used: dict, levels: Optional[list] = None
 ) -> tuple[list[np.ndarray], int]:
     """Left-fold the blocks, keeping every intermediate level's support so
     witnesses can be walked back later without storing pair maps; counts
     each backend's folds into `used`. Folding starts from {0}, or continues
-    on top of given `levels`. A kernel that takes a buffer provider writes
-    level d to this thread's slot (side, d), where it lasts until the side's
-    next fold of that depth."""
+    on top of given `levels`."""
     levels = [np.zeros(1, dtype=np.int64)] if levels is None else list(levels)
     work = 0
     for bv in block_values:
-        fold = sparse_sumset(levels[-1], bv, _buffers=_BUFFERS.provider((side, len(levels))))
+        fold = sparse_sumset(levels[-1], bv)
         levels.append(fold.sums)
         work += fold.work
         used[fold.backend] = used.get(fold.backend, 0) + 1
@@ -504,8 +449,8 @@ def ksum(z: IntegerSet, t: int, k: int, rng) -> KsumResult:
         # blocks list indices ascending, so indexing the sorted values keeps them sorted
         lblocks = [arr[list(b)] for b in blocks[:split_at]]
         *rblocks, last = [arr[list(b)] for b in blocks[split_at:]]
-        llevels, lwork = _fold_blocks(lblocks, backends, 0)
-        rlevels, rwork = _fold_blocks(rblocks, backends, 1)
+        llevels, lwork = _fold_blocks(lblocks, backends)
+        rlevels, rwork = _fold_blocks(rblocks, backends)
         work += lwork + rwork + len(llevels[-1])
         head = None
         backend, pairs = _fold_plan(rlevels[-1], last)
@@ -516,7 +461,7 @@ def ksum(z: IntegerSet, t: int, k: int, rng) -> KsumResult:
             b, r = head
             picks = _unfold(llevels, lblocks, target - b - r) + _unfold(rlevels, rblocks, r) + [b]
         else:
-            rlevels, rwork = _fold_blocks([last], backends, 1, rlevels)
+            rlevels, rwork = _fold_blocks([last], backends, rlevels)
             work += rwork + len(rlevels[-1])
             hit = _meet(llevels[-1], rlevels[-1], target)
             if hit is None:

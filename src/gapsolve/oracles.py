@@ -33,19 +33,16 @@ def _as_values(z) -> tuple[int, ...]:
     return tuple(int(v) for v in z)
 
 
-def _half_sums(values: Sequence[int], dtype) -> tuple[np.ndarray, np.ndarray]:
-    """All 2^h subset sums of `values` with their popcounts, the sums in
-    `dtype`.
+def _half_sums(values: Sequence[int], dtype) -> np.ndarray:
+    """All 2^h subset sums of `values` in `dtype`.
 
     Index bit j corresponds to values[j], so the flat index doubles as the
     chosen-subset mask.
     """
     sums = np.zeros(1, dtype=dtype)
-    counts = np.zeros(1, dtype=np.int64)
     for v in values:
         sums = np.concatenate([sums, sums + v])
-        counts = np.concatenate([counts, counts + 1])
-    return sums, counts
+    return sums
 
 
 def _mask_indices(mask: int, offset: int) -> tuple[int, ...]:
@@ -59,20 +56,10 @@ def _mask_indices(mask: int, offset: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def brute_subset_sum(
-    z,
-    t: int,
-    k: Optional[int] = None,
-    mode: str = "first",
-    cap: int = _MITM_MAX_N,
-):
-    """Meet-in-the-middle subset sum oracle.
-
-    mode="first": deterministic witness (index tuple) or None.
-    mode="count": number of solutions.
-    mode="all": list of all index tuples (small n only).
-    k restricts solutions to exactly k chosen indices.
-    """
+def brute_subset_sum(z, t: int, cap: int = _MITM_MAX_N):
+    """Meet-in-the-middle subset sum oracle: a deterministic witness (index
+    tuple) or None. The least left-half mask that meets the right half wins,
+    with the first right-half mask of the complementary sum."""
     values = _as_values(z)
     n = len(values)
     if n > cap or n > _MITM_MAX_N:
@@ -82,69 +69,18 @@ def brute_subset_sum(
     neg, pos = sum(v for v in values if v < 0), sum(v for v in values if v > 0)
     dtype = np.int64 if _int64_safe(min(neg, t - pos), max(pos, t - neg)) else object
     h = n // 2
-    left_vals, right_vals = values[:h], values[h:]
-    ls, lc = _half_sums(left_vals, dtype)
-    rs, rc = _half_sums(right_vals, dtype)
-
-    if mode == "count":
-        total = 0
-        right_by_count: dict = {}
-        for mask, (s, c) in enumerate(zip(rs.tolist(), rc.tolist())):
-            right_by_count.setdefault(c, {}).setdefault(s, 0)
-            right_by_count[c][s] += 1
-        for mask, (s, c) in enumerate(zip(ls.tolist(), lc.tolist())):
-            need = t - s
-            if k is None:
-                total += sum(d.get(need, 0) for d in right_by_count.values())
-            else:
-                total += right_by_count.get(k - c, {}).get(need, 0)
-        return total
-
-    if mode == "all":
-        right_lookup: dict = {}
-        for mask, (s, c) in enumerate(zip(rs.tolist(), rc.tolist())):
-            right_lookup.setdefault((s, c) if k is not None else s, []).append(mask)
-        out = []
-        for mask, (s, c) in enumerate(zip(ls.tolist(), lc.tolist())):
-            keys = [(t - s, k - c)] if k is not None else [t - s]
-            for key in keys:
-                for rmask in right_lookup.get(key, ()):
-                    out.append(_mask_indices(mask, 0) + _mask_indices(rmask, h))
-        return sorted(out)
-
-    if mode != "first":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    # first: smallest left mask wins, then first occurrence on the right
-    count_values = [None] if k is None else list(range(k + 1))
-    best = None
-    for c in count_values:
-        if c is None:
-            lsel = np.arange(len(ls))
-            rsel_sums, rsel_idx = rs, np.arange(len(rs))
-        else:
-            lsel = np.nonzero(lc == c)[0]
-            rmask = np.nonzero(rc == k - c)[0]
-            rsel_sums, rsel_idx = rs[rmask], rmask
-        if len(lsel) == 0 or len(rsel_sums) == 0:
-            continue
-        uniq, first = np.unique(rsel_sums, return_index=True)
-        need = t - ls[lsel]
-        pos = np.searchsorted(uniq, need)
-        ok = (pos < len(uniq)) & (uniq[np.minimum(pos, len(uniq) - 1)] == need)
-        hits = np.nonzero(ok)[0]
-        if len(hits):
-            lmask = int(lsel[hits[0]])
-            rmask_flat = int(rsel_idx[first[pos[hits[0]]]])
-            cand = (lmask, rmask_flat)
-            if best is None or cand[0] < best[0]:
-                best = cand
-    if best is None:
+    ls, rs = _half_sums(values[:h], dtype), _half_sums(values[h:], dtype)
+    uniq, first = np.unique(rs, return_index=True)
+    need = t - ls
+    at = np.searchsorted(uniq, need)
+    hits = np.flatnonzero((at < len(uniq)) & (uniq[np.minimum(at, len(uniq) - 1)] == need))
+    if not len(hits):
         return None
-    return _mask_indices(best[0], 0) + _mask_indices(best[1], h)
+    lmask = int(hits[0])
+    return _mask_indices(lmask, 0) + _mask_indices(int(first[at[lmask]]), h)
 
 
-def brute_subset_sum_all(z, t: int, k: Optional[int] = None, cap: int = _DIRECT_MAX_N):
+def brute_subset_sum_all(z, t: int, cap: int = _DIRECT_MAX_N):
     """Direct single-pass enumeration over all 2^n subsets. Independent of
     the meet-in-the-middle path so the two can cross-check each other."""
     values = _as_values(z)
@@ -154,8 +90,6 @@ def brute_subset_sum_all(z, t: int, k: Optional[int] = None, cap: int = _DIRECT_
     out = []
     for mask in range(1 << n):
         chosen = _mask_indices(mask, 0)
-        if k is not None and len(chosen) != k:
-            continue
         if sum(values[i] for i in chosen) == t:
             out.append(chosen)
     return sorted(out)

@@ -416,8 +416,9 @@ def test_criterion_5_reduction_round_trips():
 
         nn = bilp_nonnegative(a, b)
         agg = bilp_to_hbilp(nn.matrix, nn.rhs)
-        # element distinctness and positivity are asserted inside every build
         enc = hbilp_to_ss(agg.instance)
+        # distinctness is IntegerSet's strictly-increasing rule
+        assert enc.elements.min() >= 1, (a.rows, b)
         got = brute_subset_sum(enc.elements.elements, enc.target)
         assert (got is None) == (want is None), (a.rows, b)
         if got is not None:

@@ -1,7 +1,9 @@
 """Core types: sets, sumsets, progressions, matrices, witnesses."""
 
+import ast
 import itertools
 import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -178,15 +180,11 @@ class TestPairSumset:
                     assert got.dtype == np.int64
                     narrow = span < 1 << 32 and len(a) * len(b) >= core._OFFSET_MIN_PAIRS
                     assert seen == [np.uint32 if narrow else np.int64]
+                    paths.add(seen[0])
                     a64, b64 = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
                     wide = sorted_distinct(np.add.outer(a64, b64))
                     assert got.tobytes() == wide.tobytes()
                     assert core._pair_sumset(a64, b64).tobytes() == wide.tobytes()
-                    # a buffer provider takes the same path and gives the same bytes
-                    seen.clear()
-                    assert core._pair_sumset(a, b, KeptBuffers()).tobytes() == wide.tobytes()
-                    assert seen == [np.uint32 if narrow else np.int64]
-                    paths.add(seen[0])
         assert paths == {np.dtype(np.uint32), np.dtype(np.int64)}
 
     def test_sorted_distinct_matches_unique(self):
@@ -260,23 +258,9 @@ class TestFold:
                     refused(x, x)
 
 
-class KeptBuffers:
-    """A buffer provider after core's contract: one byte buffer per name,
-    grown when short and never shrunk, whose head it hands out."""
-
-    def __init__(self):
-        self.bufs = {}
-
-    def __call__(self, name, dtype, n):
-        size = n * np.dtype(dtype).itemsize
-        buf = self.bufs.get(name, np.empty(0, np.uint8))
-        if buf.nbytes < size:
-            buf = self.bufs[name] = np.empty(max(size, 2 * buf.nbytes), np.uint8)
-        return buf[:size].view(dtype)
-
-
 class TestFoldBuffers:
-    """`_fold` with a buffer provider against `_fold` without one."""
+    """`_fold` with this thread's kept scratch against `_fold` with every
+    scratch view fresh (_KEEP_ITEMS = 0)."""
 
     @staticmethod
     def _operands(rng, size, dense):
@@ -286,34 +270,53 @@ class TestFoldBuffers:
         return [np.array(sorted(rng.sample(range(span), size)), dtype=np.int64) for _ in range(2)]
 
     @pytest.mark.parametrize("dense, backend", [(True, "fft"), (False, "hash")])
-    def test_same_bytes_growing_then_shrinking(self, dense, backend):
+    def test_same_bytes_growing_then_shrinking(self, dense, backend, monkeypatch):
         rng = random.Random(150 + dense)
-        buffers = KeptBuffers()
+        monkeypatch.setattr(core, "_SCRATCH", core._Scratch())
         kept = []
         for size in (50, 120, 300, 700, 300, 120, 50):
             a, b = self._operands(rng, size, dense)
-            want = core._fold(a, b)
-            got = core._fold(a, b, buffers)
+            got = core._fold(a, b)
+            with monkeypatch.context() as fresh:
+                fresh.setattr(core, "_KEEP_ITEMS", 0)
+                want = core._fold(a, b)
             assert want[1] == backend and got[1:] == want[1:]
             assert got[0].dtype == want[0].dtype == np.int64
             assert got[0].tobytes() == want[0].tobytes()
-            assert np.shares_memory(got[0], buffers.bufs["out"])
-            # a provider-less result is its own memory
-            assert not any(np.shares_memory(want[0], buf) for buf in buffers.bufs.values())
-            kept.append((want[0], want[0].tobytes()))
+            # no result shares memory with a kept buffer
+            held = [np.frombuffer(buf, np.uint8) for buf in core._SCRATCH.maps.values()]
+            assert not any(np.shares_memory(r[0], h) for r in (got, want) for h in held)
+            kept.append((got[0], got[0].tobytes()))
         # earlier results are unchanged by the later folds
         assert all(arr.tobytes() == saved for arr, saved in kept)
-        names = {"out"} if dense else {"outer", "keep", "offsets", "out"}
-        assert set(buffers.bufs) == names
+        assert set(core._SCRATCH.maps) == (set() if dense else {"outer", "keep", "offsets"})
 
-    def test_object_and_narrow_paths_allocate(self):
-        """Past the guard, and below _OFFSET_MIN_PAIRS, the provider is not asked."""
-        buffers = KeptBuffers()
+    def test_object_and_narrow_paths_allocate(self, monkeypatch):
+        """Past the guard, and below _OFFSET_MIN_PAIRS, no scratch is made."""
+        monkeypatch.setattr(core, "_SCRATCH", core._Scratch())
         big = np.array([1 << 70, (1 << 70) + 3], dtype=object)
         small = np.array([0, 1000, 5000], dtype=np.int64)
         for x in (big, small):
-            assert core._fold(x, x, buffers)[0].tolist() == core._fold(x, x)[0].tolist()
-        assert buffers.bufs == {}
+            want = sorted({p + q for p in x.tolist() for q in x.tolist()})
+            assert core._fold(x, x)[0].tolist() == want
+        assert core._SCRATCH.maps == {}
+
+
+def test_only_core_imports_mmap_or_threading():
+    """The pair kernel owns its scratch: of the package's modules only
+    `core` imports mmap or threading."""
+    owners = set()
+    for path in pathlib.Path(gapsolve.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = {node.module.split(".")[0]}
+            else:
+                continue
+            if names & {"mmap", "threading"}:
+                owners.add(path.stem)
+    assert owners == {"core"}
 
 
 class TestGap:

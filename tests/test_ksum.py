@@ -905,8 +905,9 @@ class TestNormalization:
 
 
 class TestFoldBuffers:
-    """The per-thread buffer set that keeps the folds' big arrays mapped
-    between queries changes no answer, no work count and no backend."""
+    """The pair kernel's per-thread scratch (`core._Scratch`), which keeps
+    the folds' big temporaries mapped between queries, changes no answer, no
+    work count and no backend."""
 
     @staticmethod
     def _queries(seed):
@@ -914,7 +915,7 @@ class TestFoldBuffers:
         uint32 pair folds (Sidon and random sets, n = 2048), smaller ones, an
         AP whose folds convolve, and k = 5 with three right levels: on a
         random set, where the head scan of the right top product hits, and
-        on an AP, whose right top fold convolves and so fills slot (1, 3)."""
+        on an AP, whose right top fold convolves."""
         rng = random.Random(seed)
         sets = [
             (sidon_set(2048), 4),
@@ -924,7 +925,7 @@ class TestFoldBuffers:
             (random_dense_set(rng, 400, 10**6), 5),
             (sidon_set(700), 4),
             # 4-sums spread over 2^32, so few solutions: several colorings
-            # fold into the same slots before one isolates a solution
+            # reuse the scratch before one isolates a solution
             (random_dense_set(rng, 400, 1 << 30), 4),
             (ap_set(1024, 3, 7), 5),
         ]
@@ -941,22 +942,19 @@ class TestFoldBuffers:
 
     def test_back_to_back_queries_unchanged(self, monkeypatch):
         """One seeded sequence twice in one process (the first run fills the
-        buffers, the second reuses them) and once with no buffer set."""
+        scratch, the second reuses it) and once with every view fresh."""
+        monkeypatch.setattr(core, "_SCRATCH", core._Scratch())
         queries = self._queries(912)
         first = self._answers(queries)
-        maps = ksum_module._BUFFERS.maps
-        assert {"outer", "keep", "offsets", (0, 2), (1, 2), (1, 3)} <= set(maps)
+        maps = core._SCRATCH.maps
+        assert set(maps) == {"outer", "keep", "offsets"}
         kept = {key: id(buf) for key, buf in maps.items()}
         second = self._answers(queries)
         assert second == first
         # the second run needed no larger buffer
         assert {key: id(buf) for key, buf in maps.items()} == kept
 
-        class Unbuffered:
-            def provider(self, slot):
-                return None
-
-        monkeypatch.setattr(ksum_module, "_BUFFERS", Unbuffered())
+        monkeypatch.setattr(core, "_KEEP_ITEMS", 0)
         assert self._answers(queries) == first
         assert sum(tried for _, _, tried, _, _ in first) > len(queries)
         assert {name for *_, meta in first for name in meta["backends"]} == {"hash", "fft"}
@@ -972,7 +970,7 @@ class TestFoldBuffers:
             try:
                 barrier.wait()
                 got[i] = [self._answers(inputs[i]) for _ in range(3)]
-                owners[i] = id(ksum_module._BUFFERS.maps)
+                owners[i] = id(core._SCRATCH.maps)
             except Exception as exc:  # re-raised in the main thread below
                 errors.append(exc)
 
@@ -983,16 +981,16 @@ class TestFoldBuffers:
             th.join()
         assert errors == []
         assert got == [[want[0]] * 3, [want[1]] * 3]
-        assert len({owners[0], owners[1], id(ksum_module._BUFFERS.maps)}) == 3
+        assert len({owners[0], owners[1], id(core._SCRATCH.maps)}) == 3
 
     def test_growth_is_geometric_and_never_shrinks(self):
-        buffers = ksum_module._FoldBuffers()
-        page, limit = ksum_module.mmap.PAGESIZE, ksum_module._KEEP_ITEMS
+        scratch = core._Scratch()
+        page, limit = core.mmap.PAGESIZE, core._KEEP_ITEMS
 
         def mapped(n):
-            arr = buffers.view("x", np.int64, n)
+            arr = scratch.view("x", np.int64, n)
             assert arr.shape == (n,) and arr.flags.writeable
-            return len(buffers.maps["x"])
+            return len(scratch.maps["x"])
 
         first = mapped(10)
         assert first == page
@@ -1003,24 +1001,27 @@ class TestFoldBuffers:
         mapped(limit // 2 + 1)
         assert mapped(limit) == limit * 8  # doubling stops at the limit
 
-    def test_folds_past_the_limit_are_not_kept(self):
-        """A fold past _KEEP_ITEMS gives the provider-less bytes, and the
-        kept buffers stay as they were, each at most the limit in bytes."""
-        limit = ksum_module._KEEP_ITEMS
-        buffers = ksum_module._FoldBuffers()
+    def test_folds_past_the_limit_are_not_kept(self, monkeypatch):
+        """A fold past _KEEP_ITEMS gives the bytes of a fold with every view
+        fresh, and the kept buffers stay as they were, each at most the limit
+        in bytes."""
+        limit = core._KEEP_ITEMS
+        monkeypatch.setattr(core, "_SCRATCH", core._Scratch())
         rng = random.Random(930)
         small = [np.array(sorted(rng.sample(range(10**7), 600)), dtype=np.int64) for _ in range(2)]
-        sparse_sumset(*small, _buffers=buffers.provider((0, 1)))
-        kept = {key: len(buf) for key, buf in buffers.maps.items()}
-        assert {"outer", "keep", "offsets", (0, 1)} <= set(kept)
+        sparse_sumset(*small)
+        kept = {key: len(buf) for key, buf in core._SCRATCH.maps.items()}
+        assert set(kept) == {"outer", "keep", "offsets"}
         big = [np.array(sorted(rng.sample(range(10**8), 800)), dtype=np.int64) for _ in range(2)]
         assert len(big[0]) * len(big[1]) > limit
-        fold = sparse_sumset(*big, _buffers=buffers.provider((0, 1)))
-        want = sparse_sumset(*big)
+        fold = sparse_sumset(*big)
+        with monkeypatch.context() as fresh:
+            fresh.setattr(core, "_KEEP_ITEMS", 0)
+            want = sparse_sumset(*big)
         assert (fold.backend, fold.work) == (want.backend, want.work) == ("hash", 640_000)
         assert fold.sums.tobytes() == want.sums.tobytes()
-        assert {key: len(buf) for key, buf in buffers.maps.items()} == kept
+        assert {key: len(buf) for key, buf in core._SCRATCH.maps.items()} == kept
         assert max(kept.values()) <= limit * np.dtype(np.int64).itemsize
-        for buf in buffers.maps.values():
+        for buf in core._SCRATCH.maps.values():
             held = np.frombuffer(buf, np.uint8)
             assert not np.shares_memory(fold.sums, held) and not np.shares_memory(want.sums, held)
