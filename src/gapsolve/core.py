@@ -422,7 +422,7 @@ class Gap:
         return math.prod(self.lengths)
 
     def element_at(self, coords: Sequence[int]) -> int:
-        x = self.base + sum(c * y for c, y in zip(coords, self.generators))
+        x = self.base + sum(map(operator.mul, coords, self.generators))
         return x if self.modulus is None else x % self.modulus
 
     def to_json_dict(self) -> dict:

@@ -617,7 +617,7 @@ def ss_to_hbilp(z: IntegerSet, t: int, rng) -> HbilpFromSubsetSum:
         c = coords[e]
         col = ([1] if base != 0 else []) + list(c)
         cols.append(col)
-        if base + sum(ci * gi for ci, gi in zip(c, gens)) != e:
+        if split.gap.element_at(c) != e:
             raise InvariantError(f"coordinates of {e} do not reproduce it")
     steps = ((base,) if base != 0 else ()) + tuple(gens)
     rows = [[col[i] for col in cols] for i in range(len(steps))]

@@ -258,16 +258,18 @@ class TestBogolyubov:
                 assert ok, (m, b.elements, bad)
 
 
-    def test_matches_fft_reference(self):
+    def test_matches_fft_reference(self, monkeypatch):
         """Both spectrum paths against the FFT line, with |B| from 1 to past
-        floor(log2 m) so that each side of the switch is drawn; composite m
-        (even ones have r = m/2 as its own mirror) ride along."""
+        3 * floor(log2 m) so that each side of the switch is drawn; composite
+        m (even ones have r = m/2 as its own mirror) ride along. The path
+        that ran is read from a spy."""
+        calls = _spy_spectrum_paths(monkeypatch)
         rng = random.Random(140)
         ms = [2, 3, 5, 7, 11, 12, 64, 1000, 28151, 59999]
         ms += [next_prime(rng.randint(2, 60000)) for _ in range(16)]
         paths = set()
         for m in ms:
-            top = m.bit_length() - 1  # floor(log2 m)
+            top = 3 * (m.bit_length() - 1)  # the largest |B| summed directly
             for size in sorted({1, 2, top, top + 1, min(m, top + 3), rng.randint(1, top)}):
                 if size > m:
                     continue
@@ -276,34 +278,26 @@ class TestBogolyubov:
                     if ends and m > 2 and size >= 2:
                         pool = {0, m - 1} | set(rng.sample(range(1, m - 1), size - 2))
                     b = IntegerSet.from_iterable(pool)
-                    assert bogolyubov(b, m).frequencies == _bogolyubov_fft_reference(b, m)
-                    paths.add(size <= top)
-                    if size <= top:
+                    calls.clear()
+                    got = bogolyubov(b, m).frequencies
+                    (path,) = calls
+                    assert got == _bogolyubov_fft_reference(b, m)
+                    assert path == ("direct" if size <= top else "fft"), (m, size)
+                    paths.add(path)
+                    if path == "direct":
                         elems = np.array(b.elements, dtype=np.int64)
-                        got = freiman._direct_spectrum(elems, m)
-                        assert np.max(np.abs(got - _fft_spectrum(b, m))) * m * m < 1e-9
+                        spectrum = freiman._direct_spectrum(elems, m)
+                        assert np.max(np.abs(spectrum - _fft_spectrum(b, m))) * m * m < 1e-9
         for m in (2, 3, 7, 31):
             whole = IntegerSet(tuple(range(m)))
             assert bogolyubov(whole, m).frequencies == _bogolyubov_fft_reference(whole, m) == ()
-        assert paths == {True, False}
+        assert paths == {"direct", "fft"}
 
-    def test_path_switches_above_log2_m(self, monkeypatch):
-        calls = []
-        direct, fft = freiman._direct_spectrum, np.fft.fft
-
-        def spy_direct(elems, m):
-            calls.append("direct")
-            return direct(elems, m)
-
-        def spy_fft(x, *args, **kwargs):
-            calls.append("fft")
-            return fft(x, *args, **kwargs)
-
-        monkeypatch.setattr(freiman, "_direct_spectrum", spy_direct)
-        monkeypatch.setattr(np.fft, "fft", spy_fft)
+    def test_path_switches_above_three_log2_m(self, monkeypatch):
+        calls = _spy_spectrum_paths(monkeypatch)
         rng = random.Random(141)
         for m in (2, 3, 17, 31, 32, 1021, 28151):
-            top = m.bit_length() - 1
+            top = 3 * (m.bit_length() - 1)
             for size, want in ((top, "direct"), (top + 1, "fft")):
                 if size > m:
                     continue
@@ -317,17 +311,41 @@ class TestBogolyubov:
         assert bogolyubov(IntegerSet((3,)), 1021).frequencies == tuple(range(1, 1021))
         assert calls == ["fft"]
 
-    def test_direct_spectrum_is_mirror_symmetric(self):
+    def test_direct_spectrum_is_mirror_symmetric(self, monkeypatch):
+        calls = _spy_spectrum_paths(monkeypatch)
         rng = random.Random(142)
+        paths = set()
         for m in (2, 3, 4, 12, 97, 1000, 4099, 28151):
-            top = m.bit_length() - 1
-            for _ in range(3):
-                elems = np.array(sorted(rng.sample(range(m), rng.randint(1, top))), dtype=np.int64)
+            top = 3 * (m.bit_length() - 1)
+            for size in (rng.randint(1, min(m, top)), rng.randint(1, min(m, top)), min(m, top + 1)):
+                elems = np.array(sorted(rng.sample(range(m), size)), dtype=np.int64)
                 got = freiman._direct_spectrum(elems, m)
                 assert got.shape == (m,)
                 assert np.array_equal(got[1:], got[1:][::-1])
+                calls.clear()
                 fs = bogolyubov(IntegerSet(tuple(elems.tolist())), m).frequencies
+                paths.update(calls)
                 assert set(fs) == {m - r for r in fs}
+        assert paths == {"direct", "fft"}
+
+
+def _spy_spectrum_paths(monkeypatch):
+    """Wrap both spectrum paths; the returned list gets "direct" or "fft"
+    appended on each call."""
+    calls = []
+    direct, fft = freiman._direct_spectrum, np.fft.fft
+
+    def spy_direct(elems, m):
+        calls.append("direct")
+        return direct(elems, m)
+
+    def spy_fft(x, *args, **kwargs):
+        calls.append("fft")
+        return fft(x, *args, **kwargs)
+
+    monkeypatch.setattr(freiman, "_direct_spectrum", spy_direct)
+    monkeypatch.setattr(np.fft, "fft", spy_fft)
+    return calls
 
 
 def _fft_spectrum(b, m):
@@ -375,6 +393,37 @@ class TestGapInBohr:
         with pytest.raises(ValueError):
             gap_in_bohr(BohrSpec(7, (1,), Fraction(1, 2)))
 
+    def test_empty_fit_without_sweep_matches_full_sweep(self, monkeypatch):
+        """From d * qe >= pe * m on the fit is empty on any m, and the sweep
+        is skipped; just below it the sweep runs. Each case against a
+        test-local sweep of every gamma in [1, m)."""
+        swept = []
+        sweep = freiman._short_directions
+        monkeypatch.setattr(
+            freiman, "_short_directions", lambda *a: swept.append(a) or sweep(*a))
+        rng = random.Random(143)
+        quarter = Fraction(1, 4)
+        cases = [(101, tuple(sorted(rng.sample(range(1, 101), d))), quarter)
+                 for d in (26, 27, 40, 75, 100)]
+        cases += [(1009, tuple(sorted(rng.sample(range(1, 1009), d))), eps)
+                  for d, eps in ((253, quarter), (337, Fraction(1, 3)), (101, Fraction(1, 10)))]
+        # composite m: every frequency of the first three shares a factor
+        # with 12, and gamma = 6 (resp. 4, 8) maps the last two to 0
+        cases += [(12, fs, quarter) for fs in ((2, 3, 4, 6, 8, 9, 10), (2, 4, 6, 8, 10), (3, 6, 9))]
+        # one frequency short of the bound: the sweep keeps gamma = 1
+        cases += [(12, (1, 11), quarter), (101, (1, 100), Fraction(1, 40))]
+        for m, fs, eps in cases:
+            spec = BohrSpec(m, fs, eps)
+            swept.clear()
+            res = gap_in_bohr(spec)
+            assert (res.gap, res.norms, res.d_original) == _full_sweep_fit(spec)[0], (m, fs)
+            exits = len(fs) * eps.denominator >= eps.numerator * m
+            assert bool(swept) != exits, (m, fs)
+            assert (res.gap.dimension == 0) == exits, (m, fs)
+        # a full sweep does pass zero vectors there, which the fit then drops
+        assert {4, 8} <= _full_sweep_fit(BohrSpec(12, (3, 6, 9), quarter))[1]
+        assert 6 in _full_sweep_fit(BohrSpec(12, (2, 4, 6, 8, 10), quarter))[1]
+
     def test_volume_bound_spot(self):
         rng = random.Random(12)
         for m, d in itertools.product((101, 257, 503), (0, 1, 2, 5)):
@@ -390,6 +439,26 @@ class TestGapInBohr:
             vals, proper = gap_enumerate(res.gap)
             assert proper
             assert set(vals.elements) <= inside
+
+
+def _full_sweep_fit(spec):
+    """(gap, norms, d_original) of the Bohr fit from every gamma in [1, m)
+    in Python integers, and the gammas whose coordinates all pass the
+    threshold (zero vectors included)."""
+    m, eps, fs = spec.m, spec.width, spec.frequencies
+    d, pe, qe = len(fs), spec.width.numerator, spec.width.denominator
+    cands = []
+    for gamma in range(1, m):
+        signed = [w if 2 * w <= m else w - m for w in (gamma * r % m for r in fs)]
+        nc = max(map(abs, signed))
+        if nc * d * qe < pe * m:
+            cands.append((nc, gamma, signed))
+    cands.sort()
+    kept = freiman._independent_prefix([(g, v, nc) for nc, g, v in cands], d)
+    norms = tuple(Fraction(nc, m) for _, _, nc in kept)
+    lengths = tuple(-((-pe * m) // (qe * nc * d)) for _, _, nc in kept)
+    gap = Gap(0, tuple(g for g, _, _ in kept), lengths, modulus=m)
+    return (gap, norms, d), {g for _, g, _ in cands}
 
 
 def _bohr_verdict_reference(gap, spec):
