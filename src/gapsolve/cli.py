@@ -48,8 +48,6 @@ from gapsolve.subset_sum import SubsetSumInstance, solve_subset_sum
 
 
 def _read_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -58,17 +56,13 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _rng(seed: int) -> random.Random:
-    return random.Random(seed)
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
 
 def _cmd_freiman(args) -> int:
     z = IntegerSet.from_json_dict(_read_json(args.input))
-    res = freiman_gap(z, _rng(args.seed))
+    res = freiman_gap(z, random.Random(args.seed))
     out = {"gap": res.cover.to_json_dict(), "metrics": res.metrics}
     if args.split:
         split = split_dimensions(res.cover, len(z))
@@ -119,7 +113,7 @@ def _run_reduction(src: str, dst: str, d: dict, seed: int):
     meta: dict = {"from": src, "to": dst}
     if src == "ss":
         inst = _binary_subset_sum(d)
-        enc = ss_to_hbilp(inst.elements, inst.target, _rng(seed))
+        enc = ss_to_hbilp(inst.elements, inst.target, random.Random(seed))
         meta.update(enc.meta)
         return enc.instance.to_json_dict(), meta, {}
     stages: dict = {}
@@ -189,7 +183,7 @@ def _cmd_ilp_decode(args) -> int:
 
 def _cmd_subset_sum(args) -> int:
     inst = SubsetSumInstance.from_json_dict(_read_json(args.input))
-    w = solve_subset_sum(inst, _rng(args.seed))
+    w = solve_subset_sum(inst)
     if w is None:
         _emit({"feasible": False})
         return 1
@@ -199,7 +193,7 @@ def _cmd_subset_sum(args) -> int:
 
 def _cmd_ksum(args) -> int:
     z = IntegerSet.from_json_dict(_read_json(args.input))
-    res = ksum(z, args.target, args.k, _rng(args.seed))
+    res = ksum(z, args.target, args.k, random.Random(args.seed))
     out = {
         "feasible": res.witness is not None,
         "work": res.work,
@@ -244,7 +238,7 @@ def _verify_witness(d: dict, w: SolveWitness) -> bool:
 
 
 def _cmd_generate(args) -> int:
-    rng = _rng(args.seed)
+    rng = random.Random(args.seed)
     if args.kind == "ap":
         z = ap_set(args.n, args.start, args.step)
     elif args.kind == "sidon":
@@ -261,22 +255,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _csv_text(jsonl: str) -> str:
-    """A JSON-lines bench record stream as CSV."""
-    rows = [json.loads(line) for line in jsonl.splitlines()]
-    bench = [r for r in rows if r.get("kind") == "foursum-bench"]
-    fits = [r for r in rows if r.get("kind") == "fit"]
-    cols = ["family", "n", "trial", "feasible", "work", "partitions", "c", "c_source"]
-    if any("wall_ms" in r for r in bench):
-        cols.append("wall_ms")
-    lines = [",".join(cols)]
-    for r in bench:
-        lines.append(",".join(str(r.get(c, "")) for c in cols))
-    for r in fits:
-        lines.append(f"# fit,{r['family']},{r['exponent']}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_bench(args) -> int:
     """Records go to a buffer, and `--out` is written only once the run has
     succeeded, so a failed run leaves an existing file as it was."""
@@ -291,9 +269,8 @@ def _cmd_bench(args) -> int:
         max_exp=args.max_exp,
         timing=args.timing,
     )
-    text = buf.getvalue()
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(_csv_text(text) if args.format == "csv" else text)
+        fh.write(buf.getvalue())
     for family, exponent in sorted(result["fits"].items()):
         _emit({"family": family, "fitted_exponent": round(exponent, 4)})
     return 0
@@ -382,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-exp", type=int, default=8)
     p.add_argument("--max-exp", type=int, default=14)
     p.add_argument("--timing", action="store_true")
-    p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     _add_common(p)
     p.set_defaults(func=_cmd_bench)
 

@@ -180,7 +180,9 @@ class IntegerSet:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "IntegerSet":
-        return cls.from_iterable(d["elements"])
+        """The set as written: a list that is not strictly increasing is
+        refused, never sorted, so an index names a position in the file."""
+        return cls(tuple(map(_exact_int, d["elements"])))
 
 
 # ---------------------------------------------------------------------------
@@ -618,5 +620,5 @@ class SubsetSumInstance:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SubsetSumInstance":
-        z = IntegerSet.from_iterable(d["elements"])
+        z = IntegerSet.from_json_dict(d)
         return cls(z, _exact_int(d["target"]), d.get("mode", "binary"))

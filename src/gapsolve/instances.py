@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from typing import TextIO
 
-from gapsolve.core import EnumerationCapError, Gap, IntegerSet, doubling_constant, gap_enumerate
+from gapsolve.core import Gap, IntegerSet, InvariantError, doubling_constant, gap_enumerate
 from gapsolve.freiman import next_prime
 from gapsolve.ksum import foursum
 
@@ -50,22 +50,25 @@ def random_dense_set(rng, n: int, span: int) -> IntegerSet:
 
 def gap_sample_set(rng, n: int, dimension: int = 2) -> IntegerSet:
     """n points sampled without replacement from a random proper
-    progression of volume at least n."""
+    progression of volume at least n.
+
+    Generator i is r * (4 * side)^i with r in {1, 2, 3}. The axes below it
+    span at most 3 (side - 1) ((4 * side)^i - 1) / (4 * side - 1), less
+    than (4 * side)^i, so the box is always proper, and side^dimension >= n:
+    one draw always serves."""
     if n < 1 or dimension < 1:
         raise ValueError("need n >= 1 and dimension >= 1")
     side = max(2, math.ceil(n ** (1.0 / dimension)) + 1)
-    for _ in range(64):
-        base = rng.randrange(-50, 50)
-        gens = []
-        scale = 1
-        for _ in range(dimension):
-            gens.append(scale * rng.randrange(1, 4))
-            scale *= side * 4
-        gap = Gap(base, tuple(gens), (side,) * dimension)
-        values, proper = gap_enumerate(gap)
-        if proper and len(values) >= n:
-            return IntegerSet(tuple(sorted(rng.sample(values.elements, n))))
-    raise EnumerationCapError("could not draw a proper progression to sample")
+    base = rng.randrange(-50, 50)
+    gens = []
+    scale = 1
+    for _ in range(dimension):
+        gens.append(scale * rng.randrange(1, 4))
+        scale *= side * 4
+    values, proper = gap_enumerate(Gap(base, tuple(gens), (side,) * dimension))
+    if not proper or len(values) < n:
+        raise InvariantError("sampling progression is not proper or too small")
+    return IntegerSet(tuple(sorted(rng.sample(values.elements, n))))
 
 
 def union_of_aps(rng, n: int, parts: int = 2) -> IntegerSet:

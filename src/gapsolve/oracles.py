@@ -2,8 +2,8 @@
 
 Nothing here is fast and nothing here is allowed to be clever: each oracle
 enumerates, or meets in the middle, and reports an exact verdict. Oracles are
-used by the test suite and by debugging subcommands, never on solver hot
-paths. Enumerations take explicit caps and raise instead of sampling; the
+used by the test suite and by the benchmark's answer checks, never on solver
+hot paths. Enumerations take explicit caps and raise instead of sampling; the
 sampling variants are separate functions with "sampled" in the name.
 """
 

@@ -11,7 +11,8 @@ quotient coins on [0, t / g]. Its suffix walk takes each coin's multiple
 in one step and gives the lexicographically least multiplicity vector, the
 witness `oracles.brute_unbounded_subset_sum` returns. The solver's one
 refusal bounds what that box keeps: n + 1 closures of t / g + 1 bits, at
-most `UNBOUNDED_BOX_BITS` in all.
+most `UNBOUNDED_BOX_BITS` in all. Both solvers are deterministic: neither
+draws random numbers, and `solve_subset_sum` takes only the instance.
 
 `SubsetSumInstance` and `SS_MODES` live in `core` and are re-exported
 here. The instance's `violation` is the one validity rule for a subset-sum
@@ -77,8 +78,9 @@ def unbounded_subset_sum(z: IntegerSet, t: int, rng) -> Optional[SolveWitness]:
     one `oracles.brute_unbounded_subset_sum` returns, the zero vector at
     t = 0. The box keeps n + 1 closures of t / g + 1 bits each, so a query
     whose closures pass UNBOUNDED_BOX_BITS (read at call time) is refused
-    before any is built. rng stays in the signature for its callers;
-    nothing is drawn from it.
+    before any is built. Nothing is drawn from rng: it stays in the
+    signature only because the benchmark harness passes one, and
+    `solve_subset_sum` passes None.
     """
     if z.min() < 1:
         raise ValueError("elements must be positive")
@@ -105,9 +107,9 @@ def unbounded_subset_sum(z: IntegerSet, t: int, rng) -> Optional[SolveWitness]:
     return w
 
 
-def solve_subset_sum(
-    inst: SubsetSumInstance, rng, table_cap: int = DEFAULT_TABLE_CAP
-) -> Optional[SolveWitness]:
+def solve_subset_sum(inst: SubsetSumInstance) -> Optional[SolveWitness]:
+    """The instance's mode picks the solver: `subset_sum_doubling` at the
+    default table cap, or `unbounded_subset_sum`."""
     if inst.mode == "binary":
-        return subset_sum_doubling(inst.elements, inst.target, table_cap=table_cap)
-    return unbounded_subset_sum(inst.elements, inst.target, rng)
+        return subset_sum_doubling(inst.elements, inst.target)
+    return unbounded_subset_sum(inst.elements, inst.target, None)

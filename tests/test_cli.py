@@ -81,6 +81,41 @@ class TestSubsetSum:
         assert last_json(proc)["witness"] == {"kind": "subset-of-indices", "values": [1, 2]}
 
 
+class TestElementsAsWritten:
+    """An element list is read as written: one that is not strictly
+    increasing is refused, never sorted or deduplicated, so every witness
+    index is a position in the file."""
+
+    @pytest.mark.parametrize(
+        "inst, argv",
+        [
+            ({"elements": [3, 3, 5], "target": 6}, ["subset-sum", "solve"]),
+            ({"elements": [3, 3, 5]}, ["ksum", "--k", "2", "--target", "6"]),
+            ({"elements": [5, 3], "target": 5}, ["subset-sum", "solve"]),
+            ({"elements": [5, 3], "target": 5, "mode": "unbounded"}, ["subset-sum", "solve"]),
+            ({"elements": [0, 2, 1]}, ["freiman"]),
+        ],
+    )
+    def test_unsorted_or_repeated_refused(self, tmp_path, inst, argv):
+        path = write_json(tmp_path / "inst.json", inst)
+        proc = run_cli(*argv, "--input", path, check=2)
+        assert proc.stdout == ""
+        assert "elements must be strictly increasing" in proc.stderr
+
+    def test_verify_refuses_unsorted_instances(self, tmp_path):
+        inst = write_json(tmp_path / "ss.json", {"elements": [5, 3], "target": 5})
+        w = write_json(tmp_path / "w.json", {"kind": "subset-of-indices", "values": [0]})
+        proc = run_cli("verify", "witness", "--input", inst, "--witness", w, check=2)
+        assert "elements must be strictly increasing" in proc.stderr
+
+    def test_generated_files_are_accepted(self, tmp_path):
+        for kind in ("ap", "sidon", "random", "gap", "union-aps"):
+            proc = run_cli("generate", "--kind", kind, "--n", "12", "--seed", "5", check=0)
+            path = tmp_path / f"{kind}.json"
+            path.write_text(proc.stdout)
+            run_cli("freiman", "--input", str(path), check=0)
+
+
 class TestIlp:
     def test_solve_binary(self, tmp_path):
         inst = write_json(
@@ -443,7 +478,7 @@ def _random_instance(rng, kind):
         mult = [rng.randint(0, 1 if kind == "binary" else 3) for _ in range(len(z))]
         t = sum(v * m for v, m in zip(z.elements, mult)) + rng.choice((0, 0, 1, -1))
         inst = SubsetSumInstance(z, t, kind)
-        return inst, solve_subset_sum(inst, rng)
+        return inst, solve_subset_sum(inst)
     n = rng.randint(1, 5)
     rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 2))]
     if kind == "bounded":
@@ -542,16 +577,15 @@ class TestBench:
         lines = [json.loads(l) for l in out1.read_text().splitlines()]
         assert sum(1 for l in lines if l["kind"] == "fit") == 2
 
-    def test_csv(self, tmp_path):
+    def test_format_flag_is_gone(self, tmp_path):
         out = tmp_path / "bench.csv"
-        run_cli(
+        proc = run_cli(
             "bench", "foursum-scaling", "--out", str(out),
             "--trials", "1", "--min-exp", "4", "--max-exp", "5",
-            "--format", "csv", check=0,
+            "--format", "csv", check=2,
         )
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("family,n,trial,feasible,work")
-        assert len(lines) > 2
+        assert "unrecognized arguments: --format csv" in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "bad", [["--min-exp", "5", "--max-exp", "4"], ["--trials", "0"]]
@@ -810,6 +844,17 @@ class TestErrors:
         p.write_text("{not json")
         proc = run_cli("subset-sum", "solve", "--input", str(p))
         assert proc.returncode == 2
+
+    def test_stdin_input_exit_2(self):
+        """--input names a file; "-" is a path like any other, not stdin."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "gapsolve", "subset-sum", "solve", "--input", "-"],
+            input=json.dumps({"elements": [2, 5], "target": 7}),
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "No such file" in proc.stderr
 
     def test_unknown_command_exit_2(self):
         proc = run_cli("frobnicate")

@@ -1,6 +1,7 @@
 """Core types: sets, sumsets, progressions, matrices, witnesses."""
 
 import ast
+import collections
 import itertools
 import json
 import pathlib
@@ -317,6 +318,31 @@ def test_only_core_imports_mmap_or_threading():
             if names & {"mmap", "threading"}:
                 owners.add(path.stem)
     assert owners == {"core"}
+
+
+def test_every_private_top_level_name_has_a_reference():
+    """A private top-level function or class of the package that no `Name`
+    or `Attribute` outside its own definition names is dead code."""
+    trees = [ast.parse(p.read_text()) for p in pathlib.Path(gapsolve.__file__).parent.glob("*.py")]
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    refs = collections.Counter(name for tree in trees for name in names(tree))
+    dead = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and refs[node.name] == collections.Counter(names(node))[node.name]
+    ]
+    assert dead == []
 
 
 class TestGap:

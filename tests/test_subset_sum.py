@@ -217,12 +217,11 @@ class TestUnbounded:
 
 class TestDispatch:
     def test_modes(self):
-        rng = random.Random(3)
         binary = SubsetSumInstance(IntegerSet((2, 3, 9)), 5)
-        w = solve_subset_sum(binary, rng)
+        w = solve_subset_sum(binary)
         assert w.kind == "subset-of-indices"
         unb = SubsetSumInstance(IntegerSet((2, 3, 9)), 13, "unbounded")
-        w2 = solve_subset_sum(unb, rng)
+        w2 = solve_subset_sum(unb)
         assert w2.kind == "multiplicity-vector"
         assert sum(v * m for v, m in zip((2, 3, 9), w2.payload)) == 13
 
