@@ -202,10 +202,8 @@ def _cmd_ksum(args) -> int:
     }
     if res.witness is not None:
         out["witness"] = res.witness.to_json_dict()
-        _emit(out)
-        return 0
     _emit(out)
-    return 1
+    return 0 if res.witness is not None else 1
 
 
 def _cmd_verify(args) -> int:

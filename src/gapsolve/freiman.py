@@ -1,11 +1,13 @@
 """Structure pipeline: model a set in a prime cyclic group, extract a Bohr
 set from its large Fourier spectrum, fit a proper progression inside the Bohr
-set, pull it back to the integers, and finish with a covering argument.
+set, pull it back to the integers as Q, and finish with one certified cover
+A inside (Q - Q) + X, with X from Ruzsa's covering lemma (`_certified_cover`).
 
 Stage contracts are verified at runtime on every invocation: the modeling map
 is divisibility-checked exactly, the fitted progression is re-enumerated for
-properness and membership, and the final cover is checked element by element
-against the input. Violations raise InvariantError rather than degrade.
+properness and membership, and `_certified_cover` checks that Q is proper and
+inside 2A - 2A and re-evaluates every element's coordinates in the cover.
+Violations raise InvariantError rather than degrade.
 
 Width discipline: group arithmetic stays within int64 ranges by construction
 (the working modulus and the modeling prime are bounded by the
@@ -379,9 +381,7 @@ class BohrGapResult:
 
 
 def _reduce_row(row: list[int]) -> list[int]:
-    g = 0
-    for v in row:
-        g = math.gcd(g, v)
+    g = math.gcd(*row)
     if g > 1:
         return [v // g for v in row]
     return row
@@ -590,6 +590,50 @@ def _psi2_inverter(model: FreimanModel):
     return invert
 
 
+def _certified_cover(a: IntegerSet, q_gap: Gap) -> tuple[Gap, dict, IntegerSet]:
+    """(cover, coords, X) with A inside (Q - Q) + X, every step certified:
+    Q proper and, past one element, inside 2A - 2A; X from `ruzsa_cover`;
+    the cover Q - Q shifted by x when |X| = 1, else with one 0/1 indicator
+    dimension per x. One scan of the translates x in ascending order over
+    the Q - Q table gives each element its least x and lex-least vector,
+    and every vector is re-evaluated in the cover."""
+    q_elems, q_proper = gap_enumerate(q_gap)
+    if not q_proper:
+        raise InvariantError("pulled-back progression not proper")
+    if len(q_elems) > 1:
+        off, diffs = iterated_support(a, 2, 2)
+        want = np.asarray(q_elems.elements, dtype=np.int64) - off
+        if not _in_sorted(diffs, want).all():
+            raise InvariantError("pulled-back progression escapes 2A - 2A")
+
+    x_set = ruzsa_cover(q_elems, a)
+
+    # Q - Q: Q's generators over the box [0, 2L - 1) based at -sum((L - 1) * y)
+    y_gens, q_lengths = q_gap.generators, q_gap.lengths
+    qq_lengths = tuple(2 * l - 1 for l in q_lengths)
+    qq_gap = Gap(-sum((l - 1) * y for l, y in zip(q_lengths, y_gens)), y_gens, qq_lengths)
+    qq_coord = _gap_value_table(qq_gap)
+    k = len(x_set)
+    if k == 1:
+        cover = Gap(qq_gap.base + x_set.min(), y_gens, qq_lengths)
+    else:
+        cover = Gap(qq_gap.base, y_gens + x_set.elements, qq_lengths + (2,) * k)
+
+    # None marks an element of A still without coordinates
+    coords: dict = dict.fromkeys(a.elements)
+    for i, xx in enumerate(x_set.elements):
+        bits = () if k == 1 else (0,) * i + (1,) + (0,) * (k - 1 - i)
+        for d, vec in qq_coord.items():
+            if coords.get(xx + d, ()) is None:
+                coords[xx + d] = vec + bits
+    for elem, vec in coords.items():
+        if vec is None:
+            raise InvariantError(f"{elem} not covered")
+        if cover.element_at(vec) != elem:
+            raise InvariantError(f"coordinate certificate failed for {elem}")
+    return cover, coords, x_set
+
+
 def freiman_gap(a: IntegerSet, rng) -> FreimanGapResult:
     """Cover `a` by a progression shaped (Q - Q) + X.
 
@@ -597,8 +641,9 @@ def freiman_gap(a: IntegerSet, rng) -> FreimanGapResult:
     from the measured difference set rather than a doubling-constant power:
     the modeling stage needs exactly that margin, and the measured value
     keeps the group tractable. Modeling is retried up to
-    ceil(log2 n) + 1 times; every input element's coefficient vector
-    in the final cover is recorded and re-evaluated.
+    ceil(log2 n) + 1 times. The Bohr fit is pulled back to Q, and
+    `_certified_cover` builds and certifies the cover and every input
+    element's coefficient vector in it.
     """
     n = len(a)
     if n == 1:
@@ -614,20 +659,15 @@ def freiman_gap(a: IntegerSet, rng) -> FreimanGapResult:
     if m >= 16 * d_size:
         raise InvariantError("no prime in the modulus window")
 
-    budget = max(1, math.ceil(math.log2(n))) + 1
-    model = None
-    attempts = 0
     failures: list[str] = []
-    for _ in range(budget):
-        attempts += 1
-        got = modeling_lemma(a, MODELING_FOLD, m, rng, diff_support=diff8)
-        if isinstance(got, FreimanModel):
-            model = got
+    for _ in range(max(1, math.ceil(math.log2(n))) + 1):
+        model = modeling_lemma(a, MODELING_FOLD, m, rng, diff_support=diff8)
+        if isinstance(model, FreimanModel):
             break
-        failures.append(got.reason)
-    if model is None:
+        failures.append(model.reason)
+    else:
         raise PipelineFailureError(
-            f"modeling failed {attempts} times (reasons: {','.join(failures)})"
+            f"modeling failed {len(failures)} times (reasons: {','.join(failures)})"
         )
 
     bres = gap_in_bohr(bogolyubov(model.image, m))
@@ -642,56 +682,13 @@ def freiman_gap(a: IntegerSet, rng) -> FreimanGapResult:
         y_gens = tuple(invert(g) for g in bres.gap.generators)
         q_lengths = bres.gap.lengths
     q_gap = Gap(0, y_gens, q_lengths)
-
-    q_elems, q_proper = gap_enumerate(q_gap)
-    if not q_proper:
-        raise InvariantError("pulled-back progression not proper")
-    if len(q_elems) > 1:
-        off, diffs = iterated_support(a, 2, 2)
-        want = np.asarray(q_elems.elements, dtype=np.int64) - off
-        if not _in_sorted(diffs, want).all():
-            raise InvariantError("pulled-back progression escapes 2A - 2A")
-
-    x_set = ruzsa_cover(q_elems, a)
-
-    # Q - Q is the progression of Q's generators over the box [0, 2L - 1)
-    # based at -sum((L - 1) * y); each difference takes its lex-least vector
-    qq_lengths = tuple(2 * l - 1 for l in q_lengths)
-    qq_gap = Gap(-sum((l - 1) * y for l, y in zip(q_lengths, y_gens)), y_gens, qq_lengths)
-    qq_coord = _gap_value_table(qq_gap)
-    singleton_x = len(x_set) == 1
-    if singleton_x:
-        cover = Gap(qq_gap.base + x_set.min(), y_gens, qq_lengths)
-    else:
-        cover = Gap(qq_gap.base, y_gens + x_set.elements, qq_lengths + (2,) * len(x_set))
-
-    # each element takes the least x in X with elem - x in Q - Q, found by
-    # scanning the smaller of the two; its indicator marks x's position
-    x_elems = x_set.elements
-    x_pos = {xx: i for i, xx in enumerate(x_elems)}
-    scan_x = len(x_elems) <= len(qq_coord)
-    coords: dict[int, tuple[int, ...]] = {}
-    for elem in a:
-        if scan_x:
-            hit = next((xx for xx in x_elems if elem - xx in qq_coord), None)
-        else:
-            hit = min((elem - d for d in qq_coord if elem - d in x_pos), default=None)
-        if hit is None:
-            raise InvariantError(f"{elem} not covered")
-        if singleton_x:
-            bits = ()
-        else:
-            i = x_pos[hit]
-            bits = (0,) * i + (1,) + (0,) * (len(x_elems) - 1 - i)
-        coords[elem] = qq_coord[elem - hit] + bits
-        if cover.element_at(coords[elem]) != elem:
-            raise InvariantError(f"coordinate certificate failed for {elem}")
+    cover, coords, x_set = _certified_cover(a, q_gap)
 
     metrics = {
         "n": n,
         "m": m,
         "q": model.q,
-        "attempts": attempts,
+        "attempts": len(failures) + 1,
         "aprime_size": len(model.a_prime),
         "bohr_frequencies": bres.d_original,
         "kept_dims": q_gap.dimension,

@@ -212,8 +212,9 @@ def _array_engine(
 ) -> Optional[list[int]]:
     """Reachable-sum DP on sorted arrays from `keys`, the one-element array
     of the root key, towards the key `target`; returns the x~ that reaches
-    it, or None. Keys are int64 when every key fits, else an object array of
-    exact Python ints.
+    it, or None when the table empties. A table that ends on any key but
+    the target is an InvariantError. Keys are int64 when every key fits,
+    else an object array of exact Python ints.
 
     After variable j the table keeps only the keys K that the later
     variables can still carry to the target as far as their range tells:
@@ -296,9 +297,10 @@ def _array_engine(
             )
         if not len(keys):
             return None
-    # the window after the last variable that moves a key is {target}
+    # the window after the last variable that moves a key is {target}, and
+    # with no moving variable the caller admits only target == root
     if keys[0] != target:
-        return None
+        raise InvariantError(f"table ends at key {keys[0]}, not the target {target}")
     x = [0] * len(spans)
     key = target
     for j, v, new in reversed(written):

@@ -321,8 +321,9 @@ def test_only_core_imports_mmap_or_threading():
 
 
 def test_every_private_top_level_name_has_a_reference():
-    """A private top-level function or class of the package that no `Name`
-    or `Attribute` outside its own definition names is dead code."""
+    """A private top-level function, class or assigned name of the package
+    that no `Name` or `Attribute` outside its own definition names is dead
+    code."""
     trees = [ast.parse(p.read_text()) for p in pathlib.Path(gapsolve.__file__).parent.glob("*.py")]
 
     def names(node):
@@ -332,16 +333,22 @@ def test_every_private_top_level_name_has_a_reference():
             elif isinstance(sub, ast.Attribute):
                 yield sub.attr
 
+    def defined(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name))
+
     refs = collections.Counter(name for tree in trees for name in names(tree))
-    dead = [
-        node.name
+    private = [
+        (name, node)
         for tree in trees
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and refs[node.name] == collections.Counter(names(node))[node.name]
+        for name in defined(node)
+        if name.startswith("_") and not name.startswith("__")
     ]
+    dead = [name for name, node in private if refs[name] == collections.Counter(names(node))[name]]
     assert dead == []
 
 

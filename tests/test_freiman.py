@@ -819,6 +819,25 @@ class TestFreimanGap:
         with pytest.raises(InvariantError, match="escapes 2A - 2A"):
             freiman_gap(a, random.Random(0))
 
+    def test_dropped_translate_is_not_covered(self, monkeypatch):
+        # Q = {0} and X = A; without its least translate, 3 has no x
+        cover = freiman.ruzsa_cover
+        monkeypatch.setattr(
+            freiman, "ruzsa_cover", lambda y, z: IntegerSet(cover(y, z).elements[1:])
+        )
+        with pytest.raises(InvariantError, match="^3 not covered"):
+            freiman_gap(IntegerSet((3, 7, 11, 15, 19, 23)), random.Random(2))
+
+    def test_wrong_q_minus_q_vector_fails_the_certificate(self, monkeypatch):
+        # Q - Q = {-21, -14, ..., 21}; giving 0 the vector (4,) of 7 puts 5
+        # at 12 in the cover
+        a = IntegerSet(tuple(range(5, 5 + 12 * 7, 7)))
+        self._forced_q(monkeypatch, (1,), (4,), {1: 7})
+        table = freiman._gap_value_table
+        monkeypatch.setattr(freiman, "_gap_value_table", lambda gap: {**table(gap), 0: (4,)})
+        with pytest.raises(InvariantError, match="certificate failed for 5$"):
+            freiman_gap(a, random.Random(0))
+
 
 class TestSplitDimensions:
     def test_frozen_single_dim(self):

@@ -664,6 +664,14 @@ class TestRechecksFire:
         with pytest.raises(InvariantError, match="witness failed re-evaluation"):
             solve(inst)
 
+    def test_engine_refuses_a_table_off_the_target(self):
+        # no variable moves a key, so the table is the root alone; the caller
+        # admits that only when the root is the target
+        root = np.array([0], dtype=np.int64)
+        assert ilp._array_engine(root, [0, 4], [3, 0], 0, 100) == [0, 0]
+        with pytest.raises(InvariantError, match="not the target 5"):
+            ilp._array_engine(root, [0, 4], [3, 0], 5, 100)
+
     def test_subset_decode_checks_the_original(self):
         res = hbilp_to_ss(HbilpInstance(Matrix.from_rows([[1, 2]]), (1,), 2))
         w = subset_sum_doubling(res.elements, res.target)
