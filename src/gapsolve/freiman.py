@@ -25,13 +25,17 @@ frequency array each BohrSpec holds (object past the int64 guard); the
 spectrum stays that array from the FFT to the check.
 
 The spectrum |1_B^(r)|^2 / m^2 takes one of two paths. When
-|B| <= 3 * floor(log2 m) it is summed directly over B, |B| * m work against
-the FFT's m log2 m, from one table of m-th roots of unity read at r * x mod m;
-those products stay below m^2, which core._int64_safe must admit. The factor
-3 is where the two meet: numpy's FFT of a prime length m runs Bluestein's
-algorithm, three transforms of a padded power-of-two length, and with numpy
-2.4.6 on a 2-vCPU VM, at m of about 6,000, 28,000 and 100,000, the direct sum
-stays the faster up to |B| of about 40 to 48. Otherwise, or past the guard,
+|B| <= 3 * floor(log2 m) it is summed directly over B as one complex matrix
+product: writing r = s * i + j with s = ceil(sqrt(m/2 + 1)), the coefficient
+at r <= m/2 is entry (i, j) of C^T F, for C and F tables of |B| x sqrt(m/2)
+roots of unity at exponents x * s * i and x * j reduced mod m. That is
+2 |B| sqrt(m/2) exponentials and one |B|-deep product over m/2 entries,
+against the FFT's m log2 m; the exponent products stay below m^2, which
+core._int64_safe must admit. numpy's FFT of a prime length m runs Bluestein's
+algorithm, three transforms of a padded power-of-two length; with numpy 2.4.6
+on a 2-vCPU VM the product stays the faster up to |B| of about 50 at
+m = 2,003, 300 at m = 28,151 and 1,000 at m = 100,003, so the switch at
+3 * floor(log2 m) is conservative everywhere. Otherwise, or past the guard,
 it is numpy's FFT of length m. The threshold comparison is the same on both
 paths.
 
@@ -295,34 +299,27 @@ class BohrSpec:
         return tuple(self._freqs.tolist())
 
 
-def _roots_of_unity(m: int) -> np.ndarray:
-    """exp(-2 pi i k / m) for k in [0, m): the outer product of a coarse and a
-    fine table of about sqrt(m) entries each, so only about 2 sqrt(m) complex
-    exponentials are evaluated."""
-    s = math.isqrt(m - 1) + 1  # s * s >= m
-    steps = np.arange(s, dtype=np.int64)
-    fine = np.exp(steps * (-2j * np.pi / m))
-    coarse = np.exp((steps * s) * (-2j * np.pi / m))
-    return np.multiply.outer(coarse, fine).ravel()[:m]
-
-
 def _direct_spectrum(elems: np.ndarray, m: int) -> np.ndarray:
-    """|1_B^(r)|^2 / m^2 for every r in Z_m, summed over x in B from one table
-    of m-th roots of unity at the indices r * x mod m for r <= m/2. The
-    indicator is real, so the coefficient at m - r is the conjugate of the
-    one at r and the upper half is an exact mirror. Needs m^2 within int64."""
-    roots = _roots_of_unity(m)
-    rs = np.arange(m // 2 + 1, dtype=np.int64)
-    idx = np.empty_like(rs)
-    acc = np.zeros(len(rs), dtype=np.complex128)
-    for x in elems.tolist():
-        np.multiply(rs, x, out=idx)
-        idx %= m
-        acc += roots[idx]
-    half = np.abs(acc / m) ** 2
+    """|1_B^(r)|^2 / m^2 for every r in Z_m, summed over x in B as one complex
+    matrix product. With s = ceil(sqrt(m/2 + 1)) and r = s * i + j for
+    0 <= j < s, the coefficient at r is sum_x w^(s*i*x) * w^(j*x), w =
+    exp(-2 pi i / m): entry (i, j) of C^T F, where C[x, i] = w^(x*s*i) and
+    F[x, j] = w^(x*j). Each table is one exponential of exponents reduced
+    exactly mod m, so the cost is 2 |B| sqrt(m/2) exponentials and one
+    |B|-deep product over the m/2 + 1 entries r <= m/2. The indicator is
+    real, so the coefficient at m - r is the conjugate of the one at r and
+    the upper half is an exact mirror. Needs m^2 within int64."""
+    half_len = m // 2 + 1
+    s = math.isqrt(half_len - 1) + 1  # s * s >= m/2 + 1
+    steps = np.arange(s, dtype=np.int64)
+    xs, w = elems[:, None], -2j * np.pi / m
+    fine = np.exp((xs * steps % m) * w)
+    coarse = np.exp((xs * (steps[: -(-half_len // s)] * s) % m) * w)
+    acc = (coarse.T @ fine).ravel()[:half_len]
+    half = (acc.real**2 + acc.imag**2) / (m * m)
     out = np.empty(m, dtype=np.float64)
-    out[: len(half)] = half
-    out[len(half) :] = half[1 : m - len(half) + 1][::-1]
+    out[:half_len] = half
+    out[half_len:] = half[1 : m - half_len + 1][::-1]
     return out
 
 
@@ -332,11 +329,12 @@ def bogolyubov(b: IntegerSet, m: int) -> BohrSpec:
 
     The squared coefficients |1_B^(r)|^2 / m^2 come from one of two paths.
     When |B| <= 3 * floor(log2 m), and m^2 passes the int64 guard, they are
-    summed directly over B (|B| * m work, which up to there beats numpy's
-    Bluestein transform of a prime length m); otherwise from a length-m FFT
-    of the indicator. The threshold comparison is greedy-inclusive at
-    float precision: extra frequencies only shrink the Bohr set, so
-    containment survives rounding. The spectrum size bound
+    summed directly over B as one complex matrix product (2 |B| sqrt(m/2)
+    exponentials and a |B|-deep product over m/2 entries, which up to there
+    beats numpy's Bluestein transform of a prime length m); otherwise from a
+    length-m FFT of the indicator. The threshold comparison is
+    greedy-inclusive at float precision: extra frequencies only shrink the
+    Bohr set, so containment survives rounding. The spectrum size bound
     |R| * |B|^2 < m^2 is asserted exactly.
     """
     if b.min() < 0 or b.max() >= m:

@@ -35,7 +35,7 @@ from gapsolve.freiman import (
     split_dimensions,
     support_size,
 )
-from gapsolve.instances import ap_set, gap_sample_set
+from gapsolve.instances import ap_set, gap_sample_set, random_dense_set, union_of_aps
 from gapsolve.oracles import (
     bohr_enumerate,
     bohr_subset_check,
@@ -292,6 +292,19 @@ class TestBogolyubov:
             whole = IntegerSet(tuple(range(m)))
             assert bogolyubov(whole, m).frequencies == _bogolyubov_fft_reference(whole, m) == ()
         assert paths == {"direct", "fft"}
+
+    @pytest.mark.parametrize("m", [next_prime(250_000), next_prime(10**6)])
+    def test_direct_spectrum_at_large_m(self, m):
+        """The largest |B| the direct sum takes, with 0 and m - 1, at m far
+        past the moduli drawn above: the same frequencies as the FFT line and
+        the same spectrum to 1e-9 / m^2."""
+        rng = random.Random(m)
+        top = 3 * (m.bit_length() - 1)
+        b = IntegerSet.from_iterable({0, m - 1} | set(rng.sample(range(1, m - 1), top - 2)))
+        assert len(b) == top
+        assert bogolyubov(b, m).frequencies == _bogolyubov_fft_reference(b, m)
+        spectrum = freiman._direct_spectrum(np.array(b.elements, dtype=np.int64), m)
+        assert np.max(np.abs(spectrum - _fft_spectrum(b, m))) * m * m < 1e-9
 
     def test_path_switches_above_three_log2_m(self, monkeypatch):
         calls = _spy_spectrum_paths(monkeypatch)
@@ -726,6 +739,20 @@ class TestFreimanGap:
             "cover_dimension": n, "cover_volume": 2**n, "strict_checked": True,
             "modeling_failures": [],
         }
+
+    # seeded covers at m up to 256,079: (m, bohr_frequencies), so that no
+    # rounding in the spectrum moves a threshold count unseen
+    FROZEN_BOHR = (
+        (ap_set(256, 0, 1), (16_333, 10_742)),
+        (union_of_aps(random.Random(0), 256, 2), (55_921, 41_910)),
+        (gap_sample_set(random.Random(0), 128, 2), (20_743, 19_396)),
+        (random_dense_set(random.Random(0), 64, 1 << 12), (256_079, 255_950)),
+    )
+
+    @pytest.mark.parametrize("a,frozen", FROZEN_BOHR, ids=["ap", "union", "gap", "random"])
+    def test_frozen_bohr_counts(self, a, frozen):
+        metrics = freiman_gap(a, random.Random(0)).metrics
+        assert (metrics["m"], metrics["bohr_frequencies"]) == frozen
 
     def test_trivial_q_skips_inverter_and_2a_fold(self, monkeypatch):
         folds = []
